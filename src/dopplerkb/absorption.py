@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import DataError
 from .lineshape import Transition, voigt
@@ -149,6 +148,8 @@ class ModulationComb:
 
     @property
     def weights(self) -> np.ndarray:
+        from scipy.special import jv
+
         return jv(self.orders, self.beta) ** 2
 
     @classmethod
@@ -156,6 +157,8 @@ class ModulationComb:
         """Pick the smallest cutoff with cumulative weight >= 1 - 1e-10."""
         if not (mod_freq_khz > 0):
             raise ValueError("modulation frequency must be positive")
+        from scipy.special import jv
+
         beta = depth_khz / mod_freq_khz
         total = jv(0, beta) ** 2
         n = 0

@@ -5,7 +5,8 @@ Stages talk to each other through files only.  Every file-writing run also
 writes a manifest (config hash, seed, package and library versions, constants
 snapshot) sufficient to reproduce it bit-identically.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .fileio import (
     write_spectrum,
     write_width_table,
 )
-from .fitter import FitModel, fit_spectrum
+from .fitter import FitModel, fit_series
 from .lineshape import Transition
 from .simulator import spawn_seeds, synth_spectrum
 
@@ -62,13 +63,6 @@ PAPER_TEMPERATURE_REL = 7e-5
 @click.group()
 def cli():
     """Doppler-broadening thermometry toolkit."""
-
-
-def _model_option():
-    return click.option(
-        "--model", type=click.Choice([m.value for m in FitModel]),
-        default=None, help="Fit model (default: from config, else exp-gaussian)."
-    )
 
 
 @cli.command()
@@ -111,19 +105,17 @@ def simulate(config_path, out_dir, seed, no_noise):
 @click.argument("spectra", nargs=-1, type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True,
               help="Output fit-record stream (JSON lines).")
-@_model_option()
+@click.option("--model", type=click.Choice([m.value for m in FitModel]),
+              default=FitModel.EXP_GAUSSIAN.value, show_default=True, help="Fit model.")
 @click.option("--max-iter", type=int, default=200, show_default=True,
               help="Iteration budget per spectrum.")
 def fit_command(spectra, out_path, model, max_iter):
     """Fit every spectrum file and write one record per spectrum."""
     paths = _collect_spectrum_paths(spectra)
-    fit_model = FitModel.from_name(model) if model else FitModel.EXP_GAUSSIAN
-    results = []
-    for path in paths:
-        spectrum = read_spectrum(path)
-        results.append(
-            fit_spectrum(spectrum, fit_model, max_iter=max_iter, source_id=path.name)
-        )
+    fit_model = FitModel.from_name(model)
+    # Files are read as the fitter consumes them, one block at a time.
+    results = fit_series((read_spectrum(path) for path in paths), fit_model,
+                         max_iter=max_iter, source_ids=[path.name for path in paths])
     write_fit_records(results, out_path)
     write_manifest(Path(out_path).with_suffix(".manifest.json"), "fit",
                    {"spectra": [p.name for p in paths], "model": fit_model.value,
@@ -269,7 +261,7 @@ def main(argv=None) -> int:
         return 3
     except Exception as exc:  # keep failures one-line and machine-parsable
         print(f"error: internal: {exc}", file=sys.stderr)
-        return 2
+        return 4
 
 
 if __name__ == "__main__":

@@ -87,6 +87,10 @@ def read_spectrum(path) -> Spectrum:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(SPECTRUM_MAGIC):
         raise DataError(f"{path}: line 1: not a dopplerkb spectrum file")
+    version = lines[0][len(SPECTRUM_MAGIC):].strip()
+    if version != f"v{SCHEMA_VERSION}":
+        raise DataError(f"{path}: line 1: unsupported schema version {version!r} "
+                        f"(this reader takes v{SCHEMA_VERSION})")
 
     header: dict = {}
     freq: list = []
@@ -238,8 +242,6 @@ def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> Non
     """Record everything needed to re-run a pipeline stage bit-identically."""
     from importlib.metadata import version as pkg_version
 
-    import scipy
-
     from . import __version__
 
     manifest = {
@@ -250,7 +252,7 @@ def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> Non
         "versions": {
             "dopplerkb": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": pkg_version("scipy"),
             "click": pkg_version("click"),
         },
         "constants": constants.as_dict(),

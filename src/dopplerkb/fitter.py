@@ -5,11 +5,25 @@ The fit model is the measured transmission
     level * exp(-depth * P(nu - nu0)) + slope * (nu - nu0)
 
 with ``P`` a unit-peak Gaussian (paper analysis) or a Voigt profile
-(cross-check).  Minimization is a damped Gauss-Newton iteration with an
-analytic Jacobian: the damping factor grows tenfold whenever a step raises
-the cost and shrinks tenfold on success, starting from 1e-3.  Parameters are
-scaled internally (frequencies by the scan span, the slope by its inverse)
-to keep the normal matrix well conditioned.
+(cross-check).  Minimization is a damped Gauss-Newton (Levenberg-Marquardt)
+iteration with an analytic Jacobian: the damping factor grows tenfold whenever
+a step raises the cost and shrinks tenfold on success, starting from 1e-3.
+Parameters are scaled internally (frequencies by the scan span, the slope by
+its inverse) to keep the normal matrix well conditioned.
+
+Spectra are fitted in blocks, after the design of Gpufit (Przybylski et al.,
+Sci. Rep. 7, 15722, 2017): consecutive spectra on one frequency grid form a
+``(rows, points)`` block of at most ``16384 // points`` rows, and each
+iteration advances every row still active at once.  The model and the
+Jacobian are evaluated for the whole stack, the gradients and normal matrices
+are formed with stacked ``matmul``, the conditioning test runs on the whole
+stack and the damped steps come from one stacked ``np.linalg.solve``.  Each
+row keeps its own damping factor, iteration count and convergence state, and
+leaves the active set as soon as it converges or runs out of iterations.
+Every operation is row-wise, so a spectrum gets the same bits whether it is
+fitted alone or inside a block.  ``fit_spectrum`` is ``fit_series`` of a
+batch of one; ``fit_series`` ends each spectrum's fit in a ``fit_spectrum``
+call that only assembles the result from its row of the iterated block.
 
 In the Gaussian variant the homogeneous width is fixed at zero: pressure
 broadening is deliberately absorbed into the fitted width and removed later
@@ -19,11 +33,12 @@ by the zero-pressure extrapolation.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import DataError, FitError
 from .spectra import Spectrum
@@ -35,6 +50,7 @@ DAMPING_START = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
 _COND_LIMIT = 1e14
+_BLOCK_ELEMENTS = 16384  # rows per block = this // points per spectrum
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -86,59 +102,82 @@ class FitResult:
         return self.sigmas["delta_mhz"]
 
 
-def _profile_and_derivs(u: np.ndarray, delta: float, gamma: float, model: FitModel):
-    """Profile P(u) plus dP/du, dP/ddelta and (Voigt only) dP/dgamma."""
+def _profile_and_derivs(u, delta, gamma, model: FitModel, derivs: bool = True):
+    """Profile P(u) plus dP/du, dP/ddelta and (Voigt only) dP/dgamma.
+
+    ``u`` is a (rows, points) array, ``delta`` and ``gamma`` are (rows, 1)
+    columns.  With ``derivs=False`` only the profile is computed.
+    """
     if model is FitModel.EXP_GAUSSIAN:
         p = np.exp(-((u / delta) ** 2))
-        dp_du = p * (-2.0 * u / delta**2)
-        dp_ddelta = p * (2.0 * u**2 / delta**3)
+        if not derivs:
+            return p, None, None, None
+        # Powers of the width use Python's scalar ``**`` row by row: for some
+        # inputs ``np.power`` rounds differently in the last bit, and the
+        # scalar form keeps each row bit-identical to a per-spectrum fit
+        # (tests/_loop_fitter.py).
+        widths = delta[:, 0].tolist()
+        dp_du = p * (-2.0 * u / np.array([[d**2] for d in widths]))
+        dp_ddelta = p * (2.0 * u**2 / np.array([[d**3] for d in widths]))
         return p, dp_du, dp_ddelta, None
-    z = (u + 1j * abs(gamma)) / delta
+    from scipy.special import wofz
+
+    z = (u + 1j * np.abs(gamma)) / delta
     w = wofz(z)
+    if not derivs:
+        return w.real, None, None, None
     wprime = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
-    p = w.real
     dp_du = wprime.real / delta
     dp_ddelta = (-(z * wprime).real) / delta
-    dp_dgamma = (1j * wprime).real / delta
-    if gamma < 0:
-        dp_dgamma = -dp_dgamma
-    return p, dp_du, dp_ddelta, dp_dgamma
+    dp_dgamma = np.where(gamma < 0, -1.0, 1.0) * ((1j * wprime).real / delta)
+    return w.real, dp_du, dp_ddelta, dp_dgamma
 
 
-def model_transmission(offsets_mhz: np.ndarray, params: dict, model: FitModel) -> np.ndarray:
-    """Evaluate the fit model on a grid of offsets from the nominal center."""
-    u = np.asarray(offsets_mhz, dtype=float) - params["nu0_mhz"]
-    prof, _, _, _ = _profile_and_derivs(
-        u, params["delta_mhz"], params.get("gamma_mhz", 0.0), model
-    )
-    return (params["baseline_level"] * np.exp(-params["peak_depth"] * prof)
-            + params["baseline_slope"] * u)
+def _columns(theta, model: FitModel) -> dict:
+    """Each parameter of a (rows, params) array as a (rows, 1) column."""
+    theta = np.asarray(theta, dtype=float)
+    return {name: theta[:, i:i + 1] for i, name in enumerate(model.param_names)}
 
 
-def jacobian(offsets_mhz: np.ndarray, params: dict, model: FitModel) -> np.ndarray:
-    """Analytic partial derivatives of the model, one column per parameter
-    in ``model.param_names`` order."""
-    x = np.asarray(offsets_mhz, dtype=float)
-    u = x - params["nu0_mhz"]
-    delta = params["delta_mhz"]
-    depth = params["peak_depth"]
-    level = params["baseline_level"]
-    slope = params["baseline_slope"]
-    gamma = params.get("gamma_mhz", 0.0)
+def model_transmission(offsets_mhz, theta, model: FitModel) -> np.ndarray:
+    """Evaluate the fit model on a grid of offsets from the nominal center.
 
-    prof, dp_du, dp_ddelta, dp_dgamma = _profile_and_derivs(u, delta, gamma, model)
+    ``theta`` holds one parameter set per row, in ``model.param_names``
+    order; the result is a (rows, points) array.
+    """
+    p = _columns(theta, model)
+    u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
+    prof = _profile_and_derivs(u, p["delta_mhz"], p.get("gamma_mhz"), model, derivs=False)[0]
+    return p["baseline_level"] * np.exp(-p["peak_depth"] * prof) + p["baseline_slope"] * u
+
+
+def jacobian(offsets_mhz, theta, model: FitModel, scale=None) -> np.ndarray:
+    """Analytic partial derivatives of the model for each row of ``theta``:
+    a (rows, points, params) array, parameters in ``model.param_names``
+    order.  ``scale`` multiplies column k by ``scale[k]``, giving the
+    derivatives with respect to parameters measured in those units."""
+    p = _columns(theta, model)
+    u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
+    depth = p["peak_depth"]
+    level = p["baseline_level"]
+    prof, dp_du, dp_ddelta, dp_dgamma = _profile_and_derivs(
+        u, p["delta_mhz"], p.get("gamma_mhz"), model)
     atten = np.exp(-depth * prof)
 
     cols = [
-        level * depth * dp_du * atten - slope,   # d/d nu0 (du/dnu0 = -1)
-        -level * depth * dp_ddelta * atten,      # d/d delta
-        -level * prof * atten,                   # d/d depth
-        atten,                                   # d/d level
-        u,                                       # d/d slope
+        level * depth * dp_du * atten - p["baseline_slope"],  # d/d nu0 (du/dnu0 = -1)
+        -level * depth * dp_ddelta * atten,                   # d/d delta
+        -level * prof * atten,                                # d/d depth
+        atten,                                                # d/d level
+        u,                                                    # d/d slope
     ]
     if model is FitModel.EXP_VOIGT:
-        cols.append(-level * depth * dp_dgamma * atten)  # d/d gamma
-    return np.column_stack(cols)
+        cols.append(-level * depth * dp_dgamma * atten)      # d/d gamma
+    scale = np.ones(len(cols)) if scale is None else scale
+    out = np.empty(u.shape + (len(cols),))
+    for k, col in enumerate(cols):
+        np.multiply(col, scale[k], out=out[..., k])
+    return out
 
 
 def initial_guess(spectrum: Spectrum) -> dict:
@@ -161,8 +200,8 @@ def initial_guess(spectrum: Spectrum) -> dict:
         raise DataError("line not in scan window")
 
     k = max(2, n // 10)
-    left = float(np.mean(t[:k]))
-    right = float(np.mean(t[-k:]))
+    left = float(t[:k].sum()) / k
+    right = float(t[-k:].sum()) / k
     level = 0.5 * (left + right)
     t_min = float(t[i_min])
     if not (t_min > 0.0) or t_min >= level:
@@ -172,20 +211,18 @@ def initial_guess(spectrum: Spectrum) -> dict:
     # Region where transmission < level * exp(-depth/e), i.e. optical depth
     # above 1/e of its peak; its half-width estimates the 1/e half-width.
     threshold = level * math.exp(-depth / math.e)
-    lo = i_min
-    while lo > 0 and t[lo - 1] < threshold:
-        lo -= 1
-    hi = i_min
-    while hi < n - 1 and t[hi + 1] < threshold:
-        hi += 1
+    outside = np.flatnonzero(t >= threshold)
+    j = int(np.searchsorted(outside, i_min))
+    lo = int(outside[j - 1]) + 1 if j > 0 else 0
+    hi = int(outside[j]) - 1 if j < outside.size else n - 1
     if lo == 0 or hi == n - 1:
         raise DataError("line not in scan window")
     delta = 0.5 * (x[hi] - x[lo])
     if delta <= 0:
         delta = spectrum.meta.step_mhz
 
-    x_left = float(np.mean(x[:k]))
-    x_right = float(np.mean(x[-k:]))
+    x_left = float(x[:k].sum()) / k
+    x_right = float(x[-k:].sum()) / k
     slope = (right - left) / (x_right - x_left)
 
     return {
@@ -209,26 +246,11 @@ def _scales(names: tuple, span: float) -> np.ndarray:
     return np.array([per_name[n] for n in names])
 
 
-def fit_spectrum(
-    spectrum: Spectrum,
-    model: FitModel = FitModel.EXP_GAUSSIAN,
-    init: dict | None = None,
-    *,
-    max_iter: int = MAX_ITER_DEFAULT,
-    source_id: str = "",
-) -> FitResult:
-    """Least-squares fit of one spectrum.
-
-    Returns a flagged (``converged=False``) result rather than raising when
-    the iteration runs out; raises ``FitError`` on a degenerate problem
-    (singular normal matrix, e.g. vanishing depth).
-    """
+def _start(spectrum: Spectrum, model: FitModel, init) -> np.ndarray:
+    """Validated starting parameters of one spectrum, as a vector."""
     names = model.param_names
-    x = spectrum.freq_offset_mhz
-    y = spectrum.transmission
-    if x.size <= len(names):
+    if spectrum.n_points <= len(names):
         raise DataError("spectrum has fewer points than fit parameters")
-
     params = dict(init) if init is not None else initial_guess(spectrum)
     if model is FitModel.EXP_VOIGT and "gamma_mhz" not in params:
         params["gamma_mhz"] = params["delta_mhz"] / 100.0
@@ -239,97 +261,202 @@ def fit_spectrum(
         raise DataError("initial guess contains non-finite parameters")
     if params["delta_mhz"] <= 0 or params["baseline_level"] <= 0:
         raise DataError("initial guess needs positive width and baseline level")
+    return np.array([params[n] for n in names], dtype=float)
 
-    theta = np.array([params[n] for n in names], dtype=float)
+
+def _row_costs(resid: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row, through the same dot product as ``r @ r``."""
+    return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+
+
+def _normal_matrices(js: np.ndarray) -> np.ndarray:
+    """J^T J of each row; raises ``FitError`` if any of them is degenerate."""
+    hess = js.transpose(0, 2, 1) @ js
+    if not np.all(np.isfinite(hess)) or np.any(np.linalg.cond(hess) > _COND_LIMIT):
+        raise FitError("degenerate fit: singular normal matrix")
+    return hess
+
+
+class _Solution(NamedTuple):
+    """Outcome of iterating a block, one row per spectrum."""
+
+    theta: np.ndarray
+    covariance: np.ndarray
+    sigmas: np.ndarray
+    resid_var: np.ndarray
+    n_iter: np.ndarray
+    converged: np.ndarray
+    max_iter: int
+
+
+def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
+    """Run the damped Gauss-Newton iteration on a block of (spectrum, start
+    vector) rows sharing one grid."""
+    names = model.param_names
+    x = block[0][0].freq_offset_mhz
+    y = np.stack([spectrum.transmission for spectrum, _ in block])
+    theta = np.stack([start for _, start in block])
     scale = _scales(names, float(x[-1] - x[0]))
-
-    def to_dict(vec):
-        return dict(zip(names, (float(v) for v in vec)))
-
-    def cost_of(vec):
-        r = y - model_transmission(x, to_dict(vec), model)
-        return float(r @ r), r
-
-    cost, resid = cost_of(theta)
-    lam = DAMPING_START
-    converged = False
-    n_iter = 0
+    diag = np.arange(len(names))
     i_delta = names.index("delta_mhz")
     i_level = names.index("baseline_level")
     i_gamma = names.index("gamma_mhz") if "gamma_mhz" in names else None
 
-    while n_iter < max_iter:
-        n_iter += 1
-        js = jacobian(x, to_dict(theta), model) * scale[None, :]
-        grad = js.T @ resid
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
-            break
-        hess = js.T @ js
-        if not np.all(np.isfinite(hess)) or np.linalg.cond(hess) > _COND_LIMIT:
-            raise FitError("degenerate fit: singular normal matrix")
-        damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-300))
+    resid = y - model_transmission(x, theta, model)
+    cost = _row_costs(resid)
+    lam = np.full(len(block), DAMPING_START)
+    n_iter = np.zeros(len(block), dtype=int)
+    converged = np.zeros(len(block), dtype=bool)
+    active = np.arange(len(block) if max_iter > 0 else 0)
+    # Gradients and normal matrices at the current parameters.  A rejected
+    # step leaves a row's parameters as they were, so only rows that moved
+    # (or start) need them formed again.
+    grads = np.empty(theta.shape)
+    hessians = np.empty(theta.shape + theta.shape[1:])
+    moved = np.ones(len(block), dtype=bool)
+
+    def renew(rows):
+        if rows.size:
+            js = jacobian(x, theta[rows], model, scale)
+            grads[rows] = (js.transpose(0, 2, 1) @ resid[rows, :, None])[:, :, 0]
+            hessians[rows] = _normal_matrices(js)
+            moved[rows] = False
+
+    while active.size:
+        n_iter[active] += 1
+        renew(active[moved[active]])
+        grad = grads[active]
+        # A row whose gradient vanished is done; its normal matrix has still
+        # been through the degeneracy test, which the covariance faces anyway.
+        done = np.max(np.abs(grad), axis=1) < GRAD_TOL
+        damped = hessians[active]  # fancy indexing copies
+        damped[:, diag, diag] += lam[active, None] * np.maximum(damped[:, diag, diag], 1e-300)
         try:
-            step = np.linalg.solve(damped, grad)
+            step = np.linalg.solve(damped, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise FitError("degenerate fit: singular normal matrix") from None
-        candidate = theta + step * scale
+        candidate = theta[active] + step * scale
         if i_gamma is not None:
-            candidate[i_gamma] = abs(candidate[i_gamma])
-        if candidate[i_delta] <= 0 or candidate[i_level] <= 0:
-            lam *= DAMPING_UP
-            continue
-        new_cost, new_resid = cost_of(candidate)
-        if new_cost <= cost:
-            drop = cost - new_cost
-            theta, cost, resid = candidate, new_cost, new_resid
-            lam = max(lam * DAMPING_DOWN, 1e-15)
-            if cost == 0.0 or drop < COST_TOL * cost:
-                converged = True
-                break
-        else:
-            lam *= DAMPING_UP
+            candidate[:, i_gamma] = np.abs(candidate[:, i_gamma])
+        # Steps to a non-positive width or level are rejected unevaluated.
+        trial = ~done & ~((candidate[:, i_delta] <= 0) | (candidate[:, i_level] <= 0))
+        new_resid = y[active[trial]] - model_transmission(x, candidate[trial], model)
+        new_cost = _row_costs(new_resid)
+        better = np.zeros_like(trial)
+        better[trial] = new_cost <= cost[active[trial]]
+        kept = better[trial]  # the accepted ones among the trial rows
+        accepted = active[better]
+        drop = cost[accepted] - new_cost[kept]
+        theta[accepted] = candidate[better]
+        cost[accepted] = new_cost[kept]
+        resid[accepted] = new_resid[kept]
+        moved[accepted] = True
+        lam[accepted] = np.maximum(lam[accepted] * DAMPING_DOWN, 1e-15)
+        lam[active[~done & ~better]] *= DAMPING_UP
+        converged[accepted] = (cost[accepted] == 0.0) | (drop < COST_TOL * cost[accepted])
+        converged[active[done]] = True
+        active = active[~converged[active] & (n_iter[active] < max_iter)]
 
-    dof = x.size - len(names)
-    final = to_dict(theta)
-    js = jacobian(x, final, model) * scale[None, :]
-    hess = js.T @ js
-    if not np.all(np.isfinite(hess)) or np.linalg.cond(hess) > _COND_LIMIT:
-        raise FitError("degenerate fit: singular normal matrix")
-    resid_var = cost / dof
-    cov_scaled = resid_var * np.linalg.inv(hess)
-    cov = cov_scaled * np.outer(scale, scale)
-    sigmas = {n: float(math.sqrt(max(cov[i, i], 0.0))) for i, n in enumerate(names)}
+    renew(np.flatnonzero(moved))
+    resid_var = cost / (x.size - len(names))
+    cov = resid_var[:, None, None] * np.linalg.inv(hessians) * np.outer(scale, scale)
+    sigmas = np.sqrt(np.maximum(cov[:, diag, diag], 0.0))
+    return _Solution(theta, cov, sigmas, resid_var, n_iter, converged, max_iter)
 
-    noise = spectrum.noise_sigma_estimate() * final["baseline_level"]
-    chi2_reduced = resid_var / noise**2 if noise > 0 else resid_var
 
+def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
+               max_iter: int = MAX_ITER_DEFAULT, source_ids=None, inits=None) -> list:
+    """Fit spectra in input order; each result is independent of the others.
+
+    ``spectra`` may be any iterable, a generator included: it is consumed one
+    block at a time.  ``source_ids`` and ``inits`` are optional iterables in
+    step with it, of labels and of starting-parameter dicts (``None`` for the
+    initial guess).  A fit that runs out of iterations comes back flagged
+    (``converged=False``); a degenerate problem (singular normal matrix, e.g.
+    vanishing depth) raises ``FitError``, and a spectrum that cannot be read
+    or started raises its own error once the spectra before it are fitted,
+    so errors surface in input order.
+
+    Each result is assembled by a ``fit_spectrum`` call on the iterated
+    block, because the traced benchmark (``perfbench/tracing.py``) counts
+    fits, iterations and convergence by ``fit_spectrum`` calls.
+    """
+    ids = iter(source_ids) if source_ids is not None else itertools.repeat("")
+    starts = iter(inits) if inits is not None else itertools.repeat(None)
+    rows = zip(spectra, ids, starts)
+    results = []
+    block, block_ids = [], []
+
+    def finish():
+        solution = _iterate_block(block, model, max_iter)
+        results.extend(
+            fit_spectrum(spectrum, model, max_iter=max_iter, source_id=source_id,
+                         _solved=(solution, r))
+            for r, ((spectrum, _), source_id) in enumerate(zip(block, block_ids)))
+        block.clear()
+        block_ids.clear()
+
+    while True:
+        try:
+            spectrum, source_id, init = next(rows)
+            start = _start(spectrum, model, init)
+        except StopIteration:
+            break
+        except Exception:
+            if block:
+                finish()  # a FitError of an earlier spectrum comes first
+            raise
+        if block:
+            grid = block[0][0].freq_offset_mhz
+            if (len(block) >= max(1, _BLOCK_ELEMENTS // grid.size)
+                    or not np.array_equal(spectrum.freq_offset_mhz, grid)):
+                finish()
+        block.append((spectrum, start))
+        block_ids.append(source_id)
+    if block:
+        finish()
+    return results
+
+
+def fit_spectrum(
+    spectrum: Spectrum,
+    model: FitModel = FitModel.EXP_GAUSSIAN,
+    init: dict | None = None,
+    *,
+    max_iter: int = MAX_ITER_DEFAULT,
+    source_id: str = "",
+    _solved: tuple | None = None,
+) -> FitResult:
+    """Least-squares fit of one spectrum: ``fit_series`` of a batch of one.
+
+    ``_solved`` is ``(solution, row)`` of a block that ``fit_series`` has
+    iterated; it is passed only by ``fit_series``, to assemble that row's
+    result.
+    """
+    if _solved is None:
+        return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id],
+                          inits=[init])[0]
+    solution, r = _solved
+    names = model.param_names
+    params = dict(zip(names, solution.theta[r].tolist()))
+    var = float(solution.resid_var[r])
+    noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
     return FitResult(
         model=model,
-        params=final,
-        sigmas=sigmas,
-        covariance=cov,
+        params=params,
+        sigmas=dict(zip(names, solution.sigmas[r].tolist())),
+        covariance=solution.covariance[r],
         param_names=names,
-        chi2_reduced=float(chi2_reduced),
-        n_iter=n_iter,
-        converged=converged,
-        n_points=int(x.size),
+        chi2_reduced=var / noise**2 if noise > 0 else var,
+        n_iter=int(solution.n_iter[r]),
+        converged=bool(solution.converged[r]),
+        n_points=int(spectrum.n_points),
         source_id=source_id,
         convergence_spec={
             "cost_tol": COST_TOL,
             "grad_tol": GRAD_TOL,
-            "max_iter": max_iter,
+            "max_iter": solution.max_iter,
             "damping_start": DAMPING_START,
             "weighting": "uniform",
         },
     )
-
-
-def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
-               max_iter: int = MAX_ITER_DEFAULT, source_ids=None) -> list:
-    """Fit a batch of spectra; results are independent per spectrum."""
-    ids = source_ids if source_ids is not None else ["" for _ in spectra]
-    return [
-        fit_spectrum(s, model, max_iter=max_iter, source_id=sid)
-        for s, sid in zip(spectra, ids)
-    ]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from . import constants
 
@@ -111,6 +110,8 @@ def voigt(x, delta: float, gamma: float):
     xa = _as_offsets(x)
     if gamma == 0.0:
         return _match_input(x, np.exp(-((xa / delta) ** 2)))
+    from scipy.special import wofz
+
     z = (xa + 1j * gamma) / delta
     return _match_input(x, wofz(z).real)
 

@@ -104,6 +104,38 @@ class GroundTruth:
     seed: int
 
 
+def _noisy_spectrum(transition, conditions, scan, kb_true, seed, offsets, clean, delta,
+                    baseline_level, temperature_sigma_k, cell_length_m):
+    """Add the noise stream of ``seed`` to noiseless samples and label them."""
+    if math.isinf(scan.snr):
+        samples = clean.copy()  # replicas in a series share ``clean``
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        samples = clean + rng.normal(0.0, baseline_level / scan.snr, size=clean.size)
+    meta = SpectrumMeta(
+        transition_label=transition.label,
+        nu0_mhz=transition.nu0_mhz,
+        temperature_k=conditions.temperature_k,
+        temperature_sigma_k=temperature_sigma_k,
+        pressure_pa=conditions.pressure_pa,
+        cell_length_m=cell_length_m,
+        span_mhz=scan.span_mhz,
+        step_mhz=scan.step_mhz,
+        time_constant_ms=scan.time_constant_ms,
+        snr=scan.snr,
+        seed=int(seed),
+    )
+    truth = GroundTruth(
+        kb_true=kb_true,
+        delta_d_mhz=delta,
+        gamma_mhz=conditions.gamma_mhz,
+        peak_depth=conditions.peak_depth,
+        pressure_pa=conditions.pressure_pa,
+        seed=int(seed),
+    )
+    return Spectrum(offsets, samples, meta), truth
+
+
 def synth_spectrum(
     transition: Transition,
     conditions: GasConditions,
@@ -142,33 +174,8 @@ def synth_spectrum(
             f"optically black: peak transmission {clean.min():.2e} below "
             f"{BLACK_TRANSMISSION_FLOOR} at {conditions.pressure_pa} Pa"
         )
-    if math.isinf(scan.snr):
-        samples = clean
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        samples = clean + rng.normal(0.0, baseline_level / scan.snr, size=clean.size)
-    meta = SpectrumMeta(
-        transition_label=transition.label,
-        nu0_mhz=transition.nu0_mhz,
-        temperature_k=conditions.temperature_k,
-        temperature_sigma_k=temperature_sigma_k,
-        pressure_pa=conditions.pressure_pa,
-        cell_length_m=cell_length_m,
-        span_mhz=scan.span_mhz,
-        step_mhz=scan.step_mhz,
-        time_constant_ms=scan.time_constant_ms,
-        snr=scan.snr,
-        seed=int(seed),
-    )
-    truth = GroundTruth(
-        kb_true=kb_true,
-        delta_d_mhz=delta,
-        gamma_mhz=conditions.gamma_mhz,
-        peak_depth=conditions.peak_depth,
-        pressure_pa=conditions.pressure_pa,
-        seed=int(seed),
-    )
-    return Spectrum(offsets, samples, meta), truth
+    return _noisy_spectrum(transition, conditions, scan, kb_true, seed, offsets, clean, delta,
+                           baseline_level, temperature_sigma_k, cell_length_m)
 
 
 def spawn_seeds(master_seed: int, n: int) -> list[int]:
@@ -184,19 +191,37 @@ def synth_series(
     scan: ScanConfig,
     kb_true: float,
     seed: int,
-    **kwargs,
+    *,
+    hyperfine: Optional[HyperfineStructure] = None,
+    comb: Optional[ModulationComb] = None,
+    baseline_level: float = 1.0,
+    baseline_slope: float = 0.0,
+    temperature_sigma_k: float = 0.0,
+    cell_length_m: float = DEFAULT_CELL_LENGTH_M,
 ) -> list[tuple[Spectrum, GroundTruth]]:
     """One spectrum per pressure, each with its own derived noise stream.
 
     ``conditions`` supplies the temperature and proportionality coefficients;
-    its pressure field is replaced per entry.
+    its pressure field is replaced per entry.  Entry ``i`` equals
+    ``synth_spectrum`` with the ``i``-th of ``spawn_seeds(seed, n)``.  Each
+    distinct pressure is synthesized once, as a noiseless ``synth_spectrum``
+    (which also refuses an optically black line), and every replica of that
+    pressure adds its own noise stream to those samples.
     """
     if len(pressures_pa) == 0:
         raise ValueError("pressure list must not be empty")
+    noiseless = {}
     out = []
     for p, child in zip(pressures_pa, spawn_seeds(seed, len(pressures_pa))):
         cond = replace(conditions, pressure_pa=float(p))
-        out.append(synth_spectrum(transition, cond, scan, kb_true, child, **kwargs))
+        if cond.pressure_pa not in noiseless:
+            noiseless[cond.pressure_pa] = synth_spectrum(
+                transition, cond, scan.without_noise(), kb_true, child, hyperfine=hyperfine,
+                comb=comb, baseline_level=baseline_level, baseline_slope=baseline_slope)
+        clean, truth = noiseless[cond.pressure_pa]
+        out.append(_noisy_spectrum(
+            transition, cond, scan, kb_true, child, clean.freq_offset_mhz, clean.transmission,
+            truth.delta_d_mhz, baseline_level, temperature_sigma_k, cell_length_m))
     return out
 
 

@@ -1,12 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dopplerkb import Transition, constants
+import dopplerkb
+import dopplerkb.cli
+from dopplerkb import GasConditions, ScanConfig, Transition, constants, synth_spectrum
 from dopplerkb.cli import main
-from dopplerkb.fileio import read_fit_records, read_regression_summary, read_spectrum
+from dopplerkb.fileio import (
+    read_fit_records,
+    read_regression_summary,
+    read_spectrum,
+    write_spectrum,
+)
 
 NH3 = Transition.nh3()
 
@@ -149,6 +160,17 @@ class TestFitSeriesKb:
         path.write_text("garbage\n")
         assert run("fit", path, "--out", tmp_path / "f.jsonl") == 2
 
+    def test_degenerate_fit_before_a_bad_file_exits_3(self, tmp_path, capsys):
+        # errors surface in file order: the degenerate fit of the first file
+        # is reported, not the unreadable second file
+        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=1000.0)
+        spectrum, _ = synth_spectrum(NH3, GasConditions(pressure_pa=0.01), scan,
+                                     constants.KB_CODATA_2002, 1)
+        write_spectrum(spectrum, tmp_path / "spectrum_000.txt")
+        (tmp_path / "spectrum_001.txt").write_text("garbage\n")
+        assert run("fit", tmp_path, "--out", tmp_path / "f.jsonl") == 3
+        assert "degenerate" in capsys.readouterr().err
+
 
 class TestBudgetCommands:
     def test_budget_command(self, tmp_path, capsys):
@@ -169,3 +191,31 @@ class TestBudgetCommands:
         assert "published: k_B = 1.38065e-23 +/- 2.6e-27 J/K, relative 1.9e-04" in text
         # computed value agrees with the published one well inside its sigma
         assert "agreement:" in text
+
+
+class TestProcessContract:
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dopplerkb.cli, "uncertainty_budget", broken)
+        assert run("budget", "--delta-d-mhz", 49.88, "--delta-d-sigma-mhz", 0.005) == 4
+        assert capsys.readouterr().err == "error: internal: boom\n"
+
+    def test_exit_codes_documented(self):
+        assert "4 internal error" in " ".join(dopplerkb.cli.__doc__.split())
+
+    def test_fit_help_names_the_real_default_model(self, capsys):
+        assert run("fit", "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "from config" not in text
+        assert "default: exp-gaussian" in text
+
+    def test_import_does_not_load_scipy_special(self):
+        src = str(Path(dopplerkb.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, dopplerkb.cli; print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"

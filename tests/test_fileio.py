@@ -31,6 +31,7 @@ from dopplerkb.fileio import (
     write_spectrum,
     write_width_table,
 )
+from dopplerkb.spectra import SCHEMA_VERSION
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002
@@ -85,6 +86,17 @@ class TestSpectrumFiles:
         path = tmp_path / "s.txt"
         path.write_text("not a spectrum\n1 2\n")
         with pytest.raises(DataError, match="line 1"):
+            read_spectrum(path)
+
+    @pytest.mark.parametrize("tag", ["v0", "v2", "v", ""])
+    def test_other_schema_version_rejected_naming_line_1(self, tmp_path, noisy_spectrum, tag):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"# dopplerkb-spectrum v{SCHEMA_VERSION}"
+        lines[0] = f"# dopplerkb-spectrum {tag}".rstrip()
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 1: unsupported schema version"):
             read_spectrum(path)
 
     def test_non_numeric_sample_names_line(self, tmp_path, noisy_spectrum):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,19 +8,25 @@ import pytest
 from dopplerkb import (
     FitModel,
     GasConditions,
+    HyperfineStructure,
+    ModulationComb,
     ScanConfig,
     Transition,
     constants,
+    fit_series,
     fit_spectrum,
     initial_guess,
     inject_baseline_slope,
     jacobian,
     spawn_seeds,
+    synth_series,
     synth_spectrum,
 )
 from dopplerkb.errors import DataError, FitError
 from dopplerkb.fitter import model_transmission
 from dopplerkb.spectra import Spectrum, SpectrumMeta
+
+from _loop_fitter import loop_fit
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002
@@ -33,19 +41,24 @@ def make_spectrum(pressure=3.0, snr=math.inf, seed=0, gamma_coeff=0.0, **kwargs)
     return synth_spectrum(NH3, cond, make_scan(snr=snr), KB, seed, **kwargs)
 
 
-def jacobian_fd(offsets, params, model, rel_step=1e-6):
-    """Central finite differences with steps of 1e-6 of each parameter scale."""
+def as_row(params, model):
+    """One parameter dict as a (1, params) array for the row-batched kernels."""
+    return np.array([[params[name] for name in model.param_names]])
+
+
+def jacobian_fd(offsets, theta, model, rel_step=1e-6):
+    """Central finite differences of every row of ``theta``, with steps of
+    1e-6 of each parameter scale."""
     span = float(offsets[-1] - offsets[0])
     scale = {"nu0_mhz": span, "delta_mhz": span, "peak_depth": 1.0,
              "baseline_level": 1.0, "baseline_slope": 1.0 / span, "gamma_mhz": span}
     cols = []
-    for name in model.param_names:
-        h = rel_step * scale[name]
-        plus = dict(params, **{name: params[name] + h})
-        minus = dict(params, **{name: params[name] - h})
-        cols.append((model_transmission(offsets, plus, model)
-                     - model_transmission(offsets, minus, model)) / (2 * h))
-    return np.column_stack(cols)
+    for k, name in enumerate(model.param_names):
+        step = np.zeros(theta.shape[1])
+        step[k] = rel_step * scale[name]
+        cols.append((model_transmission(offsets, theta + step, model)
+                     - model_transmission(offsets, theta - step, model)) / (2 * step[k]))
+    return np.stack(cols, axis=-1)
 
 
 class TestJacobian:
@@ -53,21 +66,23 @@ class TestJacobian:
         x = np.linspace(-125, 125, 501)
         params = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.0,
                       baseline_level=1.0, baseline_slope=0.0)
-        j = jacobian(x, params, FitModel.EXP_GAUSSIAN)
+        j = jacobian(x, as_row(params, FitModel.EXP_GAUSSIAN), FitModel.EXP_GAUSSIAN)[0]
         np.testing.assert_array_equal(j[:, 3], np.ones_like(x))
 
     def test_center_column_zero_at_line_center_without_slope(self):
         params = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.7,
                       baseline_level=1.0, baseline_slope=0.0)
-        j = jacobian(np.array([0.0]), params, FitModel.EXP_GAUSSIAN)
+        j = jacobian(np.array([0.0]), as_row(params, FitModel.EXP_GAUSSIAN),
+                     FitModel.EXP_GAUSSIAN)[0]
         assert j[0, 0] == 0.0
 
     @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
     def test_matches_finite_differences_on_random_draws(self, model):
+        # all 100 draws go through the kernels as one stack of rows
         rng = np.random.default_rng(17)
         x = np.linspace(-125, 125, 301)
-        for _ in range(100):
-            params = {
+        draws = [
+            {
                 "nu0_mhz": rng.uniform(-20, 20),
                 "delta_mhz": rng.uniform(30, 70),
                 "peak_depth": rng.uniform(0.05, 2.0),
@@ -75,11 +90,14 @@ class TestJacobian:
                 "baseline_slope": rng.uniform(-1e-4, 1e-4),
                 "gamma_mhz": rng.uniform(0.005, 1.0),
             }
-            analytic = jacobian(x, params, model)
-            fd = jacobian_fd(x, params, model)
-            for k in range(analytic.shape[1]):
-                norm = np.max(np.abs(analytic[:, k]))
-                assert np.max(np.abs(analytic[:, k] - fd[:, k])) <= 1e-6 * norm
+            for _ in range(100)
+        ]
+        theta = np.concatenate([as_row(params, model) for params in draws])
+        analytic = jacobian(x, theta, model)
+        assert analytic.shape == (100, x.size, len(model.param_names))
+        fd = jacobian_fd(x, theta, model)
+        norm = np.max(np.abs(analytic), axis=1)
+        assert np.all(np.max(np.abs(analytic - fd), axis=1) <= 1e-6 * norm)
 
 
 class TestInitialGuess:
@@ -231,3 +249,126 @@ class TestFitterStatistics:
             base.params["peak_depth"], rel=1e-3)
         assert injected.params["baseline_slope"] - base.params["baseline_slope"] == \
             pytest.approx(slope, rel=1e-3)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "fitter_golden.json").read_text())
+GOLDEN_PRESSURES = (0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0)
+
+
+def golden_spectra(model):
+    """The spectra behind ``fitter_golden.json``: one per default pressure
+    (exp-Gaussian), or two hyperfine x FM-comb spectra (exp-Voigt)."""
+    scan = make_scan(snr=1000.0)
+    cond = GasConditions(pressure_pa=1.0)
+    if model is FitModel.EXP_GAUSSIAN:
+        pairs = synth_series(NH3, GOLDEN_PRESSURES, cond, scan, KB, 20070118)
+    else:
+        pairs = synth_series(NH3, (2.0, 7.5), cond, scan, KB, 20070119,
+                             hyperfine=HyperfineStructure.nh3_placeholder(),
+                             comb=ModulationComb.paper_default())
+    return [spectrum for spectrum, _ in pairs]
+
+
+def assert_same_fit(a, b):
+    assert a.params == b.params and a.sigmas == b.sigmas
+    np.testing.assert_array_equal(a.covariance, b.covariance)
+    assert (a.chi2_reduced, a.n_iter, a.converged, a.n_points, a.source_id) == \
+        (b.chi2_reduced, b.n_iter, b.converged, b.n_points, b.source_id)
+
+
+class TestBlockFitting:
+    @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
+    def test_matches_golden_values_of_per_spectrum_fitter(self, model):
+        # Values recorded from the per-spectrum Gauss-Newton fitter that the
+        # block fitter replaced, for the same spectra.
+        results = fit_series(golden_spectra(model), model)
+        golden = GOLDEN[model.value]
+        assert len(results) == len(golden)
+        for result, want in zip(results, golden):
+            assert result.converged == want["converged"]
+            assert result.params["delta_mhz"] == pytest.approx(
+                want["params"]["delta_mhz"], rel=1e-9)
+            for name, value in want["params"].items():
+                assert abs(result.params[name] - value) <= 1e-5 * want["sigmas"][name], name
+
+    def test_alone_equals_inside_a_batch_of_forty(self):
+        pressures = [p for p in GOLDEN_PRESSURES for _ in range(5)]
+        spectra = [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 5)]
+        ids = [f"s{i}" for i in range(len(spectra))]
+        batch = fit_series(spectra, source_ids=ids)  # 40 rows: two blocks at 501 points
+        assert len(batch) == 40
+        for i in (0, 17, 31, 32, 39):
+            assert_same_fit(fit_spectrum(spectra[i], source_id=ids[i]), batch[i])
+
+    def test_mixed_grids_come_back_in_input_order(self):
+        wide = [s for s, _ in synth_series(NH3, [1.0, 3.0, 6.0], GasConditions(pressure_pa=1.0),
+                                           make_scan(snr=1000.0), KB, 8)]
+        narrow = [s for s, _ in synth_series(NH3, [2.0, 4.0], GasConditions(pressure_pa=1.0),
+                                             make_scan(snr=1000.0, span=200.0, step=0.5),
+                                             KB, 9)]
+        mixed = [wide[0], narrow[0], wide[1], wide[2], narrow[1]]
+        ids = ["w0", "n0", "w1", "w2", "n1"]
+        results = fit_series(iter(mixed), source_ids=ids)
+        assert [r.source_id for r in results] == ids
+        assert [r.n_points for r in results] == [s.n_points for s in mixed]
+        for spectrum, sid, result in zip(mixed, ids, results):
+            assert_same_fit(fit_spectrum(spectrum, source_id=sid), result)
+
+    def test_degenerate_spectrum_inside_a_block_raises(self):
+        spectra = [s for s, _ in synth_series(NH3, [3.1] * 6, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 4)]
+        flat = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.0,
+                    baseline_level=1.0, baseline_slope=0.0)
+        inits = [None, None, flat, None, None, None]
+        with pytest.raises(FitError, match="degenerate"):
+            fit_series(spectra, inits=inits)
+        assert all(r.converged for r in fit_series(spectra[:2] + spectra[3:]))
+
+    def test_per_spectrum_init_is_used(self):
+        spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=12)
+        base = fit_spectrum(spectrum)
+        restart = fit_spectrum(spectrum, init=base.params)
+        assert restart.n_iter < base.n_iter
+        assert restart.params["delta_mhz"] == pytest.approx(base.params["delta_mhz"],
+                                                            rel=1e-9)
+
+
+def assert_equals_loop(result, spectrum, model, **kwargs):
+    params, sigmas, cov, n_iter, converged = loop_fit(spectrum, model, **kwargs)
+    assert result.params == params and result.sigmas == sigmas
+    np.testing.assert_array_equal(result.covariance, cov)
+    assert (result.n_iter, result.converged) == (n_iter, converged)
+
+
+class TestAgainstPerSpectrumLoop:
+    def test_noisy_campaign_equals_the_loop_bit_for_bit(self):
+        pressures = [p for p in GOLDEN_PRESSURES for _ in range(5)]
+        spectra = [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 61)]
+        for spectrum, result in zip(spectra, fit_series(spectra)):
+            assert_equals_loop(result, spectrum, FitModel.EXP_GAUSSIAN)
+        for spectrum, result in zip(spectra[:8], fit_series(spectra[:8], max_iter=3)):
+            assert_equals_loop(result, spectrum, FitModel.EXP_GAUSSIAN, max_iter=3)
+
+    def test_comb_voigt_fits_equal_the_loop_bit_for_bit(self):
+        spectra = golden_spectra(FitModel.EXP_VOIGT)
+        for spectrum, result in zip(spectra, fit_series(spectra, FitModel.EXP_VOIGT)):
+            assert_equals_loop(result, spectrum, FitModel.EXP_VOIGT)
+
+    def test_failures_at_the_lowest_pressure_match_the_loop(self):
+        # at 0.01 Pa and S/N 1000 some fits are degenerate or unconverged
+        outcomes = set()
+        for seed in range(50):
+            spectrum, _ = make_spectrum(pressure=0.01, snr=1000.0, seed=seed)
+            try:
+                want = loop_fit(spectrum)
+            except (DataError, FitError) as exc:
+                with pytest.raises(type(exc)):
+                    fit_spectrum(spectrum)
+                outcomes.add(type(exc).__name__)
+                continue
+            result = fit_spectrum(spectrum)
+            assert_equals_loop(result, spectrum, FitModel.EXP_GAUSSIAN)
+            outcomes.add(result.converged)
+        assert outcomes >= {"FitError", True, False}

@@ -6,6 +6,8 @@ import pytest
 from dopplerkb import (
     FitModel,
     GasConditions,
+    HyperfineStructure,
+    ModulationComb,
     ScanConfig,
     Transition,
     constants,
@@ -112,6 +114,35 @@ class TestSynthSeries:
         s2 = synth_series(NH3, [1.0, 1.0], cond, scan(snr=1000.0), KB, 7)
         assert np.array_equal(s1[0][0].transmission, s2[0][0].transmission)
         assert not np.array_equal(s1[0][0].transmission, s1[1][0].transmission)
+
+
+    @pytest.mark.parametrize("snr", [500.0, math.inf])
+    @pytest.mark.parametrize("with_comb", [False, True])
+    def test_series_equals_per_element_synthesis_bit_for_bit(self, with_comb, snr):
+        # repeated pressures share one noiseless evaluation in synth_series
+        extra = {}
+        if with_comb:
+            extra = dict(hyperfine=HyperfineStructure.nh3_placeholder(),
+                         comb=ModulationComb.paper_default())
+        pressures = [2.0, 2.0, 6.5, 2.0, 6.5]
+        cond = GasConditions(pressure_pa=1.0)
+        s = scan(snr=snr)
+        series = synth_series(NH3, pressures, cond, s, KB, 31, baseline_level=0.9,
+                              baseline_slope=1e-5, temperature_sigma_k=0.01,
+                              cell_length_m=0.25, **extra)
+        seeds = spawn_seeds(31, len(pressures))
+        for p, child, (spectrum, truth) in zip(pressures, seeds, series):
+            want, want_truth = synth_spectrum(
+                NH3, GasConditions(pressure_pa=p), s, KB, child, baseline_level=0.9,
+                baseline_slope=1e-5, temperature_sigma_k=0.01, cell_length_m=0.25, **extra)
+            assert np.array_equal(spectrum.freq_offset_mhz, want.freq_offset_mhz)
+            assert np.array_equal(spectrum.transmission, want.transmission)
+            assert spectrum.meta == want.meta and truth == want_truth
+
+    def test_series_refuses_black_pressure(self):
+        cond = GasConditions(pressure_pa=1.0, absorption_depth_per_pa=1.0)
+        with pytest.raises(DataError, match="optically black"):
+            synth_series(NH3, [1.0, 1.0, 10.0, 10.0], cond, scan(snr=1000.0), KB, 3)
 
 
 class TestSimulatorFitRoundTrips:
