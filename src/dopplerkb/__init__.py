@@ -36,7 +36,7 @@ from .extrapolation import (
     zero_pressure_width,
 )
 from .fitter import FitModel, FitResult, fit_series, fit_spectrum, initial_guess, jacobian
-from .lineshape import Transition, doppler_width, gaussian, lorentzian, voigt
+from .lineshape import Transition, doppler_width, gaussian, voigt
 from .simulator import (
     GasConditions,
     GroundTruth,
@@ -83,7 +83,6 @@ __all__ = [
     "inject_parasitic_ramp",
     "jacobian",
     "kb_from_width",
-    "lorentzian",
     "optical_depth",
     "points_from_fit_results",
     "spawn_seeds",

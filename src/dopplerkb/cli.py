@@ -48,7 +48,7 @@ from .fileio import (
 )
 from .fitter import FitModel, fit_series
 from .lineshape import Transition
-from .simulator import spawn_seeds, synth_spectrum
+from .simulator import synth_series
 
 # Published values this pipeline is benchmarked against.
 PAPER_DELTA_D_MHZ = 49.8831
@@ -80,25 +80,22 @@ def simulate(config_path, out_dir, seed, no_noise):
     if no_noise:
         cfg = dataclasses.replace(cfg, snr=math.inf)
 
-    transition = cfg.transition()
-    scan = cfg.scan()
     hyperfine = None
     if cfg.hyperfine_file is not None:
         hyperfine = HyperfineStructure.from_file(cfg.hyperfine_file)
-
+    # Pressure-major: every replica of the first pressure, then the next.
+    pressures = [p for p in cfg.pressures_pa for _ in range(cfg.replicas)]
+    pairs = synth_series(
+        cfg.transition(), pressures, cfg.conditions(pressures[0]), cfg.scan(), cfg.kb_true,
+        cfg.seed, hyperfine=hyperfine, temperature_sigma_k=cfg.temperature_sigma_k,
+        cell_length_m=cfg.cell_length_m,
+    )
     out = Path(out_dir)
-    jobs = [(pi, p, r) for pi, p in enumerate(cfg.pressures_pa) for r in range(cfg.replicas)]
-    seeds = spawn_seeds(cfg.seed, len(jobs))
-    for (pi, pressure, replica), child_seed in zip(jobs, seeds):
-        spectrum, _ = synth_spectrum(
-            transition, cfg.conditions(pressure), scan, cfg.kb_true, child_seed,
-            hyperfine=hyperfine,
-            temperature_sigma_k=cfg.temperature_sigma_k,
-            cell_length_m=cfg.cell_length_m,
-        )
+    for i, (spectrum, _) in enumerate(pairs):
+        pi, replica = divmod(i, cfg.replicas)
         write_spectrum(spectrum, out / f"spectrum_p{pi:02d}_r{replica:03d}.txt")
     write_manifest(out / "manifest.json", "simulate", cfg.to_dict(), cfg.seed)
-    click.echo(f"simulate: wrote {len(jobs)} spectra to {out}")
+    click.echo(f"simulate: wrote {len(pairs)} spectra to {out}")
 
 
 @cli.command("fit")
@@ -143,7 +140,8 @@ def series(fits_path, out_summary, out_table, threshold_slope):
     if not points:
         raise DataError("no converged fits to extrapolate")
     kept, rejected = filter_by_slope(points, threshold)
-    outcome = zero_pressure_width(kept, n_rejected=len(rejected))
+    outcome = zero_pressure_width(kept, n_rejected=len(rejected),
+                                  n_unconverged=len(results) - len(points))
     write_regression_summary(outcome, threshold, out_summary)
     write_width_table(kept, rejected, out_table)
     write_manifest(Path(out_summary).with_suffix(".manifest.json"), "series",
@@ -151,7 +149,7 @@ def series(fits_path, out_summary, out_table, threshold_slope):
     click.echo(
         f"series: delta_d = {outcome.delta_d_mhz:.6f} +/- {outcome.delta_d_sigma_mhz:.6f} MHz "
         f"(chi2_red {outcome.chi2_reduced:.3f}, used {outcome.n_used}, "
-        f"rejected {outcome.n_rejected})"
+        f"rejected {outcome.n_rejected}, unconverged {outcome.n_unconverged})"
     )
 
 

@@ -1,19 +1,20 @@
 """Campaign configuration: one JSON file drives simulate/fit/series/kb.
 
 Validation is strict: unknown keys anywhere are rejected so a typo cannot
-silently fall back to a default.  ``snr: null`` means noiseless.
+silently fall back to a default, and every value must have its JSON type
+(numbers, integers that are not booleans, a list of pressures, objects for
+``transition`` and ``scan``).  ``snr: null`` means noiseless.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import constants
 from .errors import DataError
-from .fitter import FitModel
 from .lineshape import Transition
 from .simulator import (
     DEFAULT_ABSORPTION_DEPTH_PA,
@@ -22,16 +23,6 @@ from .simulator import (
     GasConditions,
     ScanConfig,
 )
-
-_TRANSITION_KEYS = {"label", "nu0_mhz", "mass_u"}
-_SCAN_KEYS = {"span_mhz", "step_mhz", "time_constant_ms"}
-_TOP_KEYS = {
-    "transition", "scan", "pressures_pa", "replicas", "snr", "seed",
-    "temperature_k", "temperature_sigma_k",
-    "pressure_broadening_mhz_per_pa", "absorption_depth_per_pa",
-    "cell_length_m", "kb_true", "model", "slope_threshold_per_mhz",
-    "mass_sigma_rel", "nu_sigma_rel", "hyperfine_file",
-}
 
 
 @dataclass(frozen=True)
@@ -46,8 +37,6 @@ class CampaignConfig:
     absorption_depth_per_pa: float = DEFAULT_ABSORPTION_DEPTH_PA
     cell_length_m: float = DEFAULT_CELL_LENGTH_M
     kb_true: float = constants.KB_CODATA_2002
-    model: str = FitModel.EXP_GAUSSIAN.value
-    slope_threshold_per_mhz: float | None = None  # None = 3x median slope sigma
     mass_sigma_rel: float = constants.MASS_SIGMA_REL_DEFAULT
     nu_sigma_rel: float = constants.FREQUENCY_SIGMA_REL_DEFAULT
     hyperfine_file: str | None = None
@@ -65,9 +54,6 @@ class CampaignConfig:
             raise DataError("config: replicas must be >= 1")
         if not (self.snr > 0):
             raise DataError("config: snr must be positive or null for noiseless")
-        FitModel.from_name(self.model)
-        if self.slope_threshold_per_mhz is not None and self.slope_threshold_per_mhz <= 0:
-            raise DataError("config: slope_threshold_per_mhz must be positive or null")
 
     def transition(self) -> Transition:
         return Transition.from_mass_u(
@@ -76,7 +62,6 @@ class CampaignConfig:
 
     def scan(self) -> ScanConfig:
         return ScanConfig(
-            center_mhz=self.transition_nu0_mhz,
             span_mhz=self.scan_span_mhz,
             step_mhz=self.scan_step_mhz,
             time_constant_ms=self.scan_time_constant_ms,
@@ -90,9 +75,6 @@ class CampaignConfig:
             pressure_broadening_mhz_per_pa=self.pressure_broadening_mhz_per_pa,
             absorption_depth_per_pa=self.absorption_depth_per_pa,
         )
-
-    def fit_model(self) -> FitModel:
-        return FitModel.from_name(self.model)
 
     def to_dict(self) -> dict:
         """JSON-ready dict (None stands in for an infinite snr)."""
@@ -117,78 +99,84 @@ class CampaignConfig:
             "absorption_depth_per_pa": self.absorption_depth_per_pa,
             "cell_length_m": self.cell_length_m,
             "kb_true": self.kb_true,
-            "model": self.model,
-            "slope_threshold_per_mhz": self.slope_threshold_per_mhz,
             "mass_sigma_rel": self.mass_sigma_rel,
             "nu_sigma_rel": self.nu_sigma_rel,
             "hyperfine_file": self.hyperfine_file,
         }
 
 
-def _reject_unknown(given: dict, allowed: set, where: str) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise DataError(f"config: unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _pressures(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError("expected a list of numbers")
+    return tuple(_number(p) for p in value)
+
+
+# Every config key with its converter; a nested key is "<object>.<key>".  The
+# CampaignConfig field of a key is its name with the dot replaced by "_".
+_CONVERTERS = {
+    "transition.label": _text,
+    "transition.nu0_mhz": _number,
+    "transition.mass_u": _number,
+    "scan.span_mhz": _number,
+    "scan.step_mhz": _number,
+    "scan.time_constant_ms": _number,
+    "pressures_pa": _pressures,
+    "replicas": _integer,
+    "snr": lambda v: math.inf if v is None else _number(v),
+    "seed": _integer,
+    "temperature_k": _number,
+    "temperature_sigma_k": _number,
+    "pressure_broadening_mhz_per_pa": _number,
+    "absorption_depth_per_pa": _number,
+    "cell_length_m": _number,
+    "kb_true": _number,
+    "mass_sigma_rel": _number,
+    "nu_sigma_rel": _number,
+    "hyperfine_file": lambda v: None if v is None else _text(v),
+}
+_OBJECTS = {key.split(".")[0] for key in _CONVERTERS if "." in key}
 
 
 def config_from_dict(raw: dict) -> CampaignConfig:
     if not isinstance(raw, dict):
         raise DataError("config: top level must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "top level")
+    flat = {}
+    for key, value in raw.items():
+        if key not in _OBJECTS:
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update((f"{key}.{inner}", v) for inner, v in value.items())
+        else:
+            raise DataError(f"config: {key!r} must be a JSON object, got {value!r}")
+    unknown = set(flat) - set(_CONVERTERS)
+    if unknown:
+        raise DataError(f"config: unknown key(s): {', '.join(sorted(unknown))}")
 
-    kwargs: dict = {}
-    transition = raw.get("transition", {})
-    if transition:
-        _reject_unknown(transition, _TRANSITION_KEYS, "'transition'")
-        if "label" in transition:
-            kwargs["transition_label"] = str(transition["label"])
-        if "nu0_mhz" in transition:
-            kwargs["transition_nu0_mhz"] = float(transition["nu0_mhz"])
-        if "mass_u" in transition:
-            kwargs["transition_mass_u"] = float(transition["mass_u"])
-    scan = raw.get("scan", {})
-    if scan:
-        _reject_unknown(scan, _SCAN_KEYS, "'scan'")
-        if "span_mhz" in scan:
-            kwargs["scan_span_mhz"] = float(scan["span_mhz"])
-        if "step_mhz" in scan:
-            kwargs["scan_step_mhz"] = float(scan["step_mhz"])
-        if "time_constant_ms" in scan:
-            kwargs["scan_time_constant_ms"] = float(scan["time_constant_ms"])
-
-    simple = {
-        "pressures_pa": lambda v: tuple(float(p) for p in v),
-        "replicas": int,
-        "seed": int,
-        "temperature_k": float,
-        "temperature_sigma_k": float,
-        "pressure_broadening_mhz_per_pa": float,
-        "absorption_depth_per_pa": float,
-        "cell_length_m": float,
-        "kb_true": float,
-        "model": str,
-        "mass_sigma_rel": float,
-        "nu_sigma_rel": float,
-    }
-    for key, convert in simple.items():
-        if key in raw:
-            try:
-                kwargs[key] = convert(raw[key])
-            except (TypeError, ValueError):
-                raise DataError(f"config: bad value for {key!r}: {raw[key]!r}") from None
-    if "snr" in raw:
-        kwargs["snr"] = math.inf if raw["snr"] is None else float(raw["snr"])
-    if "slope_threshold_per_mhz" in raw:
-        v = raw["slope_threshold_per_mhz"]
-        kwargs["slope_threshold_per_mhz"] = None if v is None else float(v)
-    if "hyperfine_file" in raw:
-        v = raw["hyperfine_file"]
-        kwargs["hyperfine_file"] = None if v is None else str(v)
-
-    try:
-        return CampaignConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"config: {exc}") from None
+    kwargs = {}
+    for key, value in flat.items():
+        try:
+            kwargs[key.replace(".", "_")] = _CONVERTERS[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"config: bad value for {key!r}: {value!r} ({exc})") from None
+    return CampaignConfig(**kwargs)
 
 
 def load_config(path) -> CampaignConfig:

@@ -52,7 +52,8 @@ class ExtrapolationResult:
     slope_sigma: float
     chi2_reduced: float
     n_used: int
-    n_rejected: int
+    n_rejected: int         # left out by the slope filter
+    n_unconverged: int      # fits left out because they did not converge
     inflation_applied: bool
     # Set when the unweighted intercept differs from the weighted one by
     # more than 0.1 sigma; None otherwise.
@@ -119,7 +120,8 @@ def _weighted_line(amp: np.ndarray, width: np.ndarray, weights: np.ndarray):
     return (a, b), np.array([[var_a, cov_ab], [cov_ab, var_b]])
 
 
-def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0) -> ExtrapolationResult:
+def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0,
+                        n_unconverged: int = 0) -> ExtrapolationResult:
     """Weighted least-squares extrapolation of the width to zero amplitude.
 
     Weights are the inverse width variances.  When the reduced chi-square
@@ -172,6 +174,7 @@ def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0) -> Ex
         chi2_reduced=float(chi2_reduced),
         n_used=len(points),
         n_rejected=int(n_rejected),
+        n_unconverged=int(n_unconverged),
         inflation_applied=inflated,
         unweighted_delta_d_mhz=None if unweighted is None else float(unweighted),
     )

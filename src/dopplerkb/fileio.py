@@ -201,6 +201,7 @@ def write_regression_summary(result: ExtrapolationResult, threshold: Optional[fl
         "chi2_reduced": result.chi2_reduced,
         "n_used": result.n_used,
         "n_rejected": result.n_rejected,
+        "n_unconverged": result.n_unconverged,
         "inflation_applied": result.inflation_applied,
         "unweighted_delta_d_mhz": result.unweighted_delta_d_mhz,
         "slope_threshold_per_mhz": threshold,

@@ -5,7 +5,8 @@ The fit model is the measured transmission
     level * exp(-depth * P(nu - nu0)) + slope * (nu - nu0)
 
 with ``P`` a unit-peak Gaussian (paper analysis) or a Voigt profile
-(cross-check).  Minimization is a damped Gauss-Newton (Levenberg-Marquardt)
+(cross-check), both from the kernel ``lineshape.profile`` that also drives
+the simulator.  Minimization is a damped Gauss-Newton (Levenberg-Marquardt)
 iteration with an analytic Jacobian: the damping factor grows tenfold whenever
 a step raises the cost and shrinks tenfold on success, starting from 1e-3.
 Parameters are scaled internally (frequencies by the scan span, the slope by
@@ -41,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, FitError
+from .lineshape import profile
 from .spectra import Spectrum
 
 COST_TOL = 1e-12       # relative cost decrease at convergence
@@ -51,8 +53,6 @@ DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
 _COND_LIMIT = 1e14
 _BLOCK_ELEMENTS = 16384  # rows per block = this // points per spectrum
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 class FitModel(enum.Enum):
@@ -102,37 +102,6 @@ class FitResult:
         return self.sigmas["delta_mhz"]
 
 
-def _profile_and_derivs(u, delta, gamma, model: FitModel, derivs: bool = True):
-    """Profile P(u) plus dP/du, dP/ddelta and (Voigt only) dP/dgamma.
-
-    ``u`` is a (rows, points) array, ``delta`` and ``gamma`` are (rows, 1)
-    columns.  With ``derivs=False`` only the profile is computed.
-    """
-    if model is FitModel.EXP_GAUSSIAN:
-        p = np.exp(-((u / delta) ** 2))
-        if not derivs:
-            return p, None, None, None
-        # Powers of the width use Python's scalar ``**`` row by row: for some
-        # inputs ``np.power`` rounds differently in the last bit, and the
-        # scalar form keeps each row bit-identical to a per-spectrum fit
-        # (tests/_loop_fitter.py).
-        widths = delta[:, 0].tolist()
-        dp_du = p * (-2.0 * u / np.array([[d**2] for d in widths]))
-        dp_ddelta = p * (2.0 * u**2 / np.array([[d**3] for d in widths]))
-        return p, dp_du, dp_ddelta, None
-    from scipy.special import wofz
-
-    z = (u + 1j * np.abs(gamma)) / delta
-    w = wofz(z)
-    if not derivs:
-        return w.real, None, None, None
-    wprime = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
-    dp_du = wprime.real / delta
-    dp_ddelta = (-(z * wprime).real) / delta
-    dp_dgamma = np.where(gamma < 0, -1.0, 1.0) * ((1j * wprime).real / delta)
-    return w.real, dp_du, dp_ddelta, dp_dgamma
-
-
 def _columns(theta, model: FitModel) -> dict:
     """Each parameter of a (rows, params) array as a (rows, 1) column."""
     theta = np.asarray(theta, dtype=float)
@@ -147,7 +116,7 @@ def model_transmission(offsets_mhz, theta, model: FitModel) -> np.ndarray:
     """
     p = _columns(theta, model)
     u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
-    prof = _profile_and_derivs(u, p["delta_mhz"], p.get("gamma_mhz"), model, derivs=False)[0]
+    prof = profile(u, p["delta_mhz"], p.get("gamma_mhz"))[0]
     return p["baseline_level"] * np.exp(-p["peak_depth"] * prof) + p["baseline_slope"] * u
 
 
@@ -160,8 +129,8 @@ def jacobian(offsets_mhz, theta, model: FitModel, scale=None) -> np.ndarray:
     u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
     depth = p["peak_depth"]
     level = p["baseline_level"]
-    prof, dp_du, dp_ddelta, dp_dgamma = _profile_and_derivs(
-        u, p["delta_mhz"], p.get("gamma_mhz"), model)
+    prof, dp_du, dp_ddelta, dp_dgamma = profile(
+        u, p["delta_mhz"], p.get("gamma_mhz"), derivs=True)
     atten = np.exp(-depth * prof)
 
     cols = [

@@ -5,8 +5,19 @@ Width conventions, used everywhere in this package:
 * Gaussian widths ``delta`` are 1/e half-widths: ``gaussian(delta) = 1/e``.
 * Lorentzian widths ``gamma`` are half-widths at half-maximum.
 
-All functions are pure and accept scalars or numpy arrays for the frequency
-offset.
+``profile`` is the one kernel behind both the simulator and the fitter.  At
+offsets ``u`` from the line center it returns a tuple ``(P, dP/du,
+dP/ddelta, dP/dgamma)``: ``P`` is the unit-peak Gaussian
+``exp(-(u/delta)**2)`` when ``gamma`` is ``None``, else the Voigt profile
+``Re w((u + i*|gamma|)/delta)`` with ``w`` the Faddeeva function.  The
+derivatives are analytic partials of ``P`` with respect to the offset, the
+Gaussian width and the Lorentzian width, taken through
+``w'(z) = -2*z*w(z) + 2i/sqrt(pi)`` for the Voigt; ``dP/dgamma`` carries the
+sign of ``gamma``, so it is the derivative of ``P`` as written with
+``|gamma|``.  Without ``derivs`` the three derivatives are ``None``, and the
+Gaussian ``dP/dgamma`` is always ``None``.  The kernel validates nothing;
+``gaussian`` and ``voigt`` are its validated forms, pure functions that take
+a scalar or a numpy array of offsets.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
+
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,38 @@ def _match_input(x, values: np.ndarray):
     return values
 
 
+def profile(u, delta, gamma=None, derivs: bool = False):
+    """Unit-peak Gaussian (``gamma is None``) or Voigt profile at offsets
+    ``u``, with its derivatives on request: see the module docstring.
+
+    With ``derivs`` the offsets are a (rows, points) array and ``delta`` and
+    ``gamma`` (rows, 1) columns; without, any shapes that broadcast.
+    """
+    if gamma is None:
+        p = np.exp(-((u / delta) ** 2))
+        if not derivs:
+            return p, None, None, None
+        # Powers of the width use Python's scalar ``**`` row by row: for some
+        # inputs ``np.power`` rounds differently in the last bit, and the
+        # scalar form keeps each row bit-identical to a per-spectrum fit
+        # (tests/_loop_fitter.py).
+        widths = delta[:, 0].tolist()
+        dp_du = p * (-2.0 * u / np.array([[d**2] for d in widths]))
+        dp_ddelta = p * (2.0 * u**2 / np.array([[d**3] for d in widths]))
+        return p, dp_du, dp_ddelta, None
+    from scipy.special import wofz
+
+    z = (u + 1j * np.abs(gamma)) / delta
+    w = wofz(z)
+    if not derivs:
+        return w.real, None, None, None
+    wprime = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
+    dp_du = wprime.real / delta
+    dp_ddelta = (-(z * wprime).real) / delta
+    dp_dgamma = np.where(gamma < 0, -1.0, 1.0) * ((1j * wprime).real / delta)
+    return w.real, dp_du, dp_ddelta, dp_dgamma
+
+
 def gaussian(x, delta: float):
     """Unit-peak Gaussian ``exp(-x**2 / delta**2)``.
 
@@ -82,16 +127,7 @@ def gaussian(x, delta: float):
     """
     if not (delta > 0):
         raise ValueError(f"Gaussian 1/e half-width must be positive, got {delta}")
-    xa = _as_offsets(x)
-    return _match_input(x, np.exp(-((xa / delta) ** 2)))
-
-
-def lorentzian(x, gamma: float):
-    """Unit-peak Lorentzian ``gamma**2 / (x**2 + gamma**2)``, HWHM ``gamma``."""
-    if not (gamma > 0):
-        raise ValueError(f"Lorentzian HWHM must be positive, got {gamma}")
-    xa = _as_offsets(x)
-    return _match_input(x, gamma**2 / (xa**2 + gamma**2))
+    return _match_input(x, profile(_as_offsets(x), delta)[0])
 
 
 def voigt(x, delta: float, gamma: float):
@@ -107,13 +143,8 @@ def voigt(x, delta: float, gamma: float):
         raise ValueError(f"Gaussian 1/e half-width must be positive, got {delta}")
     if gamma < 0 or not math.isfinite(gamma):
         raise ValueError(f"Lorentzian HWHM must be >= 0 and finite, got {gamma}")
-    xa = _as_offsets(x)
-    if gamma == 0.0:
-        return _match_input(x, np.exp(-((xa / delta) ** 2)))
-    from scipy.special import wofz
-
-    z = (xa + 1j * gamma) / delta
-    return _match_input(x, wofz(z).real)
+    values = profile(_as_offsets(x), delta, None if gamma == 0.0 else gamma)[0]
+    return _match_input(x, values)
 
 
 def doppler_width(transition: Transition, temperature_k: float, kb: float) -> float:

@@ -37,7 +37,6 @@ DEFAULT_CELL_LENGTH_M = 0.30
 class ScanConfig:
     """Frequency scan geometry and recording settings."""
 
-    center_mhz: float
     span_mhz: float = 250.0
     step_mhz: float = 0.5
     time_constant_ms: float = 20.0  # metadata only

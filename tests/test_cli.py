@@ -10,8 +10,17 @@ import pytest
 
 import dopplerkb
 import dopplerkb.cli
-from dopplerkb import GasConditions, ScanConfig, Transition, constants, synth_spectrum
+from dopplerkb import (
+    GasConditions,
+    HyperfineStructure,
+    ScanConfig,
+    Transition,
+    constants,
+    synth_series,
+    synth_spectrum,
+)
 from dopplerkb.cli import main
+from dopplerkb.config import CampaignConfig, load_config
 from dopplerkb.fileio import (
     read_fit_records,
     read_regression_summary,
@@ -83,6 +92,31 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and err.count("\n") == 1
 
+    def test_files_follow_the_library_seed_rule(self, tmp_path):
+        # replica r of pressure i is entry i * replicas + r of synth_series
+        # over the pressure-major expansion of the config's pressures
+        hf = tmp_path / "hf.txt"
+        hf.write_text("-0.04 1\n0.0 2\n0.06 1\n")
+        pressures = [0.5, 2.0, 6.0]
+        cfg_path = write_config(tmp_path, pressures_pa=pressures, replicas=3,
+                                hyperfine_file=str(hf))
+        out = tmp_path / "cli"
+        assert run("simulate", "--config", cfg_path, "--out", out) == 0
+        cfg = load_config(cfg_path)
+        expanded = [p for p in pressures for _ in range(3)]
+        series = synth_series(NH3, expanded, cfg.conditions(expanded[0]), cfg.scan(),
+                              cfg.kb_true, cfg.seed,
+                              hyperfine=HyperfineStructure.from_file(hf),
+                              temperature_sigma_k=cfg.temperature_sigma_k,
+                              cell_length_m=cfg.cell_length_m)
+        files = sorted(out.glob("spectrum_*.txt"))
+        assert [f.name for f in files] == [f"spectrum_p{i:02d}_r{r:03d}.txt"
+                                           for i in range(3) for r in range(3)]
+        for k, (path, (spectrum, _)) in enumerate(zip(files, series)):
+            expected = tmp_path / f"lib_{k}.txt"
+            write_spectrum(spectrum, expected)
+            assert path.read_bytes() == expected.read_bytes()
+
 
 class TestFitSeriesKb:
     @pytest.fixture()
@@ -148,6 +182,21 @@ class TestFitSeriesKb:
         records = read_fit_records(fits)
         assert all(not r.converged for r in records)
 
+    def test_series_counts_unconverged_fits(self, tmp_path, spectra_dir, capsys):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        assert run("fit", spectra_dir, "--out", good) == 0
+        assert run("fit", spectra_dir, "--out", bad, "--max-iter", 1) == 3
+        fits = tmp_path / "fits.jsonl"
+        fits.write_text(good.read_text() + bad.read_text())
+        summary = tmp_path / "summary.json"
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 0
+        rec = read_regression_summary(summary)
+        assert rec["n_unconverged"] == 8
+        assert rec["n_used"] + rec["n_rejected"] == 8
+        assert "unconverged 8)" in capsys.readouterr().out
+
     def test_usage_error_exits_1(self, capsys):
         assert run("fit") == 1
         assert capsys.readouterr().err.startswith("error: usage:")
@@ -163,13 +212,67 @@ class TestFitSeriesKb:
     def test_degenerate_fit_before_a_bad_file_exits_3(self, tmp_path, capsys):
         # errors surface in file order: the degenerate fit of the first file
         # is reported, not the unreadable second file
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=1000.0)
+        scan = ScanConfig(snr=1000.0)
         spectrum, _ = synth_spectrum(NH3, GasConditions(pressure_pa=0.01), scan,
                                      constants.KB_CODATA_2002, 1)
         write_spectrum(spectrum, tmp_path / "spectrum_000.txt")
         (tmp_path / "spectrum_001.txt").write_text("garbage\n")
         assert run("fit", tmp_path, "--out", tmp_path / "f.jsonl") == 3
         assert "degenerate" in capsys.readouterr().err
+
+
+class TestConfigKeys:
+    # A changed value for every key of the config (nested keys as "a.b").
+    CHANGED = {
+        "transition.label": "other line",
+        "transition.nu0_mhz": 1.001 * constants.NH3_LINE_FREQ_MHZ,
+        "transition.mass_u": 1.01 * constants.NH3_MASS_U,
+        "scan.span_mhz": 200.0,
+        "scan.step_mhz": 0.25,
+        "scan.time_constant_ms": 10.0,
+        "pressures_pa": [0.2, 1.0, 5.0],
+        "replicas": 2,
+        "snr": None,
+        "seed": 1,
+        "temperature_k": 300.0,
+        "temperature_sigma_k": 0.1,
+        "pressure_broadening_mhz_per_pa": 0.03,
+        "absorption_depth_per_pa": 0.1,
+        "cell_length_m": 0.5,
+        "kb_true": 1.001 * constants.KB_CODATA_2002,
+        "mass_sigma_rel": 1e-6,
+        "nu_sigma_rel": 1e-6,
+        "hyperfine_file": "hf.txt",
+    }
+
+    @staticmethod
+    def outputs(tmp_path, name, raw, summary):
+        """Spectrum files of `simulate` and the k_B record of `kb`."""
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        spectra, kb_out = tmp_path / name, tmp_path / f"{name}.kb.json"
+        assert run("simulate", "--config", path, "--out", spectra) == 0
+        assert run("kb", "--summary", summary, "--config", path, "--out", kb_out) == 0
+        files = sorted(spectra.glob("spectrum_*.txt"))
+        return [f.read_bytes() for f in files], kb_out.read_bytes()
+
+    def test_every_config_key_drives_behaviour(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hf.txt").write_text("-0.04 1\n0.0 2\n0.06 1\n")
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"delta_d_mhz": 49.88, "delta_d_sigma_mhz": 0.005}))
+        base = CampaignConfig().to_dict()
+        keys = []
+        for key, value in base.items():
+            keys += [f"{key}.{inner}" for inner in value] if isinstance(value, dict) else [key]
+        assert sorted(keys) == sorted(self.CHANGED)
+        reference = self.outputs(tmp_path, "base", base, summary)
+        for key in keys:
+            raw = json.loads(json.dumps(base))
+            outer, _, inner = key.partition(".")
+            target, name = (raw[outer], inner) if inner else (raw, outer)
+            target[name] = self.CHANGED[key]
+            assert self.outputs(tmp_path, key, raw, summary) != reference, key
 
 
 class TestBudgetCommands:

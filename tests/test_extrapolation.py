@@ -61,7 +61,7 @@ class TestFilterBySlope:
 
         pressures = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 9.0, 10.0]
         cond = GasConditions(pressure_pa=1.0)
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=1000.0)
+        scan = ScanConfig(snr=1000.0)
         series = synth_series(NH3, pressures, cond, scan, KB, 99)
         injection = 1e-4
         injected_ids = {0, 1, 2, 4, 5, 7}  # 6 of 8
@@ -150,7 +150,7 @@ class TestCampaignLevel:
     def test_noiseless_series_intercept_exact(self):
         pressures = [0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0]
         cond = GasConditions(pressure_pa=1.0, pressure_broadening_mhz_per_pa=0.0)
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=math.inf)
+        scan = ScanConfig(snr=math.inf)
         series = synth_series(NH3, pressures, cond, scan, KB, 0)
         fits = [fit_spectrum(s, source_id=f"p{p}") for (s, _), p in zip(series, pressures)]
         out = zero_pressure_width(points_from_fit_results(fits))
@@ -161,7 +161,7 @@ class TestCampaignLevel:
         # reduced-size surrogate: 8 pressures x 15 replicas at S/N 1000
         pressures = [0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0]
         cond = GasConditions(pressure_pa=1.0)
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=1000.0)
+        scan = ScanConfig(snr=1000.0)
         fits = []
         truth = None
         for k, seed in enumerate(spawn_seeds(314159, 15)):
@@ -176,7 +176,7 @@ class TestCampaignLevel:
     def test_default_threshold_is_three_median_slope_sigmas(self):
         pressures = [0.5, 2.0, 8.0]
         cond = GasConditions(pressure_pa=1.0)
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=1000.0)
+        scan = ScanConfig(snr=1000.0)
         series = synth_series(NH3, pressures, cond, scan, KB, 11)
         fits = [fit_spectrum(s) for s, _ in series]
         threshold = default_slope_threshold(fits)

@@ -40,7 +40,7 @@ KB = constants.KB_CODATA_2002
 @pytest.fixture()
 def noisy_spectrum():
     cond = GasConditions(pressure_pa=3.1)
-    scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=1000.0)
+    scan = ScanConfig(snr=1000.0)
     spectrum, _ = synth_spectrum(NH3, cond, scan, KB, 42,
                                  temperature_sigma_k=0.02)
     return spectrum
@@ -57,7 +57,7 @@ class TestSpectrumFiles:
 
     def test_noiseless_snr_round_trips_as_inf(self, tmp_path):
         cond = GasConditions(pressure_pa=1.0)
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, snr=math.inf)
+        scan = ScanConfig(snr=math.inf)
         spectrum, _ = synth_spectrum(NH3, cond, scan, KB, 0)
         path = tmp_path / "s.txt"
         write_spectrum(spectrum, path)
@@ -204,10 +204,10 @@ class TestCampaignConfig:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"pressures_pa": [0.5, 1.0, 5.0], "replicas": 2,
-                                    "seed": 7, "model": "exp-voigt"}))
+                                    "seed": 7, "scan": {"step_mhz": 0.25}}))
         cfg = load_config(path)
         assert cfg.pressures_pa == (0.5, 1.0, 5.0)
-        assert cfg.fit_model() is FitModel.EXP_VOIGT
+        assert (cfg.replicas, cfg.seed, cfg.scan_step_mhz) == (2, 7, 0.25)
 
     def test_bad_json_is_data_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -220,8 +220,31 @@ class TestCampaignConfig:
             load_config(tmp_path / "absent.json")
 
     def test_bad_model_rejected(self):
-        with pytest.raises(DataError, match="unknown fit model"):
-            config_from_dict({"model": "spline"})
+        # the fit model is chosen by `fit --model` and the slope threshold by
+        # `series --threshold-slope`; the config keys that named them are gone
+        for key, value in (("model", "exp-gaussian"), ("slope_threshold_per_mhz", 1e-6)):
+            with pytest.raises(DataError, match=f"unknown key.*{key}"):
+                config_from_dict({key: value})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"snr": "abc"}, "snr"),
+        ({"scan": {"step_mhz": "x"}}, "scan.step_mhz"),
+        ({"transition": {"nu0_mhz": None}}, "transition.nu0_mhz"),
+        ({"pressures_pa": "123"}, "pressures_pa"),
+        ({"pressures_pa": [1.0, True]}, "pressures_pa"),
+        ({"replicas": 2.7}, "replicas"),
+        ({"replicas": True}, "replicas"),
+        ({"seed": 7.0}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"temperature_k": True}, "temperature_k"),
+        ({"transition": {"label": 5}}, "transition.label"),
+        ({"hyperfine_file": ["hf.txt"]}, "hyperfine_file"),
+        ({"transition": "nh3"}, "transition"),
+        ({"scan": [0.5]}, "scan"),
+    ])
+    def test_malformed_value_is_data_error_naming_the_key(self, raw, key):
+        with pytest.raises(DataError, match=f"config: .*'{key}'"):
+            config_from_dict(raw)
 
     def test_round_trip_through_dict(self):
         cfg = CampaignConfig(snr=500.0, replicas=3)

@@ -33,7 +33,7 @@ KB = constants.KB_CODATA_2002
 
 
 def make_scan(snr=math.inf, span=250.0, step=0.5):
-    return ScanConfig(center_mhz=NH3.nu0_mhz, span_mhz=span, step_mhz=step, snr=snr)
+    return ScanConfig(span_mhz=span, step_mhz=step, snr=snr)
 
 
 def make_spectrum(pressure=3.0, snr=math.inf, seed=0, gamma_coeff=0.0, **kwargs):
@@ -170,7 +170,7 @@ class TestFitSpectrum:
         ratio = 0.01
         delta_true = 49.883040330170026
         span = 2.0 * math.sqrt(math.pi) * delta_true
-        scan = ScanConfig(center_mhz=NH3.nu0_mhz, span_mhz=span, step_mhz=0.5,
+        scan = ScanConfig(span_mhz=span, step_mhz=0.5,
                           snr=math.inf)
         cond = GasConditions(pressure_pa=1.0, absorption_depth_per_pa=0.105,
                              pressure_broadening_mhz_per_pa=ratio * delta_true)

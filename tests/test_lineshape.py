@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dopplerkb import Transition, constants, doppler_width, gaussian, kb_from_width, lorentzian, voigt
+from dopplerkb import Transition, constants, doppler_width, gaussian, kb_from_width, voigt
 from dopplerkb.boltzmann import TemperatureReading
 
 from _oracles import voigt_quadrature
@@ -34,26 +34,6 @@ class TestGaussian:
             gaussian(math.nan, 1.0)
         with pytest.raises(ValueError):
             gaussian(np.array([0.0, math.inf]), 1.0)
-
-
-class TestLorentzian:
-    def test_peak_is_one(self):
-        assert lorentzian(0.0, 0.7) == 1.0
-
-    def test_half_at_gamma(self):
-        assert lorentzian(0.7, 0.7) == pytest.approx(0.5, rel=1e-15)
-
-    def test_three_gammas(self):
-        assert lorentzian(3 * 0.2, 0.2) == pytest.approx(0.1, rel=1e-14)
-
-    def test_even(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-500, 500, size=1_000_000)
-        assert np.array_equal(lorentzian(x, 0.31), lorentzian(-x, 0.31))
-
-    def test_zero_gamma_is_domain_error(self):
-        with pytest.raises(ValueError):
-            lorentzian(1.0, 0.0)
 
 
 class TestVoigt:

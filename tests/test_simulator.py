@@ -25,7 +25,7 @@ KB = constants.KB_CODATA_2002
 
 
 def scan(snr=math.inf):
-    return ScanConfig(center_mhz=NH3.nu0_mhz, snr=snr)
+    return ScanConfig(snr=snr)
 
 
 class TestScanConfig:
@@ -38,7 +38,7 @@ class TestScanConfig:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            ScanConfig(center_mhz=1.0, span_mhz=10.0, step_mhz=1.0)
+            ScanConfig(span_mhz=10.0, step_mhz=1.0)
 
 
 class TestGasConditions:
