@@ -43,7 +43,6 @@ from .simulator import (
     ScanConfig,
     inject_baseline_slope,
     inject_parasitic_ramp,
-    spawn_seeds,
     synth_series,
     synth_spectrum,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "kb_from_width",
     "optical_depth",
     "points_from_fit_results",
-    "spawn_seeds",
     "synth_series",
     "synth_spectrum",
     "transmission",

@@ -20,13 +20,7 @@ import click
 
 from . import constants
 from .absorption import HyperfineStructure
-from .boltzmann import (
-    BoltzmannResult,
-    TemperatureReading,
-    format_budget_table,
-    kb_from_width,
-    uncertainty_budget,
-)
+from .boltzmann import TemperatureReading, format_budget_table, uncertainty_budget
 from .config import CampaignConfig, load_config
 from .errors import DataError, FitError
 from .extrapolation import (
@@ -245,9 +239,6 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        print(f"error: usage: {exc.format_message()}", file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         print(f"error: usage: {exc.format_message()}", file=sys.stderr)
         return 1

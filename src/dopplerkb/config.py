@@ -1,9 +1,17 @@
 """Campaign configuration: one JSON file drives simulate/fit/series/kb.
 
+``_CONVERTERS`` is the single source of the file schema: its keys, in file
+order, are the config keys (a nested key is ``"<object>.<key>"``), and each
+names a ``CampaignConfig`` field and the converter that reads it.  Both
+``config_from_dict`` and ``CampaignConfig.to_dict`` walk it.
+
 Validation is strict: unknown keys anywhere are rejected so a typo cannot
 silently fall back to a default, and every value must have its JSON type
 (numbers, integers that are not booleans, a list of pressures, objects for
-``transition`` and ``scan``).  ``snr: null`` means noiseless.
+``transition`` and ``scan``).  ``snr: null`` means noiseless.  Values are
+then checked by the objects the pipeline builds from them (transition, scan,
+temperature reading, gas conditions at every pressure, seed sequence), so a
+config that loads is one those objects accept.
 """
 
 from __future__ import annotations
@@ -11,9 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import constants
+from .boltzmann import TemperatureReading
 from .errors import DataError
 from .lineshape import Transition
 from .simulator import (
@@ -52,8 +64,17 @@ class CampaignConfig:
             raise DataError("config: pressures_pa must not be empty")
         if self.replicas < 1:
             raise DataError("config: replicas must be >= 1")
-        if not (self.snr > 0):
-            raise DataError("config: snr must be positive or null for noiseless")
+        builds = {"transition": self.transition, "scan": self.scan,
+                  "temperature reading": partial(TemperatureReading, self.temperature_k,
+                                                 self.temperature_sigma_k),
+                  "seed": partial(np.random.SeedSequence, self.seed)}
+        builds.update((f"gas conditions at pressures_pa[{i}]", partial(self.conditions, p))
+                      for i, p in enumerate(self.pressures_pa))
+        for what, build in builds.items():
+            try:
+                build()
+            except ValueError as exc:
+                raise DataError(f"config: {what}: {exc}") from None
 
     def transition(self) -> Transition:
         return Transition.from_mass_u(
@@ -77,32 +98,18 @@ class CampaignConfig:
         )
 
     def to_dict(self) -> dict:
-        """JSON-ready dict (None stands in for an infinite snr)."""
-        return {
-            "transition": {
-                "label": self.transition_label,
-                "nu0_mhz": self.transition_nu0_mhz,
-                "mass_u": self.transition_mass_u,
-            },
-            "scan": {
-                "span_mhz": self.scan_span_mhz,
-                "step_mhz": self.scan_step_mhz,
-                "time_constant_ms": self.scan_time_constant_ms,
-            },
-            "pressures_pa": list(self.pressures_pa),
-            "replicas": self.replicas,
-            "snr": None if math.isinf(self.snr) else self.snr,
-            "seed": self.seed,
-            "temperature_k": self.temperature_k,
-            "temperature_sigma_k": self.temperature_sigma_k,
-            "pressure_broadening_mhz_per_pa": self.pressure_broadening_mhz_per_pa,
-            "absorption_depth_per_pa": self.absorption_depth_per_pa,
-            "cell_length_m": self.cell_length_m,
-            "kb_true": self.kb_true,
-            "mass_sigma_rel": self.mass_sigma_rel,
-            "nu_sigma_rel": self.nu_sigma_rel,
-            "hyperfine_file": self.hyperfine_file,
-        }
+        """JSON-ready dict in the layout of the file (None stands in for an
+        infinite snr)."""
+        raw: dict = {}
+        for key in _CONVERTERS:
+            outer, _, name = key.rpartition(".")
+            value = getattr(self, key.replace(".", "_"))
+            if isinstance(value, tuple):
+                value = list(value)
+            elif key == "snr" and math.isinf(value):
+                value = None
+            (raw.setdefault(outer, {}) if outer else raw)[name] = value
+        return raw
 
 
 def _number(value) -> float:

@@ -4,6 +4,10 @@ uncertainty budgets and run manifests.
 Everything is text.  Floats are written with 17 significant digits so a
 write/read round trip is bit-exact.  All writes go through a temp file in
 the target directory followed by an atomic rename.
+
+Each record layout has one source that both its writer and its reader walk:
+the spectrum header is the fields of ``SpectrumMeta`` (``_HEADER_FIELDS``),
+and a fit record is the ordered key table ``_FIT_RECORD``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -26,19 +30,8 @@ from .spectra import SCHEMA_VERSION, Spectrum, SpectrumMeta
 
 SPECTRUM_MAGIC = "# dopplerkb-spectrum"
 
-_HEADER_FIELDS = (
-    ("transition_label", str),
-    ("nu0_mhz", float),
-    ("temperature_k", float),
-    ("temperature_sigma_k", float),
-    ("pressure_pa", float),
-    ("cell_length_m", float),
-    ("span_mhz", float),
-    ("step_mhz", float),
-    ("time_constant_ms", float),
-    ("snr", float),
-    ("seed", int),
-)
+# Name and type of every SpectrumMeta field, in field order.
+_HEADER_FIELDS = tuple(get_type_hints(SpectrumMeta).items())
 
 
 def _fmt(x: float) -> str:
@@ -62,7 +55,7 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_spectrum(spectrum: Spectrum, path) -> None:
     meta = spectrum.meta
-    lines = [f"{SPECTRUM_MAGIC} v{meta.schema_version}"]
+    lines = [f"{SPECTRUM_MAGIC} v{SCHEMA_VERSION}"]
     for name, kind in _HEADER_FIELDS:
         value = getattr(meta, name)
         lines.append(f"# {name}: {_fmt(value) if kind is float else value}")
@@ -70,15 +63,6 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
     for f, t in zip(spectrum.freq_offset_mhz, spectrum.transmission):
         lines.append(f"{_fmt(f)} {_fmt(t)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _parse_header_value(name: str, kind, raw: str, path, lineno: int):
-    if kind is str:
-        return raw
-    try:
-        return kind(raw) if kind is not float else float(raw)
-    except ValueError:
-        raise DataError(f"{path}: line {lineno}: bad value for {name!r}: {raw!r}") from None
 
 
 def read_spectrum(path) -> Spectrum:
@@ -124,11 +108,15 @@ def read_spectrum(path) -> Spectrum:
         if name not in header:
             raise DataError(f"{path}: missing header field {name!r}")
         raw_value, lineno = header[name]
-        kwargs[name] = _parse_header_value(name, kind, raw_value, path, lineno)
+        try:
+            kwargs[name] = kind(raw_value)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad value for {name!r}: "
+                            f"{raw_value!r}") from None
     if len(freq) < 2:
         raise DataError(f"{path}: needs at least 2 data rows")
 
-    meta = SpectrumMeta(schema_version=SCHEMA_VERSION, **kwargs)
+    meta = SpectrumMeta(**kwargs)
     try:
         return Spectrum(np.array(freq), np.array(trans), meta)
     except ValueError as exc:
@@ -140,27 +128,34 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
+    if isinstance(obj, FitModel):
+        return obj.value
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+# A fit record: each FitResult field, in file order, with the reader that
+# rebuilds it from JSON.  A key missing from a record falls back to the
+# field's default, and to an error for a field without one.
+_FIT_RECORD = (
+    ("source_id", str),
+    ("model", FitModel.from_name),
+    ("converged", bool),
+    ("n_iter", int),
+    ("n_points", int),
+    ("chi2_reduced", float),
+    ("param_names", tuple),
+    ("params", dict),
+    ("sigmas", dict),
+    ("covariance", lambda value: np.array(value, dtype=float)),
+    ("convergence_spec", dict),
+)
 
 
 def write_fit_records(results: Sequence[FitResult], path) -> None:
     """One JSON record per line: parameters, uncertainties, covariance,
     diagnostics and the convergence settings used."""
-    lines = []
-    for r in results:
-        lines.append(json.dumps({
-            "source_id": r.source_id,
-            "model": r.model.value,
-            "converged": r.converged,
-            "n_iter": r.n_iter,
-            "n_points": r.n_points,
-            "chi2_reduced": r.chi2_reduced,
-            "param_names": list(r.param_names),
-            "params": r.params,
-            "sigmas": r.sigmas,
-            "covariance": r.covariance.tolist(),
-            "convergence_spec": r.convergence_spec,
-        }, default=_json_default, allow_nan=False))
+    lines = [json.dumps({key: getattr(r, key) for key, _ in _FIT_RECORD},
+                        default=_json_default, allow_nan=False) for r in results]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -171,20 +166,9 @@ def read_fit_records(path) -> list:
             continue
         try:
             rec = json.loads(line)
-            results.append(FitResult(
-                model=FitModel.from_name(rec["model"]),
-                params=rec["params"],
-                sigmas=rec["sigmas"],
-                covariance=np.array(rec["covariance"], dtype=float),
-                param_names=tuple(rec["param_names"]),
-                chi2_reduced=float(rec["chi2_reduced"]),
-                n_iter=int(rec["n_iter"]),
-                converged=bool(rec["converged"]),
-                n_points=int(rec["n_points"]),
-                source_id=rec.get("source_id", ""),
-                convergence_spec=rec.get("convergence_spec", {}),
-            ))
-        except (KeyError, ValueError, TypeError) as exc:
+            results.append(FitResult(**{key: read(rec[key]) for key, read in _FIT_RECORD
+                                        if key in rec}))
+        except (ValueError, TypeError) as exc:
             raise DataError(f"{path}: line {lineno}: bad fit record ({exc})") from None
     if not results:
         raise DataError(f"{path}: no fit records found")

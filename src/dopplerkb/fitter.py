@@ -255,7 +255,6 @@ class _Solution(NamedTuple):
     resid_var: np.ndarray
     n_iter: np.ndarray
     converged: np.ndarray
-    max_iter: int
 
 
 def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
@@ -330,7 +329,7 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
     resid_var = cost / (x.size - len(names))
     cov = resid_var[:, None, None] * np.linalg.inv(hessians) * np.outer(scale, scale)
     sigmas = np.sqrt(np.maximum(cov[:, diag, diag], 0.0))
-    return _Solution(theta, cov, sigmas, resid_var, n_iter, converged, max_iter)
+    return _Solution(theta, cov, sigmas, resid_var, n_iter, converged)
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
@@ -424,7 +423,7 @@ def fit_spectrum(
         convergence_spec={
             "cost_tol": COST_TOL,
             "grad_tol": GRAD_TOL,
-            "max_iter": solution.max_iter,
+            "max_iter": max_iter,
             "damping_start": DAMPING_START,
             "weighting": "uniform",
         },

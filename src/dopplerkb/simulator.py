@@ -104,13 +104,13 @@ class GroundTruth:
 
 
 def _noisy_spectrum(transition, conditions, scan, kb_true, seed, offsets, clean, delta,
-                    baseline_level, temperature_sigma_k, cell_length_m):
+                    temperature_sigma_k, cell_length_m):
     """Add the noise stream of ``seed`` to noiseless samples and label them."""
     if math.isinf(scan.snr):
         samples = clean.copy()  # replicas in a series share ``clean``
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        samples = clean + rng.normal(0.0, baseline_level / scan.snr, size=clean.size)
+        samples = clean + rng.normal(0.0, 1.0 / scan.snr, size=clean.size)
     meta = SpectrumMeta(
         transition_label=transition.label,
         nu0_mhz=transition.nu0_mhz,
@@ -144,16 +144,15 @@ def synth_spectrum(
     *,
     hyperfine: Optional[HyperfineStructure] = None,
     comb: Optional[ModulationComb] = None,
-    baseline_level: float = 1.0,
-    baseline_slope: float = 0.0,
     temperature_sigma_k: float = 0.0,
     cell_length_m: float = DEFAULT_CELL_LENGTH_M,
 ) -> tuple[Spectrum, GroundTruth]:
     """Generate one spectrum with additive white Gaussian noise.
 
     The Doppler width comes from ``kb_true`` and the cell temperature; the
-    homogeneous width and peak depth scale linearly with pressure.  Noise has
-    sigma ``baseline_level / snr``.  Deterministic for a fixed seed.
+    homogeneous width and peak depth scale linearly with pressure.  The
+    baseline is 1 and flat; noise has sigma ``1 / snr``.  Deterministic for a
+    fixed seed.
     """
     delta = doppler_width(transition, conditions.temperature_k, kb_true)
     model = AbsorptionModel(
@@ -163,8 +162,6 @@ def synth_spectrum(
         peak_depth=conditions.peak_depth,
         hyperfine=hyperfine,
         comb=comb,
-        baseline_level=baseline_level,
-        baseline_slope=baseline_slope,
     )
     offsets = scan.offsets_mhz()
     clean = transmission(transition.nu0_mhz + offsets, model)
@@ -174,7 +171,7 @@ def synth_spectrum(
             f"{BLACK_TRANSMISSION_FLOOR} at {conditions.pressure_pa} Pa"
         )
     return _noisy_spectrum(transition, conditions, scan, kb_true, seed, offsets, clean, delta,
-                           baseline_level, temperature_sigma_k, cell_length_m)
+                           temperature_sigma_k, cell_length_m)
 
 
 def spawn_seeds(master_seed: int, n: int) -> list[int]:
@@ -193,8 +190,6 @@ def synth_series(
     *,
     hyperfine: Optional[HyperfineStructure] = None,
     comb: Optional[ModulationComb] = None,
-    baseline_level: float = 1.0,
-    baseline_slope: float = 0.0,
     temperature_sigma_k: float = 0.0,
     cell_length_m: float = DEFAULT_CELL_LENGTH_M,
 ) -> list[tuple[Spectrum, GroundTruth]]:
@@ -216,11 +211,11 @@ def synth_series(
         if cond.pressure_pa not in noiseless:
             noiseless[cond.pressure_pa] = synth_spectrum(
                 transition, cond, scan.without_noise(), kb_true, child, hyperfine=hyperfine,
-                comb=comb, baseline_level=baseline_level, baseline_slope=baseline_slope)
+                comb=comb)
         clean, truth = noiseless[cond.pressure_pa]
         out.append(_noisy_spectrum(
             transition, cond, scan, kb_true, child, clean.freq_offset_mhz, clean.transmission,
-            truth.delta_d_mhz, baseline_level, temperature_sigma_k, cell_length_m))
+            truth.delta_d_mhz, temperature_sigma_k, cell_length_m))
     return out
 
 

@@ -12,7 +12,11 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class SpectrumMeta:
-    """Acquisition metadata carried with every spectrum."""
+    """Acquisition metadata carried with every spectrum.
+
+    The fields, in order, are the header of spectrum files of schema
+    ``SCHEMA_VERSION``.
+    """
 
     transition_label: str
     nu0_mhz: float
@@ -25,7 +29,6 @@ class SpectrumMeta:
     time_constant_ms: float
     snr: float  # math.inf for noiseless data
     seed: int
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if not (self.nu0_mhz > 0):

@@ -92,6 +92,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides, args, key", [
+        ({"pressures_pa": [50.0]}, (), "pressures_pa"),
+        ({"seed": -1}, (), "seed"),
+        ({}, ("--seed", -5), "seed"),
+    ])
+    def test_value_out_of_range_exits_2_naming_the_key(self, tmp_path, capsys, overrides,
+                                                        args, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "x", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: config:") and key in err
+        assert not (tmp_path / "x").exists()
+
     def test_files_follow_the_library_seed_rule(self, tmp_path):
         # replica r of pressure i is entry i * replicas + r of synth_series
         # over the pressure-major expansion of the config's pressures

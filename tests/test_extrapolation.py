@@ -13,11 +13,11 @@ from dopplerkb import (
     filter_by_slope,
     fit_spectrum,
     points_from_fit_results,
-    spawn_seeds,
     synth_series,
     zero_pressure_width,
 )
 from dopplerkb.errors import DataError
+from dopplerkb.simulator import spawn_seeds
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dopplerkb import (
     FitModel,
+    FitResult,
     GasConditions,
     ScanConfig,
     Transition,
@@ -120,17 +123,40 @@ class TestFitRecords:
         assert len(back) == 2
         for orig, rec in zip(results, back):
             assert rec.model is orig.model
-            assert rec.source_id == orig.source_id
-            assert rec.params == orig.params
-            assert rec.sigmas == orig.sigmas
-            np.testing.assert_array_equal(rec.covariance, orig.covariance)
-            assert rec.converged == orig.converged
-            assert rec.convergence_spec == orig.convergence_spec
+            for field in dataclasses.fields(FitResult):
+                np.testing.assert_equal(getattr(rec, field.name), getattr(orig, field.name),
+                                        err_msg=field.name)
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "fits.jsonl"
         path.write_text('{"model": "exp-gaussian"}\n')
         with pytest.raises(DataError, match="line 1"):
+            read_fit_records(path)
+
+    @staticmethod
+    def record_without(tmp_path, spectrum, *keys):
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([fit_spectrum(spectrum, source_id="a")], path)
+        record = json.loads(path.read_text())
+        for key in keys:
+            del record[key]
+        path.write_text(json.dumps(record) + "\n")
+        return path
+
+    def test_record_without_optional_keys_reads_their_defaults(self, tmp_path,
+                                                               noisy_spectrum):
+        path = self.record_without(tmp_path, noisy_spectrum, "source_id", "convergence_spec")
+        (back,) = read_fit_records(path)
+        assert back.source_id == "" and back.convergence_spec == {}
+        assert back.params == fit_spectrum(noisy_spectrum).params
+
+    @pytest.mark.parametrize("key", ["model", "converged", "n_iter", "n_points",
+                                     "chi2_reduced", "param_names", "params", "sigmas",
+                                     "covariance"])
+    def test_record_without_a_required_key_names_line_and_key(self, tmp_path,
+                                                              noisy_spectrum, key):
+        path = self.record_without(tmp_path, noisy_spectrum, key)
+        with pytest.raises(DataError, match=f"line 1: .*'{key}'"):
             read_fit_records(path)
 
 
@@ -244,6 +270,25 @@ class TestCampaignConfig:
     ])
     def test_malformed_value_is_data_error_naming_the_key(self, raw, key):
         with pytest.raises(DataError, match=f"config: .*'{key}'"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, what", [
+        ({"transition": {"nu0_mhz": -1.0}}, "transition"),
+        ({"transition": {"mass_u": 0.0}}, "transition"),
+        ({"scan": {"step_mhz": 100.0}}, "scan"),
+        ({"snr": 0}, "scan"),
+        ({"temperature_sigma_k": -0.1}, "temperature reading"),
+        ({"temperature_k": 0.0}, "temperature reading"),
+        ({"absorption_depth_per_pa": -0.1}, "pressures_pa[0]"),
+        ({"pressures_pa": [1.0, 50.0]}, "pressures_pa[1]"),
+        ({"pressures_pa": [0.001]}, "pressures_pa[0]"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_value_refused_by_a_built_object_is_data_error(self, raw, what):
+        # the config builds the transition, the scan, the temperature reading,
+        # the gas conditions at every pressure and the seed sequence, and
+        # names the one that failed
+        with pytest.raises(DataError, match=rf"config: .*{re.escape(what)}: "):
             config_from_dict(raw)
 
     def test_round_trip_through_dict(self):

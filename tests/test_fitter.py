@@ -18,12 +18,12 @@ from dopplerkb import (
     initial_guess,
     inject_baseline_slope,
     jacobian,
-    spawn_seeds,
     synth_series,
     synth_spectrum,
 )
 from dopplerkb.errors import DataError, FitError
 from dopplerkb.fitter import model_transmission
+from dopplerkb.simulator import spawn_seeds
 from dopplerkb.spectra import Spectrum, SpectrumMeta
 
 from _loop_fitter import loop_fit

@@ -14,11 +14,11 @@ from dopplerkb import (
     fit_spectrum,
     inject_baseline_slope,
     inject_parasitic_ramp,
-    spawn_seeds,
     synth_series,
     synth_spectrum,
 )
 from dopplerkb.errors import DataError
+from dopplerkb.simulator import spawn_seeds
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002
@@ -127,14 +127,13 @@ class TestSynthSeries:
         pressures = [2.0, 2.0, 6.5, 2.0, 6.5]
         cond = GasConditions(pressure_pa=1.0)
         s = scan(snr=snr)
-        series = synth_series(NH3, pressures, cond, s, KB, 31, baseline_level=0.9,
-                              baseline_slope=1e-5, temperature_sigma_k=0.01,
+        series = synth_series(NH3, pressures, cond, s, KB, 31, temperature_sigma_k=0.01,
                               cell_length_m=0.25, **extra)
         seeds = spawn_seeds(31, len(pressures))
         for p, child, (spectrum, truth) in zip(pressures, seeds, series):
             want, want_truth = synth_spectrum(
-                NH3, GasConditions(pressure_pa=p), s, KB, child, baseline_level=0.9,
-                baseline_slope=1e-5, temperature_sigma_k=0.01, cell_length_m=0.25, **extra)
+                NH3, GasConditions(pressure_pa=p), s, KB, child, temperature_sigma_k=0.01,
+                cell_length_m=0.25, **extra)
             assert np.array_equal(spectrum.freq_offset_mhz, want.freq_offset_mhz)
             assert np.array_equal(spectrum.transmission, want.transmission)
             assert spectrum.meta == want.meta and truth == want_truth
