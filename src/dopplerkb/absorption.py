@@ -1,11 +1,10 @@
 """Physical absorption model: hyperfine comb, FM sideband comb, Beer-Lambert
-transmission with a linear baseline, and the closed-form width corrections
+transmission, and the closed-form width corrections
 for the small perturbations that broaden the apparent Gaussian.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -76,8 +75,12 @@ class HyperfineStructure:
         One component per line, ``#`` starts a comment.  Weights are
         normalized and offsets re-centered on load.
         """
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read hyperfine table ({exc.strerror})") from None
         pairs = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -190,8 +193,6 @@ class AbsorptionModel:
     peak_depth: float
     hyperfine: Optional[HyperfineStructure] = None
     comb: Optional[ModulationComb] = None
-    baseline_level: float = 1.0
-    baseline_slope: float = 0.0  # per MHz, anchored at the line center
 
     def __post_init__(self):
         if not (self.delta_mhz > 0):
@@ -200,10 +201,6 @@ class AbsorptionModel:
             raise ValueError("Lorentzian width must be >= 0")
         if self.peak_depth < 0:
             raise ValueError("peak optical depth must be >= 0")
-        if not (self.baseline_level > 0):
-            raise ValueError("baseline level must be positive")
-        if not math.isfinite(self.baseline_slope):
-            raise ValueError("baseline slope must be finite")
 
     def component_offsets_and_weights(self):
         """Flattened (offset, weight) arrays of the hyperfine x comb grid."""
@@ -240,13 +237,10 @@ def optical_depth(nu_mhz, model: AbsorptionModel):
 
 
 def transmission(nu_mhz, model: AbsorptionModel):
-    """Beer-Lambert transmission with the additive linear baseline:
-    ``level * exp(-optical_depth) + slope * (nu - nu0)``."""
-    x = np.asarray(nu_mhz, dtype=float) - model.transition.nu0_mhz
-    t = model.baseline_level * np.exp(-optical_depth(nu_mhz, model)) + model.baseline_slope * x
-    if np.ndim(nu_mhz) == 0:
-        return float(t)
-    return t
+    """Beer-Lambert transmission ``exp(-optical_depth)`` on a unit baseline
+    (the simulator's ``inject_*`` functions add baselines)."""
+    t = np.exp(-optical_depth(nu_mhz, model))
+    return float(t) if np.ndim(nu_mhz) == 0 else t
 
 
 class CorrectedWidth(NamedTuple):

@@ -73,7 +73,8 @@ def uncertainty_budget(
     ``sigma_m/m`` (mass), combined in quadrature.
     """
     if delta_d_sigma_mhz < 0 or mass_sigma_rel < 0 or nu_sigma_rel < 0:
-        raise ValueError("uncertainties must be >= 0")
+        raise ValueError(f"uncertainties must be >= 0, got {delta_d_sigma_mhz=}, "
+                         f"{mass_sigma_rel=}, {nu_sigma_rel=}")
     kb = kb_from_width(delta_d_mhz, transition, temperature)
     budget = {
         "width": 2.0 * delta_d_sigma_mhz / delta_d_mhz,

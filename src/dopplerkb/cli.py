@@ -19,7 +19,6 @@ from pathlib import Path
 import click
 
 from . import constants
-from .absorption import HyperfineStructure
 from .boltzmann import TemperatureReading, format_budget_table, uncertainty_budget
 from .config import CampaignConfig, load_config
 from .errors import DataError, FitError
@@ -46,7 +45,6 @@ from .simulator import synth_series
 
 # Published values this pipeline is benchmarked against.
 PAPER_DELTA_D_MHZ = 49.8831
-PAPER_DELTA_D_SIGMA_MHZ = 0.0047
 PAPER_DELTA_D_REL = 9.5e-5
 PAPER_KB = 1.38065e-23
 PAPER_KB_SIGMA = 2.6e-27
@@ -74,14 +72,11 @@ def simulate(config_path, out_dir, seed, no_noise):
     if no_noise:
         cfg = dataclasses.replace(cfg, snr=math.inf)
 
-    hyperfine = None
-    if cfg.hyperfine_file is not None:
-        hyperfine = HyperfineStructure.from_file(cfg.hyperfine_file)
     # Pressure-major: every replica of the first pressure, then the next.
     pressures = [p for p in cfg.pressures_pa for _ in range(cfg.replicas)]
     pairs = synth_series(
         cfg.transition(), pressures, cfg.conditions(pressures[0]), cfg.scan(), cfg.kb_true,
-        cfg.seed, hyperfine=hyperfine, temperature_sigma_k=cfg.temperature_sigma_k,
+        cfg.seed, hyperfine=cfg.hyperfine(), temperature_sigma_k=cfg.temperature_sigma_k,
         cell_length_m=cfg.cell_length_m,
     )
     out = Path(out_dir)

@@ -9,9 +9,9 @@ Validation is strict: unknown keys anywhere are rejected so a typo cannot
 silently fall back to a default, and every value must have its JSON type
 (numbers, integers that are not booleans, a list of pressures, objects for
 ``transition`` and ``scan``).  ``snr: null`` means noiseless.  Values are
-then checked by the objects the pipeline builds from them (transition, scan,
-temperature reading, gas conditions at every pressure, seed sequence), so a
-config that loads is one those objects accept.
+then checked by the objects the pipeline builds from them, listed in
+``CampaignConfig.__post_init__``, so a config that loads is one those objects
+accept.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import constants
-from .boltzmann import TemperatureReading
+from .absorption import HyperfineStructure
+from .boltzmann import TemperatureReading, uncertainty_budget
 from .errors import DataError
-from .lineshape import Transition
+from .lineshape import Transition, doppler_width
 from .simulator import (
     DEFAULT_ABSORPTION_DEPTH_PA,
     DEFAULT_CELL_LENGTH_M,
@@ -64,16 +65,21 @@ class CampaignConfig:
             raise DataError("config: pressures_pa must not be empty")
         if self.replicas < 1:
             raise DataError("config: replicas must be >= 1")
-        builds = {"transition": self.transition, "scan": self.scan,
-                  "temperature reading": partial(TemperatureReading, self.temperature_k,
-                                                 self.temperature_sigma_k),
+        reading = partial(TemperatureReading, self.temperature_k, self.temperature_sigma_k)
+        builds = {"transition": self.transition, "scan": self.scan, "temperature reading": reading,
+                  "kb_true": lambda: doppler_width(self.transition(), self.temperature_k,
+                                                   self.kb_true),
+                  "uncertainty budget": lambda: uncertainty_budget(  # the config has no width
+                      1.0, 0.0, self.transition(), reading(),
+                      mass_sigma_rel=self.mass_sigma_rel, nu_sigma_rel=self.nu_sigma_rel),
+                  "hyperfine_file": self.hyperfine,
                   "seed": partial(np.random.SeedSequence, self.seed)}
         builds.update((f"gas conditions at pressures_pa[{i}]", partial(self.conditions, p))
                       for i, p in enumerate(self.pressures_pa))
         for what, build in builds.items():
             try:
                 build()
-            except ValueError as exc:
+            except (ValueError, DataError) as exc:
                 raise DataError(f"config: {what}: {exc}") from None
 
     def transition(self) -> Transition:
@@ -88,6 +94,10 @@ class CampaignConfig:
             time_constant_ms=self.scan_time_constant_ms,
             snr=self.snr,
         )
+
+    def hyperfine(self) -> HyperfineStructure | None:
+        path = self.hyperfine_file
+        return None if path is None else HyperfineStructure.from_file(path)
 
     def conditions(self, pressure_pa: float) -> GasConditions:
         return GasConditions(

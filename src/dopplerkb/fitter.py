@@ -15,20 +15,22 @@ its inverse) to keep the normal matrix well conditioned.
 Spectra are fitted in blocks, after the design of Gpufit (Przybylski et al.,
 Sci. Rep. 7, 15722, 2017): consecutive spectra on one frequency grid form a
 ``(rows, points)`` block of at most ``16384 // points`` rows, and each
-iteration advances every row still active at once.  The model and the
-Jacobian are evaluated for the whole stack, the gradients and normal matrices
-are formed with stacked ``matmul``, the conditioning test runs on the whole
-stack and the damped steps come from one stacked ``np.linalg.solve``.  Each
-row keeps its own damping factor, iteration count and convergence state, and
-leaves the active set as soon as it converges or runs out of iterations.
-Every operation is row-wise, so a spectrum gets the same bits whether it is
+iteration advances every row still active at once.  The fitter makes one
+kernel call per parameter set: ``jacobian`` gives the model and its Jacobian
+for the start rows and then for each iteration's trial rows, and an accepted
+step keeps its trial's gradient and normal matrix.  These are formed with
+stacked ``matmul``, the conditioning test runs on the whole stack and the
+damped steps come from one stacked ``np.linalg.solve``.  Each row keeps its
+own damping factor, iteration count and convergence state, and leaves the
+active set as soon as it converges or runs out of iterations.  Every
+operation is row-wise, so a spectrum gets the same bits whether it is
 fitted alone or inside a block.  ``fit_spectrum`` is ``fit_series`` of a
 batch of one; ``fit_series`` ends each spectrum's fit in a ``fit_spectrum``
 call that only assembles the result from its row of the iterated block.
 
 In the Gaussian variant the homogeneous width is fixed at zero: pressure
-broadening is deliberately absorbed into the fitted width and removed later
-by the zero-pressure extrapolation.
+broadening is deliberately absorbed into the fitted width, and the
+zero-pressure extrapolation takes it out.
 """
 
 from __future__ import annotations
@@ -108,23 +110,11 @@ def _columns(theta, model: FitModel) -> dict:
     return {name: theta[:, i:i + 1] for i, name in enumerate(model.param_names)}
 
 
-def model_transmission(offsets_mhz, theta, model: FitModel) -> np.ndarray:
-    """Evaluate the fit model on a grid of offsets from the nominal center.
-
-    ``theta`` holds one parameter set per row, in ``model.param_names``
-    order; the result is a (rows, points) array.
-    """
-    p = _columns(theta, model)
-    u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
-    prof = profile(u, p["delta_mhz"], p.get("gamma_mhz"))[0]
-    return p["baseline_level"] * np.exp(-p["peak_depth"] * prof) + p["baseline_slope"] * u
-
-
-def jacobian(offsets_mhz, theta, model: FitModel, scale=None) -> np.ndarray:
-    """Analytic partial derivatives of the model for each row of ``theta``:
-    a (rows, points, params) array, parameters in ``model.param_names``
-    order.  ``scale`` multiplies column k by ``scale[k]``, giving the
-    derivatives with respect to parameters measured in those units."""
+def jacobian(offsets_mhz, theta, model: FitModel, scale=None) -> tuple:
+    """The fit model and its Jacobian for each row of ``theta`` (parameters in
+    ``model.param_names`` order) from one profile call: (rows, points) and
+    (rows, points, params) arrays.  ``scale`` multiplies column k of the
+    Jacobian by ``scale[k]``, for parameters measured in those units."""
     p = _columns(theta, model)
     u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
     depth = p["peak_depth"]
@@ -146,7 +136,7 @@ def jacobian(offsets_mhz, theta, model: FitModel, scale=None) -> np.ndarray:
     out = np.empty(u.shape + (len(cols),))
     for k, col in enumerate(cols):
         np.multiply(col, scale[k], out=out[..., k])
-    return out
+    return level * atten + p["baseline_slope"] * u, out
 
 
 def initial_guess(spectrum: Spectrum) -> dict:
@@ -238,12 +228,12 @@ def _row_costs(resid: np.ndarray) -> np.ndarray:
     return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
 
 
-def _normal_matrices(js: np.ndarray) -> np.ndarray:
-    """J^T J of each row; raises ``FitError`` if any of them is degenerate."""
+def _normal_equations(js: np.ndarray, resid: np.ndarray) -> tuple:
+    """J^T r and J^T J of each row; raises ``FitError`` if a J^T J is degenerate."""
     hess = js.transpose(0, 2, 1) @ js
     if not np.all(np.isfinite(hess)) or np.any(np.linalg.cond(hess) > _COND_LIMIT):
         raise FitError("degenerate fit: singular normal matrix")
-    return hess
+    return (js.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0], hess
 
 
 class _Solution(NamedTuple):
@@ -270,29 +260,21 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
     i_level = names.index("baseline_level")
     i_gamma = names.index("gamma_mhz") if "gamma_mhz" in names else None
 
-    resid = y - model_transmission(x, theta, model)
+    # Cost, gradient and normal matrix of each row at its current parameters.
+    # They come from the one kernel call at the start rows, and then from the
+    # trial call of each accepted step; a rejected step leaves them as they were.
+    values, js = jacobian(x, theta, model, scale)
+    resid = y - values
     cost = _row_costs(resid)
+    grads, hessians = _normal_equations(js, resid)
+    del values, js, resid
     lam = np.full(len(block), DAMPING_START)
     n_iter = np.zeros(len(block), dtype=int)
     converged = np.zeros(len(block), dtype=bool)
     active = np.arange(len(block) if max_iter > 0 else 0)
-    # Gradients and normal matrices at the current parameters.  A rejected
-    # step leaves a row's parameters as they were, so only rows that moved
-    # (or start) need them formed again.
-    grads = np.empty(theta.shape)
-    hessians = np.empty(theta.shape + theta.shape[1:])
-    moved = np.ones(len(block), dtype=bool)
-
-    def renew(rows):
-        if rows.size:
-            js = jacobian(x, theta[rows], model, scale)
-            grads[rows] = (js.transpose(0, 2, 1) @ resid[rows, :, None])[:, :, 0]
-            hessians[rows] = _normal_matrices(js)
-            moved[rows] = False
 
     while active.size:
         n_iter[active] += 1
-        renew(active[moved[active]])
         grad = grads[active]
         # A row whose gradient vanished is done; its normal matrix has still
         # been through the degeneracy test, which the covariance faces anyway.
@@ -308,7 +290,8 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
             candidate[:, i_gamma] = np.abs(candidate[:, i_gamma])
         # Steps to a non-positive width or level are rejected unevaluated.
         trial = ~done & ~((candidate[:, i_delta] <= 0) | (candidate[:, i_level] <= 0))
-        new_resid = y[active[trial]] - model_transmission(x, candidate[trial], model)
+        values, js = jacobian(x, candidate[trial], model, scale)
+        new_resid = y[active[trial]] - values
         new_cost = _row_costs(new_resid)
         better = np.zeros_like(trial)
         better[trial] = new_cost <= cost[active[trial]]
@@ -317,15 +300,14 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
         drop = cost[accepted] - new_cost[kept]
         theta[accepted] = candidate[better]
         cost[accepted] = new_cost[kept]
-        resid[accepted] = new_resid[kept]
-        moved[accepted] = True
+        grads[accepted], hessians[accepted] = _normal_equations(js[kept], new_resid[kept])
+        del values, js  # no trial Jacobian stays alive into the next kernel call
         lam[accepted] = np.maximum(lam[accepted] * DAMPING_DOWN, 1e-15)
         lam[active[~done & ~better]] *= DAMPING_UP
         converged[accepted] = (cost[accepted] == 0.0) | (drop < COST_TOL * cost[accepted])
         converged[active[done]] = True
         active = active[~converged[active] & (n_iter[active] < max_iter)]
 
-    renew(np.flatnonzero(moved))
     resid_var = cost / (x.size - len(names))
     cov = resid_var[:, None, None] * np.linalg.inv(hessians) * np.outer(scale, scale)
     sigmas = np.sqrt(np.maximum(cov[:, diag, diag], 0.0))

@@ -38,7 +38,7 @@ class Transition:
 
     ``mass_kg`` and ``mass_u`` must agree through the unified-atomic-mass
     constant to 1e-9 relative; both are kept so that manifests record the
-    mass in the unit it was sourced in.
+    mass in the unit it was sourced in.  ``label`` is one unpadded line.
     """
 
     nu0_mhz: float
@@ -47,6 +47,8 @@ class Transition:
     label: str = ""
 
     def __post_init__(self):
+        if len(self.label.splitlines()) > 1 or self.label != self.label.strip():
+            raise ValueError(f"label must be one line, unpadded; got {self.label!r}")
         if not (self.nu0_mhz > 0):
             raise ValueError(f"transition frequency must be positive, got {self.nu0_mhz}")
         if not (self.mass_kg > 0 and self.mass_u > 0):
@@ -103,8 +105,8 @@ def profile(u, delta, gamma=None, derivs: bool = False):
         # scalar form keeps each row bit-identical to a per-spectrum fit
         # (tests/_loop_fitter.py).
         widths = delta[:, 0].tolist()
-        dp_du = p * (-2.0 * u / np.array([[d**2] for d in widths]))
-        dp_ddelta = p * (2.0 * u**2 / np.array([[d**3] for d in widths]))
+        dp_du = p * (-2.0 * u / np.array([d**2 for d in widths])[:, None])
+        dp_ddelta = p * (2.0 * u**2 / np.array([d**3 for d in widths])[:, None])
         return p, dp_du, dp_ddelta, None
     from scipy.special import wofz
 

@@ -75,9 +75,9 @@ class TestOpticalDepth:
 
 class TestTransmission:
     def test_no_absorber_flat_baseline(self):
-        model = make_model(peak_depth=0.0, baseline_level=0.93)
+        model = make_model(peak_depth=0.0)
         nu = NH3.nu0_mhz + np.linspace(-125, 125, 501)
-        np.testing.assert_array_equal(transmission(nu, model), np.full(501, 0.93))
+        np.testing.assert_array_equal(transmission(nu, model), np.full(501, 1.0))
 
     def test_ninety_percent_absorption(self):
         model = make_model(peak_depth=math.log(10.0))
@@ -94,18 +94,10 @@ class TestTransmission:
             model = make_model(
                 peak_depth=rng.uniform(0.0, 2.3),
                 gamma_mhz=rng.uniform(0.0, 0.5),
-                baseline_level=rng.uniform(0.5, 1.5),
             )
             t = transmission(nu, model)
             assert np.all(t > 0.0)
-            assert np.all(t <= model.baseline_level + 1e-15)
-
-    def test_slope_term_anchored_at_center(self):
-        model = make_model(baseline_slope=1e-4)
-        base = make_model(baseline_slope=0.0)
-        assert transmission(NH3.nu0_mhz, model) == transmission(NH3.nu0_mhz, base)
-        off = transmission(NH3.nu0_mhz + 100.0, model) - transmission(NH3.nu0_mhz + 100.0, base)
-        assert off == pytest.approx(1e-2, rel=1e-12)
+            assert np.all(t <= 1.0)
 
 
 class TestBroadeningHomogeneous:

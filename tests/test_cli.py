@@ -96,6 +96,11 @@ class TestSimulate:
         ({"pressures_pa": [50.0]}, (), "pressures_pa"),
         ({"seed": -1}, (), "seed"),
         ({}, ("--seed", -5), "seed"),
+        ({"kb_true": -1}, (), "kb_true"),
+        ({"mass_sigma_rel": -1}, (), "mass_sigma_rel"),
+        ({"nu_sigma_rel": -1}, (), "nu_sigma_rel"),
+        ({"hyperfine_file": "nope.txt"}, (), "hyperfine_file"),
+        ({"transition": {"label": "a\nb"}}, (), "transition"),
     ])
     def test_value_out_of_range_exits_2_naming_the_key(self, tmp_path, capsys, overrides,
                                                         args, key):

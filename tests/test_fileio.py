@@ -58,6 +58,14 @@ class TestSpectrumFiles:
         assert np.array_equal(back.transmission, noisy_spectrum.transmission)
         assert back.meta == noisy_spectrum.meta
 
+    def test_label_round_trips(self, tmp_path):
+        transition = Transition.from_mass_u(NH3.nu0_mhz, NH3.mass_u, "14NH3  nu2 asQ(6,3): #1")
+        spectrum, _ = synth_spectrum(transition, GasConditions(pressure_pa=1.0),
+                                     ScanConfig(snr=math.inf), KB, 0)
+        path = tmp_path / "s.txt"
+        write_spectrum(spectrum, path)
+        assert read_spectrum(path).meta == spectrum.meta
+
     def test_noiseless_snr_round_trips_as_inf(self, tmp_path):
         cond = GasConditions(pressure_pa=1.0)
         scan = ScanConfig(snr=math.inf)
@@ -283,9 +291,16 @@ class TestCampaignConfig:
         ({"pressures_pa": [1.0, 50.0]}, "pressures_pa[1]"),
         ({"pressures_pa": [0.001]}, "pressures_pa[0]"),
         ({"seed": -1}, "seed"),
+        ({"kb_true": -1.0}, "kb_true"),
+        ({"mass_sigma_rel": -1.0}, "uncertainty budget"),
+        ({"nu_sigma_rel": -1.0}, "uncertainty budget"),
+        ({"hyperfine_file": "nope.txt"}, "hyperfine_file"),
+        ({"transition": {"label": "a\nb"}}, "transition"),
+        ({"transition": {"label": "asQ(6,3) "}}, "transition"),
     ])
     def test_value_refused_by_a_built_object_is_data_error(self, raw, what):
         # the config builds the transition, the scan, the temperature reading,
+        # the Doppler width, the uncertainty budget, the hyperfine structure,
         # the gas conditions at every pressure and the seed sequence, and
         # names the one that failed
         with pytest.raises(DataError, match=rf"config: .*{re.escape(what)}: "):

@@ -21,8 +21,8 @@ from dopplerkb import (
     synth_series,
     synth_spectrum,
 )
+from dopplerkb import fitter
 from dopplerkb.errors import DataError, FitError
-from dopplerkb.fitter import model_transmission
 from dopplerkb.simulator import spawn_seeds
 from dopplerkb.spectra import Spectrum, SpectrumMeta
 
@@ -56,8 +56,8 @@ def jacobian_fd(offsets, theta, model, rel_step=1e-6):
     for k, name in enumerate(model.param_names):
         step = np.zeros(theta.shape[1])
         step[k] = rel_step * scale[name]
-        cols.append((model_transmission(offsets, theta + step, model)
-                     - model_transmission(offsets, theta - step, model)) / (2 * step[k]))
+        cols.append((jacobian(offsets, theta + step, model)[0]
+                     - jacobian(offsets, theta - step, model)[0]) / (2 * step[k]))
     return np.stack(cols, axis=-1)
 
 
@@ -66,14 +66,14 @@ class TestJacobian:
         x = np.linspace(-125, 125, 501)
         params = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.0,
                       baseline_level=1.0, baseline_slope=0.0)
-        j = jacobian(x, as_row(params, FitModel.EXP_GAUSSIAN), FitModel.EXP_GAUSSIAN)[0]
+        j = jacobian(x, as_row(params, FitModel.EXP_GAUSSIAN), FitModel.EXP_GAUSSIAN)[1][0]
         np.testing.assert_array_equal(j[:, 3], np.ones_like(x))
 
     def test_center_column_zero_at_line_center_without_slope(self):
         params = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.7,
                       baseline_level=1.0, baseline_slope=0.0)
         j = jacobian(np.array([0.0]), as_row(params, FitModel.EXP_GAUSSIAN),
-                     FitModel.EXP_GAUSSIAN)[0]
+                     FitModel.EXP_GAUSSIAN)[1][0]
         assert j[0, 0] == 0.0
 
     @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
@@ -93,11 +93,21 @@ class TestJacobian:
             for _ in range(100)
         ]
         theta = np.concatenate([as_row(params, model) for params in draws])
-        analytic = jacobian(x, theta, model)
+        analytic = jacobian(x, theta, model)[1]
         assert analytic.shape == (100, x.size, len(model.param_names))
         fd = jacobian_fd(x, theta, model)
         norm = np.max(np.abs(analytic), axis=1)
         assert np.all(np.max(np.abs(analytic - fd), axis=1) <= 1e-6 * norm)
+
+    @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
+    def test_no_rows_give_empty_model_and_jacobian(self, model):
+        # an iteration whose rows all end or step to a non-positive width or
+        # level sends an empty stack of trial rows
+        x = np.linspace(-125, 125, 301)
+        n = len(model.param_names)
+        values, j = jacobian(x, np.empty((0, n)), model)
+        assert values.shape == (0, x.size)
+        assert j.shape == (0, x.size, n)
 
 
 class TestInitialGuess:
@@ -324,6 +334,29 @@ class TestBlockFitting:
         with pytest.raises(FitError, match="degenerate"):
             fit_series(spectra, inits=inits)
         assert all(r.converged for r in fit_series(spectra[:2] + spectra[3:]))
+
+    @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
+    def test_no_parameter_row_is_evaluated_twice(self, model, monkeypatch):
+        # every model evaluation goes through ``_columns``; the start rows and
+        # each trial row reach it once, and an accepted trial is not evaluated
+        # again for its Jacobian
+        if model is FitModel.EXP_GAUSSIAN:
+            pressures = [p for p in GOLDEN_PRESSURES for _ in range(5)]
+            spectra = [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                                  make_scan(snr=1000.0), KB, 5)]
+        else:
+            spectra = golden_spectra(model)
+        rows = []
+        columns = fitter._columns
+
+        def recording(theta, model):
+            rows.extend(row.tobytes() for row in np.asarray(theta, dtype=float))
+            return columns(theta, model)
+
+        monkeypatch.setattr(fitter, "_columns", recording)
+        results = fit_series(spectra, model)
+        assert sum(r.n_iter for r in results) >= len(rows) - len(spectra) > 0
+        assert len(set(rows)) == len(rows)
 
     def test_per_spectrum_init_is_used(self):
         spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=12)

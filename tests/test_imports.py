@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and the package
+reads each constant and private function it defines.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import dopplerkb
 
 PACKAGE = Path(dopplerkb.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +41,38 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) of each module-level UPPER_CASE constant and each
+    ``_``-prefixed top-level function of ``sources`` (module name -> source)
+    that no expression of any of them reads, as a name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets
+                            if isinstance(t, ast.Name) and CONSTANT.match(t.id)]
+    return sorted(d for d in defined if d[1] not in read)
+
+
+def test_finds_an_unread_constant_and_private_function():
+    sources = {"a": "LIMIT = 1\nUNUSED = 2\ndef _f(): pass\ndef _g(): pass\n",
+               "b": "from a import LIMIT\nimport a\nx = LIMIT + a._f()\nY: int = 3\n"}
+    assert unread_definitions(sources) == [("a", "UNUSED"), ("a", "_g"), ("b", "Y")]
+
+
+def test_package_reads_every_constant_and_private_function():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == []

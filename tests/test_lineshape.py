@@ -108,3 +108,10 @@ class TestTransition:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             Transition.from_mass_u(0.0, 17.0)
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\r\nb", "a\rb", "a\x1cb", "a\u2028b",
+                                       " a", "a ", "a\t", "\n"])
+    def test_rejects_a_label_the_file_header_cannot_hold(self, label):
+        # the spectrum-file header is one line, read back stripped
+        with pytest.raises(ValueError, match="label"):
+            Transition.from_mass_u(1e7, 17.0, label)
