@@ -10,14 +10,12 @@ with an itemized uncertainty budget.
 __version__ = "0.1.0"
 
 from .absorption import (
-    AbsorptionModel,
     CorrectedWidth,
     HyperfineStructure,
     ModulationComb,
     broadening_homogeneous,
     broadening_hyperfine,
     broadening_modulation,
-    optical_depth,
     transmission,
 )
 from .boltzmann import (
@@ -36,7 +34,7 @@ from .extrapolation import (
     zero_pressure_width,
 )
 from .fitter import FitModel, FitResult, fit_series, fit_spectrum, initial_guess, jacobian
-from .lineshape import Transition, doppler_width, gaussian, voigt
+from .lineshape import Transition, doppler_width, voigt
 from .simulator import (
     GasConditions,
     GroundTruth,
@@ -49,7 +47,6 @@ from .simulator import (
 from .spectra import Spectrum, SpectrumMeta
 
 __all__ = [
-    "AbsorptionModel",
     "BoltzmannResult",
     "CorrectedWidth",
     "DataError",
@@ -76,13 +73,11 @@ __all__ = [
     "filter_by_slope",
     "fit_series",
     "fit_spectrum",
-    "gaussian",
     "initial_guess",
     "inject_baseline_slope",
     "inject_parasitic_ramp",
     "jacobian",
     "kb_from_width",
-    "optical_depth",
     "points_from_fit_results",
     "synth_series",
     "synth_spectrum",

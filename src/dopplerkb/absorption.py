@@ -1,18 +1,19 @@
 """Physical absorption model: hyperfine comb, FM sideband comb, Beer-Lambert
-transmission, and the closed-form width corrections
-for the small perturbations that broaden the apparent Gaussian.
+transmission (the one synthesis call, from line parameters to samples), and
+the closed-form width corrections for the small perturbations that broaden
+the apparent Gaussian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .lineshape import Transition, voigt
+from .lineshape import voigt
 
 # Validity limit of the first-order width-correction formulas; beyond it the
 # result is still computed but flagged.
@@ -116,26 +117,30 @@ class ModulationComb:
     """Sideband comb from sinusoidal frequency modulation.
 
     Line ``n`` sits at ``n * mod_freq`` with weight ``J_n(beta)**2`` where
-    ``beta = depth / mod_freq``.  ``order_cutoff`` is the largest retained
-    ``|n|``; the retained weights must sum to one within 1e-10.
+    ``beta = depth / mod_freq``.  ``order_cutoff``, the largest retained
+    ``|n|``, is worked out on construction: the smallest one whose retained
+    weights sum to within 1e-10 of one.
     """
 
     mod_freq_khz: float
     depth_khz: float
-    order_cutoff: int
+    order_cutoff: int = field(init=False)
 
     def __post_init__(self):
         if not (self.mod_freq_khz > 0):
             raise ValueError("modulation frequency must be positive")
         if self.depth_khz < 0:
             raise ValueError("modulation depth must be >= 0")
-        if self.order_cutoff < 0:
-            raise ValueError("order cutoff must be >= 0")
-        if 1.0 - sum(self.weights) > _COMB_WEIGHT_TOL:
-            raise ValueError(
-                f"comb truncated too early: weights sum to {sum(self.weights)!r} "
-                f"at order_cutoff={self.order_cutoff}"
-            )
+        from scipy.special import jv
+
+        total = jv(0, self.beta) ** 2
+        n = 0
+        while 1.0 - total > _COMB_WEIGHT_TOL:
+            n += 1
+            total += 2.0 * jv(n, self.beta) ** 2
+            if n > 1000:
+                raise ValueError("comb cutoff search failed to converge")
+        object.__setattr__(self, "order_cutoff", n)
 
     @property
     def beta(self) -> float:
@@ -156,91 +161,27 @@ class ModulationComb:
         return jv(self.orders, self.beta) ** 2
 
     @classmethod
-    def auto(cls, mod_freq_khz: float, depth_khz: float) -> "ModulationComb":
-        """Pick the smallest cutoff with cumulative weight >= 1 - 1e-10."""
-        if not (mod_freq_khz > 0):
-            raise ValueError("modulation frequency must be positive")
-        from scipy.special import jv
-
-        beta = depth_khz / mod_freq_khz
-        total = jv(0, beta) ** 2
-        n = 0
-        while 1.0 - total > _COMB_WEIGHT_TOL:
-            n += 1
-            total += 2.0 * jv(n, beta) ** 2
-            if n > 1000:
-                raise ValueError("comb cutoff search failed to converge")
-        return cls(mod_freq_khz=mod_freq_khz, depth_khz=depth_khz, order_cutoff=n)
-
-    @classmethod
     def paper_default(cls) -> "ModulationComb":
         """8 kHz modulation with 38 kHz depth (beta = 4.75)."""
-        return cls.auto(8.0, 38.0)
+        return cls(8.0, 38.0)
 
 
-@dataclass(frozen=True)
-class AbsorptionModel:
-    """Everything needed to evaluate the transmission of the cell.
-
-    ``peak_depth`` is the Gaussian-amplitude optical depth (the product of
-    line strength, ground-level density and cell length); with homogeneous
-    broadening the actual depth at line center is slightly smaller.
+def transmission(offsets_mhz, delta_mhz: float, gamma_mhz: float, peak_depth: float,
+                 hyperfine: Optional[HyperfineStructure] = None,
+                 comb: Optional[ModulationComb] = None) -> np.ndarray:
+    """Unit-baseline Beer-Lambert transmission ``exp(-tau)`` at the 1-d array
+    ``offsets_mhz`` from the line center.  ``tau`` is ``peak_depth`` (the
+    Gaussian-amplitude optical depth) times the weighted sum of Voigt profiles
+    over the hyperfine x comb components, or the one component (0.0, 1.0).
     """
-
-    transition: Transition
-    delta_mhz: float
-    gamma_mhz: float
-    peak_depth: float
-    hyperfine: Optional[HyperfineStructure] = None
-    comb: Optional[ModulationComb] = None
-
-    def __post_init__(self):
-        if not (self.delta_mhz > 0):
-            raise ValueError("Gaussian width must be positive")
-        if self.gamma_mhz < 0:
-            raise ValueError("Lorentzian width must be >= 0")
-        if self.peak_depth < 0:
-            raise ValueError("peak optical depth must be >= 0")
-
-    def component_offsets_and_weights(self):
-        """Flattened (offset, weight) arrays of the hyperfine x comb grid."""
-        offs = np.array([0.0])
-        wts = np.array([1.0])
-        if self.hyperfine is not None:
-            offs = np.asarray(self.hyperfine.offsets_mhz, dtype=float)
-            wts = np.asarray(self.hyperfine.weights, dtype=float)
-        if self.comb is not None:
-            c_off = self.comb.offsets_mhz
-            c_w = self.comb.weights
-            offs = (offs[:, None] + c_off[None, :]).ravel()
-            wts = (wts[:, None] * c_w[None, :]).ravel()
-        return offs, wts
-
-
-def optical_depth(nu_mhz, model: AbsorptionModel):
-    """Optical depth at absolute frequency ``nu_mhz``.
-
-    Weighted sum of shifted Voigt profiles over every hyperfine and comb
-    component; with neither present this is a single Voigt, and with zero
-    homogeneous width a single Gaussian.
-    """
-    x = np.asarray(nu_mhz, dtype=float) - model.transition.nu0_mhz
-    offs, wts = model.component_offsets_and_weights()
-    if offs.size == 1:
-        depth = model.peak_depth * voigt(x, model.delta_mhz, model.gamma_mhz)
-    else:
-        profile = voigt(x[..., None] - offs, model.delta_mhz, model.gamma_mhz)
-        depth = model.peak_depth * np.asarray(profile) @ wts
-    if np.ndim(nu_mhz) == 0:
-        return float(depth)
-    return depth
-
-
-def transmission(nu_mhz, model: AbsorptionModel):
-    """Beer-Lambert transmission ``exp(-optical_depth)`` on a unit baseline
-    (the simulator's ``inject_*`` functions add baselines)."""
-    t = np.exp(-optical_depth(nu_mhz, model))
-    return float(t) if np.ndim(nu_mhz) == 0 else t
+    offs, wts = np.array([0.0]), np.array([1.0])
+    if hyperfine is not None:
+        offs = np.asarray(hyperfine.offsets_mhz, dtype=float)
+        wts = np.asarray(hyperfine.weights, dtype=float)
+    if comb is not None:
+        offs = (offs[:, None] + comb.offsets_mhz).ravel()
+        wts = (wts[:, None] * comb.weights).ravel()
+    return np.exp(-(peak_depth * voigt(offsets_mhz[:, None] - offs, delta_mhz, gamma_mhz) @ wts))
 
 
 class CorrectedWidth(NamedTuple):

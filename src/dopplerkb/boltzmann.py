@@ -72,9 +72,10 @@ def uncertainty_budget(
     ``sigma_T/T`` (temperature), ``2*sigma_nu/nu`` (frequency) and
     ``sigma_m/m`` (mass), combined in quadrature.
     """
-    if delta_d_sigma_mhz < 0 or mass_sigma_rel < 0 or nu_sigma_rel < 0:
-        raise ValueError(f"uncertainties must be >= 0, got {delta_d_sigma_mhz=}, "
-                         f"{mass_sigma_rel=}, {nu_sigma_rel=}")
+    for name, sigma in {"delta_d_sigma_mhz": delta_d_sigma_mhz, "mass_sigma_rel": mass_sigma_rel,
+                        "nu_sigma_rel": nu_sigma_rel}.items():
+        if sigma < 0:
+            raise ValueError(f"{name} must be >= 0, got {sigma}")
     kb = kb_from_width(delta_d_mhz, transition, temperature)
     budget = {
         "width": 2.0 * delta_d_sigma_mhz / delta_d_mhz,

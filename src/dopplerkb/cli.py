@@ -5,8 +5,8 @@ Stages talk to each other through files only.  Every file-writing run also
 writes a manifest (config hash, seed, package and library versions, constants
 snapshot) sufficient to reproduce it bit-identically.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence,
-4 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (a bad file, config value
+or option value), 3 non-convergence, 4 internal error.
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ def simulate(config_path, out_dir, seed, no_noise):
               help="Iteration budget per spectrum.")
 def fit_command(spectra, out_path, model, max_iter):
     """Fit every spectrum file and write one record per spectrum."""
+    if max_iter < 1:
+        raise DataError(f"--max-iter: must be >= 1, got {max_iter}")
     paths = _collect_spectrum_paths(spectra)
     fit_model = FitModel.from_name(model)
     # Files are read as the fitter consumes them, one block at a time.
@@ -122,6 +124,8 @@ def fit_command(spectra, out_path, model, max_iter):
               help="Slope filter threshold per MHz (default: 3x median slope sigma).")
 def series(fits_path, out_summary, out_table, threshold_slope):
     """Filter fitted spectra by baseline slope and extrapolate to zero pressure."""
+    if threshold_slope is not None and not 0.0 < threshold_slope < math.inf:
+        raise DataError(f"--threshold-slope: must be positive and finite, got {threshold_slope}")
     results = read_fit_records(fits_path)
     threshold = threshold_slope if threshold_slope is not None \
         else default_slope_threshold(results)
@@ -179,11 +183,19 @@ def kb(summary_path, config_path, out_path):
 def budget(delta_d_mhz, delta_d_sigma_mhz, temperature_k, temperature_sigma_k,
            mass_sigma_rel, nu_sigma_rel, out_path):
     """Uncertainty budget for explicit width/temperature inputs (NH3 line)."""
-    result = uncertainty_budget(
-        delta_d_mhz, delta_d_sigma_mhz, Transition.nh3(),
-        TemperatureReading(temperature_k, temperature_sigma_k),
-        mass_sigma_rel=mass_sigma_rel, nu_sigma_rel=nu_sigma_rel,
-    )
+    # Each build adds one option to those already accepted: a refusal names it.
+    reading = _refused_as("--temperature-k", TemperatureReading, temperature_k)
+    reading = _refused_as("--temperature-sigma-k", TemperatureReading, temperature_k,
+                          temperature_sigma_k)
+
+    def terms(sigma, mass, nu):
+        return uncertainty_budget(delta_d_mhz, sigma, Transition.nh3(), reading,
+                                  mass_sigma_rel=mass, nu_sigma_rel=nu)
+
+    _refused_as("--delta-d-mhz", terms, 0.0, 0.0, 0.0)
+    _refused_as("--delta-d-sigma-mhz", terms, delta_d_sigma_mhz, 0.0, 0.0)
+    _refused_as("--mass-sigma-rel", terms, delta_d_sigma_mhz, mass_sigma_rel, 0.0)
+    result = _refused_as("--nu-sigma-rel", terms, delta_d_sigma_mhz, mass_sigma_rel, nu_sigma_rel)
     click.echo(format_budget_table(result))
     if out_path:
         write_boltzmann_record(result, out_path)
@@ -212,6 +224,14 @@ def reproduce_paper():
                f"relative {PAPER_KB_REL:.1e}")
     click.echo(f"agreement: computed/published - 1 = {rel_diff:+.2e} "
                f"({abs(kb_value - PAPER_KB) / PAPER_KB_SIGMA:.2f} published sigma)")
+
+
+def _refused_as(option, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` is a data error naming ``option``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise DataError(f"{option}: {exc}") from None
 
 
 def _collect_spectrum_paths(args) -> list:

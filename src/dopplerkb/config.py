@@ -203,4 +203,7 @@ def load_config(path) -> CampaignConfig:
         raise DataError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if isinstance(raw, dict) and isinstance(raw.get("hyperfine_file"), str):
+        # relative to the config file; the resolved path is what manifests record
+        raw["hyperfine_file"] = str(Path(path).parent / raw["hyperfine_file"])
     return config_from_dict(raw)

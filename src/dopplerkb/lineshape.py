@@ -2,7 +2,7 @@
 
 Width conventions, used everywhere in this package:
 
-* Gaussian widths ``delta`` are 1/e half-widths: ``gaussian(delta) = 1/e``.
+* Gaussian widths ``delta`` are 1/e half-widths of ``exp(-(x/delta)**2)``.
 * Lorentzian widths ``gamma`` are half-widths at half-maximum.
 
 ``profile`` is the one kernel behind both the simulator and the fitter.  At
@@ -16,8 +16,8 @@ Gaussian width and the Lorentzian width, taken through
 sign of ``gamma``, so it is the derivative of ``P`` as written with
 ``|gamma|``.  Without ``derivs`` the three derivatives are ``None``, and the
 Gaussian ``dP/dgamma`` is always ``None``.  The kernel validates nothing;
-``gaussian`` and ``voigt`` are its validated forms, pure functions that take
-a scalar or a numpy array of offsets.
+``voigt`` is its validated form, a pure function that takes a scalar or a
+numpy array of offsets and is the unit-peak Gaussian at ``gamma == 0``.
 """
 
 from __future__ import annotations
@@ -76,19 +76,6 @@ class Transition:
                    mass_u=mass_u, label=label)
 
 
-def _as_offsets(x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("frequency offsets must be finite")
-    return xa
-
-
-def _match_input(x, values: np.ndarray):
-    if np.ndim(x) == 0:
-        return float(values)
-    return values
-
-
 def profile(u, delta, gamma=None, derivs: bool = False):
     """Unit-peak Gaussian (``gamma is None``) or Voigt profile at offsets
     ``u``, with its derivatives on request: see the module docstring.
@@ -121,21 +108,10 @@ def profile(u, delta, gamma=None, derivs: bool = False):
     return w.real, dp_du, dp_ddelta, dp_dgamma
 
 
-def gaussian(x, delta: float):
-    """Unit-peak Gaussian ``exp(-x**2 / delta**2)``.
-
-    ``delta`` is the 1/e half-width in MHz; ``x`` a frequency offset from the
-    line center.
-    """
-    if not (delta > 0):
-        raise ValueError(f"Gaussian 1/e half-width must be positive, got {delta}")
-    return _match_input(x, profile(_as_offsets(x), delta)[0])
-
-
 def voigt(x, delta: float, gamma: float):
     """Convolution of the unit-peak Gaussian with a unit-area Lorentzian.
 
-    Normalized so that ``gamma == 0`` returns exactly ``gaussian(x, delta)``;
+    Normalized so that ``gamma == 0`` returns exactly ``exp(-(x/delta)**2)``;
     for ``gamma > 0`` the peak value is ``erfcx(gamma/delta) < 1`` because the
     convolution conserves area, not height.  Evaluated through the real part
     of the Faddeeva function ``w((x + i*gamma)/delta)``, accurate to well
@@ -145,8 +121,11 @@ def voigt(x, delta: float, gamma: float):
         raise ValueError(f"Gaussian 1/e half-width must be positive, got {delta}")
     if gamma < 0 or not math.isfinite(gamma):
         raise ValueError(f"Lorentzian HWHM must be >= 0 and finite, got {gamma}")
-    values = profile(_as_offsets(x), delta, None if gamma == 0.0 else gamma)[0]
-    return _match_input(x, values)
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("frequency offsets must be finite")
+    values = profile(xa, delta, None if gamma == 0.0 else gamma)[0]
+    return float(values) if np.ndim(x) == 0 else values
 
 
 def doppler_width(transition: Transition, temperature_k: float, kb: float) -> float:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .absorption import AbsorptionModel, HyperfineStructure, ModulationComb, transmission
+from .absorption import HyperfineStructure, ModulationComb, transmission
 from .errors import DataError
 from .lineshape import Transition, doppler_width
 from .spectra import Spectrum, SpectrumMeta
@@ -155,16 +155,9 @@ def synth_spectrum(
     fixed seed.
     """
     delta = doppler_width(transition, conditions.temperature_k, kb_true)
-    model = AbsorptionModel(
-        transition=transition,
-        delta_mhz=delta,
-        gamma_mhz=conditions.gamma_mhz,
-        peak_depth=conditions.peak_depth,
-        hyperfine=hyperfine,
-        comb=comb,
-    )
     offsets = scan.offsets_mhz()
-    clean = transmission(transition.nu0_mhz + offsets, model)
+    clean = transmission(offsets, delta, conditions.gamma_mhz, conditions.peak_depth, hyperfine,
+                         comb)
     if clean.min() < BLACK_TRANSMISSION_FLOOR:
         raise DataError(
             f"optically black: peak transmission {clean.min():.2e} below "

@@ -110,6 +110,23 @@ class TestSimulate:
         assert err.startswith("error: data: config:") and key in err
         assert not (tmp_path / "x").exists()
 
+    def test_hyperfine_file_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "hf.txt").write_text("-0.04 1\n0.0 2\n0.06 1\n")
+        config = {"pressures_pa": [1.0], "hyperfine_file": "hf.txt"}
+        (sub / "c.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        assert run("simulate", "--config", "sub/c.json", "--out", "outer") == 0
+        monkeypatch.chdir(sub)
+        assert run("simulate", "--config", "c.json", "--out", "inner") == 0
+        outer, inner = tmp_path / "outer", sub / "inner"
+        for out, recorded in ((outer, str(Path("sub", "hf.txt"))), (inner, "hf.txt")):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["hyperfine_file"] == recorded
+        name = "spectrum_p00_r000.txt"
+        assert (outer / name).read_bytes() == (inner / name).read_bytes()
+
     def test_files_follow_the_library_seed_rule(self, tmp_path):
         # replica r of pressure i is entry i * replicas + r of synth_series
         # over the pressure-major expansion of the config's pressures
@@ -215,6 +232,25 @@ class TestFitSeriesKb:
         assert rec["n_used"] + rec["n_rejected"] == 8
         assert "unconverged 8)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stage, option, value", [
+        ("fit", "--max-iter", 0),
+        ("series", "--threshold-slope", -1.0),
+        ("series", "--threshold-slope", math.nan),
+        ("series", "--threshold-slope", math.inf),
+    ])
+    def test_option_out_of_range_exits_2_naming_it(self, tmp_path, spectra_dir, capsys, stage,
+                                                   option, value):
+        fits, out = tmp_path / "fits.jsonl", tmp_path / "out.json"
+        if stage == "fit":
+            args = ("fit", spectra_dir, "--out", out)
+        else:
+            assert run("fit", spectra_dir, "--out", fits) == 0
+            args = ("series", "--fits", fits, "--out-summary", out, "--out-table", tmp_path / "t")
+        capsys.readouterr()
+        assert run(*args, option, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {option}:")
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert run("fit") == 1
         assert capsys.readouterr().err.startswith("error: usage:")
@@ -304,6 +340,19 @@ class TestBudgetCommands:
         assert "combined" in text
         record = json.loads(out.read_text())
         assert record["budget_relative"]["width"] == pytest.approx(1.9e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--delta-d-mhz", -1.0),
+        ("--delta-d-sigma-mhz", -0.1),
+        ("--temperature-k", -3.0),
+        ("--mass-sigma-rel", -1.0),
+    ])
+    def test_refused_value_exits_2_naming_the_option(self, tmp_path, capsys, option, value):
+        args = {"--delta-d-mhz": 49.88, "--delta-d-sigma-mhz": 0.01, option: value}
+        out = tmp_path / "kb.json"
+        assert run("budget", *[a for item in args.items() for a in item], "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {option}:")
+        assert not out.exists()
 
     def test_reproduce_paper(self, capsys):
         assert run("reproduce-paper") == 0

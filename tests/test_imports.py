@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and the package
-reads each constant and private function it defines.
+"""Every module of the package uses each name it imports, the package reads
+each constant and private function it defines, and each name it exports.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -76,3 +76,32 @@ def test_finds_an_unread_constant_and_private_function():
 def test_package_reads_every_constant_and_private_function():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources) == []
+
+
+# Exports waiting for their caller: the systematics budget of ROADMAP
+# direction 4 injects these effects and checks the closed-form corrections.
+AWAITING_CALLER = {"broadening_homogeneous", "broadening_hyperfine", "broadening_modulation",
+                   "inject_baseline_slope", "inject_parasitic_ramp"}
+
+
+def unused_exports(exports, sources: list) -> list:
+    """Each name of ``exports`` that no module of ``sources`` reads as a name
+    or imports."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(set(exports) - used)
+
+
+def test_finds_an_unused_export():
+    sources = ["from a import f\n", "def g(): pass\ndef h(): pass\nx = h()\n"]
+    assert unused_exports(["f", "g", "h"], sources) == ["g"]
+
+
+def test_package_uses_every_export():
+    sources = [path.read_text() for path in MODULES]
+    assert unused_exports(dopplerkb.__all__, sources) == sorted(AWAITING_CALLER)

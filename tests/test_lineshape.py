@@ -3,43 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from dopplerkb import Transition, constants, doppler_width, gaussian, kb_from_width, voigt
+from dopplerkb import Transition, constants, doppler_width, kb_from_width, voigt
 from dopplerkb.boltzmann import TemperatureReading
 
 from _oracles import voigt_quadrature
 
 
 class TestGaussian:
+    # voigt at gamma == 0 is the validated unit-peak Gaussian
+
     def test_peak_is_one(self):
-        assert gaussian(0.0, 49.8831) == 1.0
+        assert voigt(0.0, 49.8831, 0.0) == 1.0
 
     def test_one_over_e_at_delta(self):
         for delta in (0.3, 1.0, 49.8831):
-            assert gaussian(delta, delta) == pytest.approx(math.exp(-1), rel=1e-15)
+            assert voigt(delta, delta, 0.0) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_two_deltas(self):
-        assert gaussian(2.0, 1.0) == pytest.approx(math.exp(-4), rel=1e-15)
+        assert voigt(2.0, 1.0, 0.0) == pytest.approx(math.exp(-4), rel=1e-15)
 
     def test_even_under_many_random_offsets(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-500, 500, size=1_000_000)
-        assert np.array_equal(gaussian(x, 49.88), gaussian(-x, 49.88))
+        assert np.array_equal(voigt(x, 49.88, 0.0), voigt(-x, 49.88, 0.0))
 
     def test_rejects_bad_width_and_nonfinite_input(self):
         with pytest.raises(ValueError):
-            gaussian(1.0, 0.0)
+            voigt(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            gaussian(1.0, -2.0)
+            voigt(1.0, -2.0, 0.0)
         with pytest.raises(ValueError):
-            gaussian(math.nan, 1.0)
+            voigt(math.nan, 1.0, 0.0)
         with pytest.raises(ValueError):
-            gaussian(np.array([0.0, math.inf]), 1.0)
+            voigt(np.array([0.0, math.inf]), 1.0, 0.0)
 
 
 class TestVoigt:
     def test_gamma_zero_is_exactly_gaussian(self):
         x = np.linspace(-200, 200, 401)
-        assert np.array_equal(voigt(x, 49.88, 0.0), gaussian(x, 49.88))
+        assert np.array_equal(voigt(x, 49.88, 0.0), np.exp(-((x / 49.88) ** 2)))
 
     def test_against_quadrature_spec_points(self):
         # frozen oracle values: quadrature of the convolution definition

@@ -16,6 +16,7 @@ from dopplerkb import (
     inject_parasitic_ramp,
     synth_series,
     synth_spectrum,
+    voigt,
 )
 from dopplerkb.errors import DataError
 from dopplerkb.simulator import spawn_seeds
@@ -137,6 +138,20 @@ class TestSynthSeries:
             assert np.array_equal(spectrum.freq_offset_mhz, want.freq_offset_mhz)
             assert np.array_equal(spectrum.transmission, want.transmission)
             assert spectrum.meta == want.meta and truth == want_truth
+
+    def test_comb_samples_equal_a_direct_sum_over_the_components(self):
+        hf, comb = HyperfineStructure.nh3_placeholder(), ModulationComb.paper_default()
+        cond = GasConditions(pressure_pa=1.0)
+        series = synth_series(NH3, [0.5, 8.0], cond, scan(), KB, 5, hyperfine=hf, comb=comb)
+        for spectrum, truth in series:
+            x = spectrum.freq_offset_mhz
+            depth = np.zeros_like(x)
+            for off_h, w_h in zip(hf.offsets_mhz, hf.weights):
+                for off_c, w_c in zip(comb.offsets_mhz, comb.weights):
+                    depth += w_h * w_c * voigt(x - off_h - off_c, truth.delta_d_mhz,
+                                               truth.gamma_mhz)
+            np.testing.assert_allclose(spectrum.transmission,
+                                       np.exp(-truth.peak_depth * depth), rtol=1e-12)
 
     def test_series_refuses_black_pressure(self):
         cond = GasConditions(pressure_pa=1.0, absorption_depth_per_pa=1.0)
