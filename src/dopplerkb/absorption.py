@@ -6,6 +6,7 @@ the apparent Gaussian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -127,10 +128,10 @@ class ModulationComb:
     order_cutoff: int = field(init=False)
 
     def __post_init__(self):
-        if not (self.mod_freq_khz > 0):
-            raise ValueError("modulation frequency must be positive")
-        if self.depth_khz < 0:
-            raise ValueError("modulation depth must be >= 0")
+        if not (0 < self.mod_freq_khz < math.inf):
+            raise ValueError(f"mod_freq_khz must be positive and finite, got {self.mod_freq_khz}")
+        if not (0 <= self.depth_khz < math.inf):
+            raise ValueError(f"depth_khz must be >= 0 and finite, got {self.depth_khz}")
         from scipy.special import jv
 
         total = jv(0, self.beta) ** 2

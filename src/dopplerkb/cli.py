@@ -39,7 +39,7 @@ from .fileio import (
     write_spectrum,
     write_width_table,
 )
-from .fitter import FitModel, fit_series
+from .fitter import MAX_ITER_DEFAULT, FitModel, fit_series
 from .lineshape import Transition
 from .simulator import synth_series
 
@@ -93,7 +93,7 @@ def simulate(config_path, out_dir, seed, no_noise):
               help="Output fit-record stream (JSON lines).")
 @click.option("--model", type=click.Choice([m.value for m in FitModel]),
               default=FitModel.EXP_GAUSSIAN.value, show_default=True, help="Fit model.")
-@click.option("--max-iter", type=int, default=200, show_default=True,
+@click.option("--max-iter", type=int, default=MAX_ITER_DEFAULT, show_default=True,
               help="Iteration budget per spectrum.")
 def fit_command(spectra, out_path, model, max_iter):
     """Fit every spectrum file and write one record per spectrum."""

@@ -1,17 +1,20 @@
 """Campaign configuration: one JSON file drives simulate/fit/series/kb.
 
-``_CONVERTERS`` is the single source of the file schema: its keys, in file
-order, are the config keys (a nested key is ``"<object>.<key>"``), and each
-names a ``CampaignConfig`` field and the converter that reads it.  Both
-``config_from_dict`` and ``CampaignConfig.to_dict`` walk it.
+The fields of ``CampaignConfig``, in order, are the file schema: a field
+``transition_<key>`` or ``scan_<key>`` is ``<key>`` of the nested object
+``transition`` or ``scan``, and its type picks the reader of its JSON value
+(``_CONVERTERS``, which ``config_from_dict`` and ``to_dict`` walk).  The
+defaults are the library's: ``CampaignConfig()`` builds ``Transition.nh3()``,
+``ScanConfig()`` and ``GasConditions(p)``.
 
 Validation is strict: unknown keys anywhere are rejected so a typo cannot
 silently fall back to a default, and every value must have its JSON type
 (numbers, integers that are not booleans, a list of pressures, objects for
-``transition`` and ``scan``).  ``snr: null`` means noiseless.  Values are
-then checked by the objects the pipeline builds from them, listed in
-``CampaignConfig.__post_init__``, so a config that loads is one those objects
-accept.
+``transition`` and ``scan``), checked by the ``json_*`` readers that every
+JSON record of the package goes through.  ``snr: null`` means noiseless.
+Values are then checked by the objects the pipeline builds from them, listed
+in ``CampaignConfig.__post_init__``, so a config that loads is one those
+objects accept.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,9 +44,15 @@ from .simulator import (
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    transition_label: str = constants.NH3_LINE_LABEL
+    transition_nu0_mhz: float = constants.NH3_LINE_FREQ_MHZ
+    transition_mass_u: float = constants.NH3_MASS_U
+    scan_span_mhz: float = ScanConfig.span_mhz
+    scan_step_mhz: float = ScanConfig.step_mhz
+    scan_time_constant_ms: float = ScanConfig.time_constant_ms
     pressures_pa: tuple = (0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0)
     replicas: int = 1
-    snr: float = 1000.0  # math.inf = noiseless
+    snr: float = ScanConfig.snr  # math.inf = noiseless
     seed: int = 20061215
     temperature_k: float = constants.CELL_TEMPERATURE_K
     temperature_sigma_k: float = constants.CELL_TEMPERATURE_SIGMA_K
@@ -53,12 +63,6 @@ class CampaignConfig:
     mass_sigma_rel: float = constants.MASS_SIGMA_REL_DEFAULT
     nu_sigma_rel: float = constants.FREQUENCY_SIGMA_REL_DEFAULT
     hyperfine_file: str | None = None
-    transition_label: str = constants.NH3_LINE_LABEL
-    transition_nu0_mhz: float = constants.NH3_LINE_FREQ_MHZ
-    transition_mass_u: float = constants.NH3_MASS_U
-    scan_span_mhz: float = 250.0
-    scan_step_mhz: float = 0.5
-    scan_time_constant_ms: float = 20.0
 
     def __post_init__(self):
         if len(self.pressures_pa) == 0:
@@ -83,9 +87,7 @@ class CampaignConfig:
                 raise DataError(f"config: {what}: {exc}") from None
 
     def transition(self) -> Transition:
-        return Transition.from_mass_u(
-            self.transition_nu0_mhz, self.transition_mass_u, self.transition_label
-        )
+        return Transition(self.transition_nu0_mhz, self.transition_mass_u, self.transition_label)
 
     def scan(self) -> ScanConfig:
         return ScanConfig(
@@ -122,19 +124,25 @@ class CampaignConfig:
         return raw
 
 
-def _number(value) -> float:
+def json_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")
     return float(value)
 
 
-def _integer(value) -> int:
+def json_integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("expected an integer")
     return value
 
 
-def _text(value) -> str:
+def json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def json_text(value) -> str:
     if not isinstance(value, str):
         raise TypeError("expected a string")
     return value
@@ -143,33 +151,18 @@ def _text(value) -> str:
 def _pressures(value) -> tuple:
     if not isinstance(value, list):
         raise TypeError("expected a list of numbers")
-    return tuple(_number(p) for p in value)
+    return tuple(json_number(p) for p in value)
 
 
-# Every config key with its converter; a nested key is "<object>.<key>".  The
-# CampaignConfig field of a key is its name with the dot replaced by "_".
-_CONVERTERS = {
-    "transition.label": _text,
-    "transition.nu0_mhz": _number,
-    "transition.mass_u": _number,
-    "scan.span_mhz": _number,
-    "scan.step_mhz": _number,
-    "scan.time_constant_ms": _number,
-    "pressures_pa": _pressures,
-    "replicas": _integer,
-    "snr": lambda v: math.inf if v is None else _number(v),
-    "seed": _integer,
-    "temperature_k": _number,
-    "temperature_sigma_k": _number,
-    "pressure_broadening_mhz_per_pa": _number,
-    "absorption_depth_per_pa": _number,
-    "cell_length_m": _number,
-    "kb_true": _number,
-    "mass_sigma_rel": _number,
-    "nu_sigma_rel": _number,
-    "hyperfine_file": lambda v: None if v is None else _text(v),
-}
-_OBJECTS = {key.split(".")[0] for key in _CONVERTERS if "." in key}
+_READERS = {float: json_number, int: json_integer, str: json_text, tuple: _pressures,
+            str | None: lambda v: None if v is None else json_text(v)}
+_OBJECTS = ("transition", "scan")
+
+# Every config key with its reader, in file order.  The CampaignConfig field
+# of a key is its name with the dot replaced by "_".
+_CONVERTERS = {(field.replace("_", ".", 1) if field.split("_")[0] in _OBJECTS else field):
+               _READERS[kind] for field, kind in get_type_hints(CampaignConfig).items()}
+_CONVERTERS["snr"] = lambda v: math.inf if v is None else json_number(v)
 
 
 def config_from_dict(raw: dict) -> CampaignConfig:

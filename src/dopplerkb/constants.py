@@ -1,7 +1,7 @@
 """Physical constants and reference data.
 
-All frequency quantities in this package are in MHz, masses in kg (with the
-unified-atomic-mass value kept alongside for provenance), temperatures in K.
+All frequency quantities in this package are in MHz, masses in unified
+atomic mass units (kg derived through ``ATOMIC_MASS_KG``), temperatures in K.
 
 The ammonia mass is the sum of the AME2003 atomic masses of one 14N and three
 1H atoms; the molecular binding energy (a few eV, below 1e-10 relative) is

@@ -23,6 +23,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from . import constants
+from .config import json_bool, json_integer, json_number, json_text
 from .errors import DataError
 from .extrapolation import ExtrapolationResult, WidthPoint
 from .fitter import FitModel, FitResult
@@ -133,19 +134,32 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _numbers(value) -> dict:
+    """A JSON object of numbers, as a dict of floats."""
+    if not isinstance(value, dict):
+        raise TypeError("expected an object of numbers")
+    out = {}
+    for name, number in value.items():
+        try:
+            out[name] = json_number(number)
+        except TypeError:
+            raise TypeError(f"{name!r}: expected a number, got {number!r}") from None
+    return out
+
+
 # A fit record: each FitResult field, in file order, with the reader that
-# rebuilds it from JSON.  A key missing from a record falls back to the
-# field's default, and to an error for a field without one.
+# checks its JSON type and rebuilds it.  A key missing from a record falls
+# back to the field's default, and to an error for a field without one.
 _FIT_RECORD = (
-    ("source_id", str),
+    ("source_id", json_text),
     ("model", FitModel.from_name),
-    ("converged", bool),
-    ("n_iter", int),
-    ("n_points", int),
-    ("chi2_reduced", float),
+    ("converged", json_bool),
+    ("n_iter", json_integer),
+    ("n_points", json_integer),
+    ("chi2_reduced", json_number),
     ("param_names", tuple),
-    ("params", dict),
-    ("sigmas", dict),
+    ("params", _numbers),
+    ("sigmas", _numbers),
     ("covariance", lambda value: np.array(value, dtype=float)),
     ("convergence_spec", dict),
 )
@@ -164,12 +178,24 @@ def read_fit_records(path) -> list:
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}: line {lineno}"
         try:
             rec = json.loads(line)
-            results.append(FitResult(**{key: read(rec[key]) for key, read in _FIT_RECORD
-                                        if key in rec}))
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"{path}: line {lineno}: bad fit record ({exc})") from None
+        except ValueError as exc:
+            raise DataError(f"{where}: bad fit record ({exc})") from None
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: bad fit record (expected a JSON object)")
+        fields = {}
+        for key, read in _FIT_RECORD:
+            if key in rec:
+                try:
+                    fields[key] = read(rec[key])
+                except (ValueError, TypeError, DataError) as exc:
+                    raise DataError(f"{where}: bad value for {key!r} ({exc})") from None
+        try:
+            results.append(FitResult(**fields))
+        except TypeError as exc:
+            raise DataError(f"{where}: bad fit record ({exc})") from None
     if not results:
         raise DataError(f"{path}: no fit records found")
     return results
@@ -193,14 +219,28 @@ def write_regression_summary(result: ExtrapolationResult, threshold: Optional[fl
     atomic_write_text(path, json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
+# The summary fields ``kb`` reads, with the values each accepts.
+_SUMMARY_INPUTS = (("delta_d_mhz", "> 0", lambda x: 0 < x < math.inf),
+                   ("delta_d_sigma_mhz", ">= 0", lambda x: 0 <= x < math.inf))
+
+
 def read_regression_summary(path) -> dict:
     try:
         record = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: bad regression summary ({exc})") from None
-    for key in ("delta_d_mhz", "delta_d_sigma_mhz"):
+    if not isinstance(record, dict):
+        raise DataError(f"{path}: bad regression summary (expected a JSON object)")
+    for key, bound, accepts in _SUMMARY_INPUTS:
         if key not in record:
             raise DataError(f"{path}: missing field {key!r}")
+        try:
+            accepted = accepts(json_number(record[key]))
+        except TypeError:
+            accepted = False
+        if not accepted:
+            raise DataError(f"{path}: field {key!r} must be a finite number {bound}, "
+                            f"got {record[key]!r}")
     return record
 
 

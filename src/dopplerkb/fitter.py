@@ -95,14 +95,6 @@ class FitResult:
     source_id: str = ""
     convergence_spec: dict = field(default_factory=dict)
 
-    @property
-    def width_mhz(self) -> float:
-        return self.params["delta_mhz"]
-
-    @property
-    def width_sigma_mhz(self) -> float:
-        return self.sigmas["delta_mhz"]
-
 
 def _columns(theta, model: FitModel) -> dict:
     """Each parameter of a (rows, params) array as a (rows, 1) column."""

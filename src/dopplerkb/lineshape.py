@@ -34,15 +34,13 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class Transition:
-    """A molecular line: center frequency and absorber mass.
-
-    ``mass_kg`` and ``mass_u`` must agree through the unified-atomic-mass
-    constant to 1e-9 relative; both are kept so that manifests record the
-    mass in the unit it was sourced in.  ``label`` is one unpadded line.
+    """A molecular line: center frequency, absorber mass in unified atomic
+    mass units (the unit it is sourced in, and the one manifests record) and
+    a label.  ``mass_kg`` is derived from ``mass_u``, so the two cannot
+    disagree.  ``label`` is one unpadded line.
     """
 
     nu0_mhz: float
-    mass_kg: float
     mass_u: float
     label: str = ""
 
@@ -51,29 +49,17 @@ class Transition:
             raise ValueError(f"label must be one line, unpadded; got {self.label!r}")
         if not (self.nu0_mhz > 0):
             raise ValueError(f"transition frequency must be positive, got {self.nu0_mhz}")
-        if not (self.mass_kg > 0 and self.mass_u > 0):
-            raise ValueError("molecular mass must be positive")
-        rel = abs(self.mass_kg / (self.mass_u * constants.ATOMIC_MASS_KG) - 1.0)
-        if rel > 1e-9:
-            raise ValueError(
-                f"mass_kg and mass_u inconsistent by {rel:.2e} relative "
-                "(limit 1e-9 via the unified atomic mass constant)"
-            )
+        if not (self.mass_u > 0):
+            raise ValueError(f"molecular mass must be positive, got {self.mass_u}")
+
+    @property
+    def mass_kg(self) -> float:
+        return self.mass_u * constants.ATOMIC_MASS_KG
 
     @classmethod
     def nh3(cls) -> "Transition":
         """The ammonia nu2 asQ(6,3) line with the documented default mass."""
-        return cls(
-            nu0_mhz=constants.NH3_LINE_FREQ_MHZ,
-            mass_kg=constants.NH3_MASS_KG,
-            mass_u=constants.NH3_MASS_U,
-            label=constants.NH3_LINE_LABEL,
-        )
-
-    @classmethod
-    def from_mass_u(cls, nu0_mhz: float, mass_u: float, label: str = "") -> "Transition":
-        return cls(nu0_mhz=nu0_mhz, mass_kg=mass_u * constants.ATOMIC_MASS_KG,
-                   mass_u=mass_u, label=label)
+        return cls(constants.NH3_LINE_FREQ_MHZ, constants.NH3_MASS_U, constants.NH3_LINE_LABEL)
 
 
 def profile(u, delta, gamma=None, derivs: bool = False):

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import constants
 from .absorption import HyperfineStructure, ModulationComb, transmission
 from .errors import DataError
 from .lineshape import Transition, doppler_width
@@ -69,7 +70,7 @@ class GasConditions:
     homogeneous width and the peak optical depth to pressure."""
 
     pressure_pa: float
-    temperature_k: float = 273.15
+    temperature_k: float = constants.CELL_TEMPERATURE_K
     pressure_broadening_mhz_per_pa: float = DEFAULT_PRESSURE_BROADENING_MHZ_PA
     absorption_depth_per_pa: float = DEFAULT_ABSORPTION_DEPTH_PA
 
@@ -103,36 +104,17 @@ class GroundTruth:
     seed: int
 
 
-def _noisy_spectrum(transition, conditions, scan, kb_true, seed, offsets, clean, delta,
-                    temperature_sigma_k, cell_length_m):
-    """Add the noise stream of ``seed`` to noiseless samples and label them."""
-    if math.isinf(scan.snr):
-        samples = clean.copy()  # replicas in a series share ``clean``
+def _replica(noiseless: tuple, seed: int, snr: float) -> tuple[Spectrum, GroundTruth]:
+    """A copy of a noiseless ``(Spectrum, GroundTruth)`` pair with the noise
+    stream of ``seed`` at ``snr`` added, labelled with that seed and S/N."""
+    spectrum, truth = noiseless
+    if math.isinf(snr):
+        samples = spectrum.transmission.copy()
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        samples = clean + rng.normal(0.0, 1.0 / scan.snr, size=clean.size)
-    meta = SpectrumMeta(
-        transition_label=transition.label,
-        nu0_mhz=transition.nu0_mhz,
-        temperature_k=conditions.temperature_k,
-        temperature_sigma_k=temperature_sigma_k,
-        pressure_pa=conditions.pressure_pa,
-        cell_length_m=cell_length_m,
-        span_mhz=scan.span_mhz,
-        step_mhz=scan.step_mhz,
-        time_constant_ms=scan.time_constant_ms,
-        snr=scan.snr,
-        seed=int(seed),
-    )
-    truth = GroundTruth(
-        kb_true=kb_true,
-        delta_d_mhz=delta,
-        gamma_mhz=conditions.gamma_mhz,
-        peak_depth=conditions.peak_depth,
-        pressure_pa=conditions.pressure_pa,
-        seed=int(seed),
-    )
-    return Spectrum(offsets, samples, meta), truth
+        samples = spectrum.transmission + rng.normal(0.0, 1.0 / snr, size=spectrum.n_points)
+    meta = replace(spectrum.meta, snr=snr, seed=int(seed))
+    return Spectrum(spectrum.freq_offset_mhz, samples, meta), replace(truth, seed=int(seed))
 
 
 def synth_spectrum(
@@ -151,8 +133,9 @@ def synth_spectrum(
 
     The Doppler width comes from ``kb_true`` and the cell temperature; the
     homogeneous width and peak depth scale linearly with pressure.  The
-    baseline is 1 and flat; noise has sigma ``1 / snr``.  Deterministic for a
-    fixed seed.
+    baseline is 1 and flat; noise has sigma ``1 / snr``.  The result is the
+    noiseless spectrum with the noise stream of ``seed`` added, so it is
+    deterministic for a fixed seed.
     """
     delta = doppler_width(transition, conditions.temperature_k, kb_true)
     offsets = scan.offsets_mhz()
@@ -163,8 +146,12 @@ def synth_spectrum(
             f"optically black: peak transmission {clean.min():.2e} below "
             f"{BLACK_TRANSMISSION_FLOOR} at {conditions.pressure_pa} Pa"
         )
-    return _noisy_spectrum(transition, conditions, scan, kb_true, seed, offsets, clean, delta,
-                           temperature_sigma_k, cell_length_m)
+    meta = SpectrumMeta(transition.label, transition.nu0_mhz, conditions.temperature_k,
+                        temperature_sigma_k, conditions.pressure_pa, cell_length_m,
+                        scan.span_mhz, scan.step_mhz, scan.time_constant_ms, math.inf, int(seed))
+    truth = GroundTruth(kb_true, delta, conditions.gamma_mhz, conditions.peak_depth,
+                        conditions.pressure_pa, int(seed))
+    return _replica((Spectrum(offsets, clean, meta), truth), seed, scan.snr)
 
 
 def spawn_seeds(master_seed: int, n: int) -> list[int]:
@@ -200,15 +187,13 @@ def synth_series(
     noiseless = {}
     out = []
     for p, child in zip(pressures_pa, spawn_seeds(seed, len(pressures_pa))):
-        cond = replace(conditions, pressure_pa=float(p))
-        if cond.pressure_pa not in noiseless:
-            noiseless[cond.pressure_pa] = synth_spectrum(
-                transition, cond, scan.without_noise(), kb_true, child, hyperfine=hyperfine,
-                comb=comb)
-        clean, truth = noiseless[cond.pressure_pa]
-        out.append(_noisy_spectrum(
-            transition, cond, scan, kb_true, child, clean.freq_offset_mhz, clean.transmission,
-            truth.delta_d_mhz, temperature_sigma_k, cell_length_m))
+        pressure = float(p)
+        if pressure not in noiseless:
+            noiseless[pressure] = synth_spectrum(
+                transition, replace(conditions, pressure_pa=pressure), scan.without_noise(),
+                kb_true, child, hyperfine=hyperfine, comb=comb,
+                temperature_sigma_k=temperature_sigma_k, cell_length_m=cell_length_m)
+        out.append(_replica(noiseless[pressure], child, scan.snr))
     return out
 
 

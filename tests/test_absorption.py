@@ -217,3 +217,16 @@ class TestModulationComb:
         from scipy.special import jv
 
         assert 1.0 - (jv(smaller, comb.beta) ** 2).sum() > 1e-10
+
+    @pytest.mark.parametrize("args, name", [
+        ((8.0, math.nan), "depth_khz"),
+        ((8.0, math.inf), "depth_khz"),
+        ((8.0, -1.0), "depth_khz"),
+        ((math.nan, 38.0), "mod_freq_khz"),
+        ((math.inf, 38.0), "mod_freq_khz"),
+        ((0.0, 38.0), "mod_freq_khz"),
+    ])
+    def test_refuses_a_non_finite_or_out_of_range_argument_naming_it(self, args, name):
+        # a NaN depth would give the weight [nan], an infinite frequency the offset [nan]
+        with pytest.raises(ValueError, match=name):
+            ModulationComb(*args)

@@ -251,6 +251,36 @@ class TestFitSeriesKb:
         assert capsys.readouterr().err.startswith(f"error: data: {option}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("converged", "no"),
+                                            ("params", {"delta_mhz": "49.9"})])
+    def test_series_refuses_a_mistyped_fit_record_value(self, tmp_path, spectra_dir, capsys,
+                                                        key, value):
+        # bool("no") is true: a string flag must not pass as a converged fit
+        fits, out = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+        lines = fits.read_text().splitlines()
+        record = json.loads(lines[2])
+        record[key] = {**record[key], **value} if isinstance(value, dict) else value
+        lines[2] = json.dumps(record)
+        fits.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", out,
+                   "--out-table", tmp_path / "t.txt") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: data: {fits}: line 3: bad value for '{key}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("delta_d_mhz", -1), ("delta_d_mhz", "x"),
+                                              ("delta_d_sigma_mhz", math.nan)])
+    def test_kb_refuses_a_bad_summary_value_naming_the_field(self, tmp_path, capsys, field,
+                                                             value):
+        summary, out = tmp_path / "summary.json", tmp_path / "kb.json"
+        summary.write_text(json.dumps({"delta_d_mhz": 49.88, "delta_d_sigma_mhz": 0.005,
+                                       field: value}))
+        assert run("kb", "--summary", summary, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {summary}: field '{field}'")
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert run("fit") == 1
         assert capsys.readouterr().err.startswith("error: usage:")

@@ -59,7 +59,7 @@ class TestSpectrumFiles:
         assert back.meta == noisy_spectrum.meta
 
     def test_label_round_trips(self, tmp_path):
-        transition = Transition.from_mass_u(NH3.nu0_mhz, NH3.mass_u, "14NH3  nu2 asQ(6,3): #1")
+        transition = Transition(NH3.nu0_mhz, NH3.mass_u, "14NH3  nu2 asQ(6,3): #1")
         spectrum, _ = synth_spectrum(transition, GasConditions(pressure_pa=1.0),
                                      ScanConfig(snr=math.inf), KB, 0)
         path = tmp_path / "s.txt"
@@ -158,6 +158,35 @@ class TestFitRecords:
         assert back.source_id == "" and back.convergence_spec == {}
         assert back.params == fit_spectrum(noisy_spectrum).params
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("converged", "no", "'converged'"),
+        ("converged", 1, "'converged'"),
+        ("n_iter", 3.5, "'n_iter'"),
+        ("n_points", "501", "'n_points'"),
+        ("chi2_reduced", "1.0", "'chi2_reduced'"),
+        ("chi2_reduced", None, "'chi2_reduced'"),
+        ("params", {"delta_mhz": "49.9"}, "'params' .*'delta_mhz'"),
+        ("sigmas", {"delta_mhz": True}, "'sigmas' .*'delta_mhz'"),
+        ("params", [49.9], "'params'"),
+        ("source_id", 5, "'source_id'"),
+        ("model", "gaussian", "'model'"),
+    ])
+    def test_mistyped_value_names_line_and_key(self, tmp_path, noisy_spectrum, key, value,
+                                               named):
+        # JSON types are checked as the config reader checks them: "no" is
+        # not a converged flag, and "49.9" is not a width
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([fit_spectrum(noisy_spectrum, source_id="a")] * 2, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if isinstance(value, dict):
+            record[key].update(value)
+        else:
+            record[key] = value
+        path.write_text(f"{lines[0]}\n{json.dumps(record)}\n")
+        with pytest.raises(DataError, match=f"line 2: bad value for {named}"):
+            read_fit_records(path)
+
     @pytest.mark.parametrize("key", ["model", "converged", "n_iter", "n_points",
                                      "chi2_reduced", "param_names", "params", "sigmas",
                                      "covariance"])
@@ -178,6 +207,24 @@ class TestSummaryAndTables:
         assert back["delta_d_mhz"] == out.delta_d_mhz
         assert back["delta_d_sigma_mhz"] == out.delta_d_sigma_mhz
         assert back["slope_threshold_per_mhz"] == 1.5e-6
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta_d_mhz", -1), ("delta_d_mhz", 0.0), ("delta_d_mhz", "x"), ("delta_d_mhz", True),
+        ("delta_d_mhz", None), ("delta_d_mhz", math.nan), ("delta_d_mhz", math.inf),
+        ("delta_d_sigma_mhz", -0.1), ("delta_d_sigma_mhz", "0.01"),
+        ("delta_d_sigma_mhz", math.nan), ("delta_d_sigma_mhz", math.inf),
+    ])
+    def test_summary_value_kb_cannot_use_names_the_field(self, tmp_path, field, value):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"delta_d_mhz": 49.88, "delta_d_sigma_mhz": 0.005,
+                                    field: value}))
+        with pytest.raises(DataError, match=f"field '{field}' must be a finite number"):
+            read_regression_summary(path)
+
+    def test_summary_takes_integers_and_a_zero_sigma(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"delta_d_mhz": 50, "delta_d_sigma_mhz": 0}))
+        assert read_regression_summary(path)["delta_d_mhz"] == 50
 
     def test_width_table_marks_partitions(self, tmp_path):
         kept = [WidthPoint(1.0, 49.9, 1e-3, 0.0, source_id="good")]
@@ -221,6 +268,20 @@ class TestCampaignConfig:
         cfg = CampaignConfig()
         assert cfg.transition().label == constants.NH3_LINE_LABEL
         assert cfg.scan().n_points == 501
+
+    def test_default_config_builds_the_library_defaults(self):
+        # the config restates no default of the objects it builds
+        cfg = CampaignConfig()
+        assert cfg.scan() == ScanConfig()
+        assert cfg.transition() == Transition.nh3()
+        for p in cfg.pressures_pa:
+            assert cfg.conditions(p) == GasConditions(p)
+
+    def test_keys_are_the_fields_in_order(self):
+        keys = []
+        for outer, value in CampaignConfig().to_dict().items():
+            keys += [f"{outer}_{inner}" for inner in value] if isinstance(value, dict) else [outer]
+        assert keys == [f.name for f in dataclasses.fields(CampaignConfig)]
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(DataError, match="unknown key.*snrr"):
