@@ -40,6 +40,7 @@ from .simulator import (
     GasConditions,
     ScanConfig,
 )
+from .spectra import SpectrumMeta
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,11 @@ class CampaignConfig:
                       1.0, 0.0, self.transition(), reading(),
                       mass_sigma_rel=self.mass_sigma_rel, nu_sigma_rel=self.nu_sigma_rel),
                   "hyperfine_file": self.hyperfine,
+                  "spectrum header": lambda: SpectrumMeta(
+                      self.transition_label, self.transition_nu0_mhz, self.temperature_k,
+                      self.temperature_sigma_k, self.pressures_pa[0], self.cell_length_m,
+                      self.scan_span_mhz, self.scan_step_mhz, self.scan_time_constant_ms,
+                      self.snr, self.seed),
                   "seed": partial(np.random.SeedSequence, self.seed)}
         builds.update((f"gas conditions at pressures_pa[{i}]", partial(self.conditions, p))
                       for i, p in enumerate(self.pressures_pa))
@@ -127,6 +133,8 @@ class CampaignConfig:
 def json_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
     return float(value)
 
 

@@ -117,9 +117,8 @@ def read_spectrum(path) -> Spectrum:
     if len(freq) < 2:
         raise DataError(f"{path}: needs at least 2 data rows")
 
-    meta = SpectrumMeta(**kwargs)
     try:
-        return Spectrum(np.array(freq), np.array(trans), meta)
+        return Spectrum(np.array(freq), np.array(trans), SpectrumMeta(**kwargs))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -142,9 +141,25 @@ def _numbers(value) -> dict:
     for name, number in value.items():
         try:
             out[name] = json_number(number)
-        except TypeError:
-            raise TypeError(f"{name!r}: expected a number, got {number!r}") from None
+        except (TypeError, ValueError):
+            raise TypeError(f"{name!r}: expected a finite number, got {number!r}") from None
     return out
+
+
+def _names(value) -> tuple:
+    """A JSON list of strings, as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
+
+
+def _square_matrix(value) -> np.ndarray:
+    """A JSON list of n lists of n numbers, as an (n, n) array."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == len(value) for row in value):
+        raise TypeError("expected a square list of lists of numbers")
+    size = len(value)
+    return np.array([[json_number(x) for x in row] for row in value]).reshape(size, size)
 
 
 # A fit record: each FitResult field, in file order, with the reader that
@@ -157,10 +172,10 @@ _FIT_RECORD = (
     ("n_iter", json_integer),
     ("n_points", json_integer),
     ("chi2_reduced", json_number),
-    ("param_names", tuple),
+    ("param_names", _names),
     ("params", _numbers),
     ("sigmas", _numbers),
-    ("covariance", lambda value: np.array(value, dtype=float)),
+    ("covariance", _square_matrix),
     ("convergence_spec", dict),
 )
 
@@ -192,6 +207,11 @@ def read_fit_records(path) -> list:
                     fields[key] = read(rec[key])
                 except (ValueError, TypeError, DataError) as exc:
                     raise DataError(f"{where}: bad value for {key!r} ({exc})") from None
+        names, covariance = fields.get("param_names"), fields.get("covariance")
+        if names is not None and covariance is not None \
+                and covariance.shape != (len(names), len(names)):
+            raise DataError(f"{where}: bad value for 'covariance' (expected "
+                            f"{len(names)} x {len(names)}, one row per name in 'param_names')")
         try:
             results.append(FitResult(**fields))
         except TypeError as exc:
@@ -236,7 +256,7 @@ def read_regression_summary(path) -> dict:
             raise DataError(f"{path}: missing field {key!r}")
         try:
             accepted = accepts(json_number(record[key]))
-        except TypeError:
+        except (TypeError, ValueError):
             accepted = False
         if not accepted:
             raise DataError(f"{path}: field {key!r} must be a finite number {bound}, "

@@ -18,6 +18,9 @@ sign of ``gamma``, so it is the derivative of ``P`` as written with
 Gaussian ``dP/dgamma`` is always ``None``.  The kernel validates nothing;
 ``voigt`` is its validated form, a pure function that takes a scalar or a
 numpy array of offsets and is the unit-peak Gaussian at ``gamma == 0``.
+``profile_derivatives`` gives the higher offset derivatives of the same
+profile, the terms of the Taylor expansion behind
+``absorption.transmission``.
 """
 
 from __future__ import annotations
@@ -92,6 +95,28 @@ def profile(u, delta, gamma=None, derivs: bool = False):
     dp_ddelta = (-(z * wprime).real) / delta
     dp_dgamma = np.where(gamma < 0, -1.0, 1.0) * ((1j * wprime).real / delta)
     return w.real, dp_du, dp_ddelta, dp_dgamma
+
+
+def profile_derivatives(u, delta, gamma, order: int) -> np.ndarray:
+    """The derivatives ``d^n V / dt^n``, ``n = 1..order``, of the Voigt
+    profile ``V(t) = Re w(t + i*|gamma|/delta)`` at ``t = u/delta``, stacked
+    into an array of shape ``(order,) + u.shape``; at ``gamma == 0`` ``V`` is
+    the unit-peak Gaussian.
+
+    One ``wofz`` call gives them all, through the recurrence
+    ``w^(n+1) = -2*z*w^(n) - 2*n*w^(n-1)`` from
+    ``w' = -2*z*w + 2i/sqrt(pi)``.  Validates nothing, like ``profile``.
+    """
+    from scipy.special import wofz
+
+    z = (u + 1j * abs(gamma)) / delta
+    w = wofz(z)
+    dw = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
+    out = np.empty((order,) + np.shape(u))
+    for n in range(1, order + 1):
+        out[n - 1] = dw.real
+        w, dw = dw, -2.0 * z * dw - 2.0 * n * w
+    return out
 
 
 def voigt(x, delta: float, gamma: float):

@@ -37,6 +37,9 @@ class SpectrumMeta:
             raise ValueError("temperature must be positive")
         if self.temperature_sigma_k < 0:
             raise ValueError("temperature sigma must be >= 0")
+        if not (0 < self.cell_length_m < math.inf):
+            raise ValueError(
+                f"cell_length_m must be positive and finite, got {self.cell_length_m}")
 
 
 @dataclass(frozen=True)

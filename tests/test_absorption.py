@@ -12,7 +12,11 @@ from dopplerkb import (
     transmission,
     voigt,
 )
+from dopplerkb.absorption import _component_sum
+from dopplerkb.config import CampaignConfig
 from dopplerkb.errors import DataError
+from dopplerkb.lineshape import Transition, doppler_width
+from dopplerkb.simulator import ScanConfig
 
 from _oracles import fit_gaussian_width, oracle_grid
 
@@ -60,6 +64,54 @@ class TestOpticalDepth:
             expected = np.tensordot(hf.weights, single, axes=1)
             np.testing.assert_allclose(-np.log(transmission(x, DELTA, 0.02, 1.1, hf)), expected,
                                        rtol=1e-12)
+
+
+def direct_sum(x, delta, gamma, hyperfine, comb):
+    """The component sum, one Voigt profile per (point, component) pair."""
+    offs = np.add.outer(hyperfine.offsets_mhz, comb.offsets_mhz if comb else [0.0]).ravel()
+    wts = np.multiply.outer(hyperfine.weights, comb.weights if comb else [1.0]).ravel()
+    return voigt(x[:, None] - offs, delta, gamma) @ wts
+
+
+# Nine components over 50 MHz: with delta/4 ~ 12.5 MHz they fall into five
+# clusters, and the expansion needs its full order (13 terms).
+WIDE = HyperfineStructure.from_pairs([(o, 1.0 + abs(o) / 10.0) for o in np.linspace(-25, 25, 9)])
+PAPER = (HyperfineStructure.nh3_placeholder(), ModulationComb.paper_default())
+STRUCTURES = pytest.mark.parametrize("structure", [PAPER, (WIDE, None), (WIDE, PAPER[1])],
+                                     ids=["paper", "wide", "wide-comb"])
+SCAN = ScanConfig().offsets_mhz()
+WINGS = np.linspace(-1000.0, 1000.0, 2001)
+
+
+class TestComponentExpansion:
+    @pytest.mark.parametrize("pressure_pa", CampaignConfig().pressures_pa)
+    def test_paper_comb_at_every_default_pressure(self, pressure_pa):
+        cfg = CampaignConfig()
+        delta = doppler_width(Transition.nh3(), cfg.temperature_k, cfg.kb_true)
+        gamma = cfg.conditions(pressure_pa).gamma_mhz
+        np.testing.assert_allclose(_component_sum(SCAN, delta, gamma, *PAPER),
+                                   direct_sum(SCAN, delta, gamma, *PAPER), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("x", [SCAN, WINGS], ids=["scan", "1000MHz"])
+    @STRUCTURES
+    @pytest.mark.parametrize("gamma", [0.004, 0.2])
+    def test_matches_the_direct_sum(self, x, structure, gamma):
+        np.testing.assert_allclose(_component_sum(x, DELTA, gamma, *structure),
+                                   direct_sum(x, DELTA, gamma, *structure), rtol=1e-12, atol=0)
+
+    @STRUCTURES
+    def test_matches_the_direct_sum_without_homogeneous_width(self, structure):
+        # on the scan only: 1000 MHz out, the Gaussian sum of the wide table
+        # is about 1e-167, far below the absolute truncation bound
+        np.testing.assert_allclose(_component_sum(SCAN, DELTA, 0.0, *structure),
+                                   direct_sum(SCAN, DELTA, 0.0, *structure), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.04, 3.0])
+    @pytest.mark.parametrize("hyperfine", [None, HyperfineStructure((0.0,), (1.0,))])
+    def test_one_component_is_bit_identical_to_one_profile(self, gamma, hyperfine):
+        for depth in (0.0, 0.105, 0.73, 2.3):
+            assert np.array_equal(transmission(WINGS, DELTA, gamma, depth, hyperfine),
+                                  np.exp(-(depth * voigt(WINGS, DELTA, gamma))))
 
 
 class TestTransmission:

@@ -101,6 +101,7 @@ class TestSimulate:
         ({"nu_sigma_rel": -1}, (), "nu_sigma_rel"),
         ({"hyperfine_file": "nope.txt"}, (), "hyperfine_file"),
         ({"transition": {"label": "a\nb"}}, (), "transition"),
+        ({"cell_length_m": -1}, (), "cell_length_m"),
     ])
     def test_value_out_of_range_exits_2_naming_the_key(self, tmp_path, capsys, overrides,
                                                         args, key):
@@ -108,6 +109,19 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "x", *args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: data: config:") and key in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"transition": {"mass_u": 1e400}}', "transition.mass_u"),
+        ('{"transition": {"nu0_mhz": 1e400}}', "transition.nu0_mhz"),
+        ('{"scan": {"span_mhz": 1e400}}', "scan.span_mhz"),
+        ('{"temperature_k": NaN}', "temperature_k"),
+    ])
+    def test_non_finite_number_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "campaign.json"
+        cfg.write_text(text)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith(f"error: data: config: bad value for '{key}'")
         assert not (tmp_path / "x").exists()
 
     def test_hyperfine_file_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
@@ -252,7 +266,8 @@ class TestFitSeriesKb:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("converged", "no"),
-                                            ("params", {"delta_mhz": "49.9"})])
+                                            ("params", {"delta_mhz": "49.9"}),
+                                            ("covariance", "12"), ("param_names", "abc")])
     def test_series_refuses_a_mistyped_fit_record_value(self, tmp_path, spectra_dir, capsys,
                                                         key, value):
         # bool("no") is true: a string flag must not pass as a converged fit
@@ -287,6 +302,16 @@ class TestFitSeriesKb:
 
     def test_unknown_command_exits_1(self, capsys):
         assert run("frobnicate") == 1
+
+    @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan"])
+    def test_fit_refuses_a_header_value_the_metadata_refuses(self, tmp_path, spectra_dir,
+                                                               capsys, line):
+        path = sorted(spectra_dir.glob("spectrum_*.txt"))[1]
+        field = line.split()[1]
+        path.write_text("\n".join(line if l.startswith(field, 2) else l
+                                  for l in path.read_text().splitlines()) + "\n")
+        assert run("fit", spectra_dir, "--out", tmp_path / "f.jsonl") == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {path}: ")
 
     def test_missing_spectrum_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nope.txt"

@@ -84,6 +84,18 @@ class TestSpectrumFiles:
         with pytest.raises(DataError, match=rf"line {data_start + 2}.*increasing"):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan",
+                                      "# cell_length_m: -1", "# cell_length_m: inf"])
+    def test_header_value_refused_by_the_metadata_is_data_error(self, tmp_path,
+                                                               noisy_spectrum, line):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        field = line.split()[1]
+        path.write_text("\n".join(line if l.startswith(field, 2) else l
+                                  for l in path.read_text().splitlines()) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            read_spectrum(path)
+
     def test_missing_header_field_named(self, tmp_path, noisy_spectrum):
         path = tmp_path / "s.txt"
         write_spectrum(noisy_spectrum, path)
@@ -170,6 +182,12 @@ class TestFitRecords:
         ("params", [49.9], "'params'"),
         ("source_id", 5, "'source_id'"),
         ("model", "gaussian", "'model'"),
+        ("param_names", "abc", "'param_names'"),
+        ("param_names", ["nu0_mhz", 5], "'param_names'"),
+        ("covariance", "12", "'covariance'"),
+        ("covariance", [1.0, 2.0], "'covariance'"),
+        ("covariance", [["1.0"]], "'covariance'"),
+        ("covariance", [[1.0]], "'covariance'"),
     ])
     def test_mistyped_value_names_line_and_key(self, tmp_path, noisy_spectrum, key, value,
                                                named):
@@ -336,6 +354,13 @@ class TestCampaignConfig:
         ({"hyperfine_file": ["hf.txt"]}, "hyperfine_file"),
         ({"transition": "nh3"}, "transition"),
         ({"scan": [0.5]}, "scan"),
+        # only snr has a use for inf, and it says so with null
+        ({"transition": {"mass_u": math.inf}}, "transition.mass_u"),
+        ({"transition": {"nu0_mhz": math.inf}}, "transition.nu0_mhz"),
+        ({"scan": {"span_mhz": math.inf}}, "scan.span_mhz"),
+        ({"temperature_k": math.nan}, "temperature_k"),
+        ({"pressures_pa": [1.0, math.nan]}, "pressures_pa"),
+        ({"snr": math.inf}, "snr"),
     ])
     def test_malformed_value_is_data_error_naming_the_key(self, raw, key):
         with pytest.raises(DataError, match=f"config: .*'{key}'"):
@@ -358,12 +383,14 @@ class TestCampaignConfig:
         ({"hyperfine_file": "nope.txt"}, "hyperfine_file"),
         ({"transition": {"label": "a\nb"}}, "transition"),
         ({"transition": {"label": "asQ(6,3) "}}, "transition"),
+        ({"cell_length_m": -1.0}, "spectrum header"),
+        ({"cell_length_m": 0.0}, "spectrum header"),
     ])
     def test_value_refused_by_a_built_object_is_data_error(self, raw, what):
         # the config builds the transition, the scan, the temperature reading,
         # the Doppler width, the uncertainty budget, the hyperfine structure,
-        # the gas conditions at every pressure and the seed sequence, and
-        # names the one that failed
+        # the spectrum header, the gas conditions at every pressure and the
+        # seed sequence, and names the one that failed
         with pytest.raises(DataError, match=rf"config: .*{re.escape(what)}: "):
             config_from_dict(raw)
 

@@ -5,6 +5,7 @@ import pytest
 
 from dopplerkb import Transition, constants, doppler_width, kb_from_width, voigt
 from dopplerkb.boltzmann import TemperatureReading
+from dopplerkb.lineshape import profile, profile_derivatives
 
 from _oracles import voigt_quadrature
 
@@ -62,6 +63,32 @@ class TestVoigt:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             voigt(0.0, 1.0, -0.1)
+
+
+class TestProfileDerivatives:
+    def test_gaussian_derivatives_are_hermite_functions(self):
+        # d^n/dt^n exp(-t**2) = (-1)**n H_n(t) exp(-t**2)
+        from scipy.special import eval_hermite
+
+        u = np.linspace(-150.0, 150.0, 301)
+        t = u / 49.88
+        got = profile_derivatives(u, 49.88, 0.0, 10)
+        for n in range(1, 11):
+            want = (-1) ** n * eval_hermite(n, t) * np.exp(-t**2)
+            np.testing.assert_allclose(got[n - 1], want, rtol=1e-12, atol=1e-15 * 2.0**n)
+
+    def test_voigt_derivatives_match_the_kernel_and_differences(self):
+        delta, gamma = 49.88, 2.5
+        u = np.linspace(-150.0, 150.0, 301)[None, :]
+        got = profile_derivatives(u, delta, gamma, 6)
+        dp_du = profile(u, np.array([[delta]]), np.array([[gamma]]), derivs=True)[1]
+        np.testing.assert_allclose(got[0], dp_du * delta, rtol=1e-13, atol=1e-16)
+        # each order is the central difference of the one before, in t = u/delta
+        h = 1e-4 * delta
+        for n in range(1, 6):
+            diff = (profile_derivatives(u + h, delta, gamma, n)[-1]
+                    - profile_derivatives(u - h, delta, gamma, n)[-1]) / (2.0 * h / delta)
+            np.testing.assert_allclose(got[n], diff, rtol=1e-6, atol=1e-8 * 2.0**n)
 
 
 class TestDopplerWidth:
