@@ -48,7 +48,7 @@ class ExtrapolationResult:
 
     delta_d_mhz: float
     delta_d_sigma_mhz: float
-    slope: float            # MHz per unit amplitude
+    slope_mhz_per_amplitude: float
     slope_sigma: float
     chi2_reduced: float
     n_used: int
@@ -67,20 +67,26 @@ class ExtrapolationResult:
 
 
 def points_from_fit_results(results: Sequence[FitResult]) -> list:
-    """Turn converged fit results into extrapolation points."""
+    """Turn converged fit results into extrapolation points; a fit that
+    cannot be one (a non-positive width or width sigma) is a data error
+    naming its source id."""
     points = []
     for i, r in enumerate(results):
         if not r.converged:
             continue
-        points.append(
-            WidthPoint(
-                amplitude=r.params["peak_depth"],
-                width_mhz=r.params["delta_mhz"],
-                width_sigma_mhz=r.sigmas["delta_mhz"],
-                baseline_slope=r.params["baseline_slope"],
-                source_id=r.source_id or f"spectrum-{i}",
+        source_id = r.source_id or f"spectrum-{i}"
+        try:
+            points.append(
+                WidthPoint(
+                    amplitude=r.params["peak_depth"],
+                    width_mhz=r.params["delta_mhz"],
+                    width_sigma_mhz=r.sigmas["delta_mhz"],
+                    baseline_slope=r.params["baseline_slope"],
+                    source_id=source_id,
+                )
             )
-        )
+        except ValueError as exc:
+            raise DataError(f"fit {source_id!r}: {exc}") from None
     return points
 
 
@@ -89,7 +95,11 @@ def default_slope_threshold(results: Sequence[FitResult]) -> float:
     sigmas = [r.sigmas["baseline_slope"] for r in results if r.converged]
     if not sigmas:
         raise DataError("no converged fits to derive a slope threshold from")
-    return 3.0 * float(np.median(sigmas))
+    median = float(np.median(sigmas))
+    if not (median > 0):
+        raise DataError(f"median slope sigma of the converged fits is {median!r}; "
+                        "a slope threshold needs it positive")
+    return 3.0 * median
 
 
 def filter_by_slope(points: Sequence[WidthPoint], threshold: float):
@@ -169,7 +179,7 @@ def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0,
     return ExtrapolationResult(
         delta_d_mhz=float(a),
         delta_d_sigma_mhz=float(sigma_a),
-        slope=float(b),
+        slope_mhz_per_amplitude=float(b),
         slope_sigma=float(sigma_b),
         chi2_reduced=float(chi2_reduced),
         n_used=len(points),

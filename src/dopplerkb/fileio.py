@@ -7,11 +7,14 @@ the target directory followed by an atomic rename.
 
 Each record layout has one source that both its writer and its reader walk:
 the spectrum header is the fields of ``SpectrumMeta`` (``_HEADER_FIELDS``),
-and a fit record is the ordered key table ``_FIT_RECORD``.
+a fit record is the ordered key table ``_FIT_RECORD`` of ``FitResult``'s
+fields, and a regression summary is the fields of ``ExtrapolationResult``
+followed by the slope threshold used.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -146,13 +149,6 @@ def _numbers(value) -> dict:
     return out
 
 
-def _names(value) -> tuple:
-    """A JSON list of strings, as a tuple."""
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise TypeError("expected a list of strings")
-    return tuple(value)
-
-
 def _square_matrix(value) -> np.ndarray:
     """A JSON list of n lists of n numbers, as an (n, n) array."""
     if not isinstance(value, list) or not all(
@@ -164,7 +160,8 @@ def _square_matrix(value) -> np.ndarray:
 
 # A fit record: each FitResult field, in file order, with the reader that
 # checks its JSON type and rebuilds it.  A key missing from a record falls
-# back to the field's default, and to an error for a field without one.
+# back to the field's default, and to an error for a field without one; a
+# key outside the table is ignored.
 _FIT_RECORD = (
     ("source_id", json_text),
     ("model", FitModel.from_name),
@@ -172,17 +169,13 @@ _FIT_RECORD = (
     ("n_iter", json_integer),
     ("n_points", json_integer),
     ("chi2_reduced", json_number),
-    ("param_names", _names),
     ("params", _numbers),
-    ("sigmas", _numbers),
     ("covariance", _square_matrix),
-    ("convergence_spec", dict),
 )
 
 
 def write_fit_records(results: Sequence[FitResult], path) -> None:
-    """One JSON record per line: parameters, uncertainties, covariance,
-    diagnostics and the convergence settings used."""
+    """One JSON record per line: parameters, covariance and diagnostics."""
     lines = [json.dumps({key: getattr(r, key) for key, _ in _FIT_RECORD},
                         default=_json_default, allow_nan=False) for r in results]
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -207,11 +200,15 @@ def read_fit_records(path) -> list:
                     fields[key] = read(rec[key])
                 except (ValueError, TypeError, DataError) as exc:
                     raise DataError(f"{where}: bad value for {key!r} ({exc})") from None
-        names, covariance = fields.get("param_names"), fields.get("covariance")
-        if names is not None and covariance is not None \
-                and covariance.shape != (len(names), len(names)):
-            raise DataError(f"{where}: bad value for 'covariance' (expected "
-                            f"{len(names)} x {len(names)}, one row per name in 'param_names')")
+        model = fields.get("model")
+        if model is not None:
+            names = model.param_names
+            if "params" in fields and set(fields["params"]) != set(names):
+                raise DataError(f"{where}: bad value for 'params' (expected the "
+                                f"{model.value} parameters {', '.join(names)})")
+            if "covariance" in fields and fields["covariance"].shape != (len(names),) * 2:
+                raise DataError(f"{where}: bad value for 'covariance' (expected {len(names)} "
+                                f"x {len(names)}, one row per {model.value} parameter)")
         try:
             results.append(FitResult(**fields))
         except TypeError as exc:
@@ -223,19 +220,7 @@ def read_fit_records(path) -> list:
 
 def write_regression_summary(result: ExtrapolationResult, threshold: Optional[float],
                              path) -> None:
-    record = {
-        "delta_d_mhz": result.delta_d_mhz,
-        "delta_d_sigma_mhz": result.delta_d_sigma_mhz,
-        "slope_mhz_per_amplitude": result.slope,
-        "slope_sigma": result.slope_sigma,
-        "chi2_reduced": result.chi2_reduced,
-        "n_used": result.n_used,
-        "n_rejected": result.n_rejected,
-        "n_unconverged": result.n_unconverged,
-        "inflation_applied": result.inflation_applied,
-        "unweighted_delta_d_mhz": result.unweighted_delta_d_mhz,
-        "slope_threshold_per_mhz": threshold,
-    }
+    record = dataclasses.asdict(result) | {"slope_threshold_per_mhz": threshold}
     atomic_write_text(path, json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 

@@ -36,9 +36,10 @@ zero-pressure extrapolation takes it out.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,19 +82,28 @@ class FitModel(enum.Enum):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best-fit parameters with covariance and residual diagnostics."""
+    """Best-fit parameters with covariance and residual diagnostics.
+
+    ``params`` is keyed by ``model.param_names``, and the rows and columns of
+    ``covariance`` follow that order.  The parameter uncertainties are not
+    stored: ``sigmas`` derives them from the covariance diagonal.
+    """
 
     model: FitModel
     params: dict
-    sigmas: dict
     covariance: np.ndarray
-    param_names: tuple
     chi2_reduced: float
     n_iter: int
     converged: bool
     n_points: int
     source_id: str = ""
-    convergence_spec: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def sigmas(self) -> dict:
+        """The square roots of the covariance diagonal (negative variances
+        read as 0), keyed by ``model.param_names``."""
+        return dict(zip(self.model.param_names,
+                        np.sqrt(np.maximum(np.diag(self.covariance), 0.0)).tolist()))
 
 
 def _columns(theta, model: FitModel) -> dict:
@@ -233,7 +243,6 @@ class _Solution(NamedTuple):
 
     theta: np.ndarray
     covariance: np.ndarray
-    sigmas: np.ndarray
     resid_var: np.ndarray
     n_iter: np.ndarray
     converged: np.ndarray
@@ -302,8 +311,7 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
 
     resid_var = cost / (x.size - len(names))
     cov = resid_var[:, None, None] * np.linalg.inv(hessians) * np.outer(scale, scale)
-    sigmas = np.sqrt(np.maximum(cov[:, diag, diag], 0.0))
-    return _Solution(theta, cov, sigmas, resid_var, n_iter, converged)
+    return _Solution(theta, cov, resid_var, n_iter, converged)
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
@@ -379,26 +387,16 @@ def fit_spectrum(
         return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id],
                           inits=[init])[0]
     solution, r = _solved
-    names = model.param_names
-    params = dict(zip(names, solution.theta[r].tolist()))
+    params = dict(zip(model.param_names, solution.theta[r].tolist()))
     var = float(solution.resid_var[r])
     noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
     return FitResult(
         model=model,
         params=params,
-        sigmas=dict(zip(names, solution.sigmas[r].tolist())),
         covariance=solution.covariance[r],
-        param_names=names,
         chi2_reduced=var / noise**2 if noise > 0 else var,
         n_iter=int(solution.n_iter[r]),
         converged=bool(solution.converged[r]),
         n_points=int(spectrum.n_points),
         source_id=source_id,
-        convergence_spec={
-            "cost_tol": COST_TOL,
-            "grad_tol": GRAD_TOL,
-            "max_iter": max_iter,
-            "damping_start": DAMPING_START,
-            "weighting": "uniform",
-        },
     )

@@ -267,7 +267,7 @@ class TestFitSeriesKb:
 
     @pytest.mark.parametrize("key, value", [("converged", "no"),
                                             ("params", {"delta_mhz": "49.9"}),
-                                            ("covariance", "12"), ("param_names", "abc")])
+                                            ("covariance", "12")])
     def test_series_refuses_a_mistyped_fit_record_value(self, tmp_path, spectra_dir, capsys,
                                                         key, value):
         # bool("no") is true: a string flag must not pass as a converged fit
@@ -278,6 +278,65 @@ class TestFitSeriesKb:
         record[key] = {**record[key], **value} if isinstance(value, dict) else value
         lines[2] = json.dumps(record)
         fits.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", out,
+                   "--out-table", tmp_path / "t.txt") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: data: {fits}: line 3: bad value for '{key}'")
+        assert not out.exists()
+
+    @staticmethod
+    def edit_records(fits, edit, indices=None):
+        """Apply ``edit`` to the fit records at ``indices`` (all by default)."""
+        records = [json.loads(line) for line in fits.read_text().splitlines()]
+        for i in range(len(records)) if indices is None else indices:
+            edit(records[i])
+        fits.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    @pytest.mark.parametrize("key, index, value, indices, message", [
+        # the covariance diagonal carries the squared sigmas
+        ("covariance", 1, 0.0, [2], "fit 'spectrum_p02_r000.txt': width sigma must be positive"),
+        ("covariance", 4, 0.0, None, "median slope sigma of the converged fits is 0.0"),
+        ("params", "delta_mhz", -49.9, [5],
+         "fit 'spectrum_p05_r000.txt': width must be positive"),
+    ], ids=["width-sigma-0", "every-slope-sigma-0", "negative-width"])
+    def test_series_refuses_a_non_positive_width_or_sigma(self, tmp_path, spectra_dir, capsys,
+                                                          key, index, value, indices, message):
+        fits, out = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+
+        def edit(record):
+            if key == "covariance":
+                record[key][index][index] = value
+            else:
+                record[key][index] = value
+
+        self.edit_records(fits, edit, indices)
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", out,
+                   "--out-table", tmp_path / "t.txt") == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, key", [
+        ("drop delta_mhz", "params"),
+        ("relabel exp-voigt", "params"),
+        ("covariance 4 x 4", "covariance"),
+    ])
+    def test_series_refuses_a_record_that_disagrees_with_its_model(
+            self, tmp_path, spectra_dir, capsys, change, key):
+        fits, out = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+
+        def edit(record):
+            if change == "drop delta_mhz":
+                del record["params"]["delta_mhz"]
+            elif change == "relabel exp-voigt":
+                record["model"] = "exp-voigt"
+            else:
+                record["covariance"] = [row[:4] for row in record["covariance"][:4]]
+
+        self.edit_records(fits, edit, [2])
         capsys.readouterr()
         assert run("series", "--fits", fits, "--out-summary", out,
                    "--out-table", tmp_path / "t.txt") == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestZeroPressureWidth:
         widths = 49.8831 + 0.25 * amps
         out = zero_pressure_width(make_points(amps, widths))
         assert out.delta_d_mhz == pytest.approx(49.8831, rel=1e-12)
-        assert out.slope == pytest.approx(0.25, rel=1e-12)
+        assert out.slope_mhz_per_amplitude == pytest.approx(0.25, rel=1e-12)
         # exact data leave zero weighted residuals
         assert out.chi2_reduced == pytest.approx(0.0, abs=1e-18)
 
@@ -182,3 +183,23 @@ class TestCampaignLevel:
         threshold = default_slope_threshold(fits)
         assert threshold == pytest.approx(
             3.0 * np.median([f.sigmas["baseline_slope"] for f in fits]))
+
+
+class TestPointsFromFits:
+    @pytest.fixture()
+    def fit(self):
+        series = synth_series(NH3, [2.0], GasConditions(pressure_pa=1.0),
+                              ScanConfig(snr=1000.0), KB, 3)
+        return fit_spectrum(series[0][0], source_id="s0")
+
+    def test_zero_width_sigma_is_a_data_error_naming_the_fit(self, fit):
+        covariance = fit.covariance.copy()
+        covariance[1, 1] = 0.0  # delta_mhz
+        with pytest.raises(DataError, match="fit 's0': width sigma must be positive"):
+            points_from_fit_results([dataclasses.replace(fit, covariance=covariance)])
+
+    def test_negative_slope_variances_give_no_threshold(self, fit):
+        covariance = fit.covariance.copy()
+        covariance[4, 4] = -1e-30  # baseline_slope, read as sigma 0
+        with pytest.raises(DataError, match="median slope sigma .* is 0.0"):
+            default_slope_threshold([dataclasses.replace(fit, covariance=covariance)] * 3)

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dopplerkb import (
+    ExtrapolationResult,
     FitModel,
     FitResult,
     GasConditions,
@@ -23,6 +25,7 @@ from dopplerkb.boltzmann import TemperatureReading
 from dopplerkb.config import CampaignConfig, config_from_dict, load_config
 from dopplerkb.errors import DataError
 from dopplerkb.fileio import (
+    _FIT_RECORD,
     config_hash,
     read_fit_records,
     read_regression_summary,
@@ -165,10 +168,31 @@ class TestFitRecords:
 
     def test_record_without_optional_keys_reads_their_defaults(self, tmp_path,
                                                                noisy_spectrum):
-        path = self.record_without(tmp_path, noisy_spectrum, "source_id", "convergence_spec")
+        path = self.record_without(tmp_path, noisy_spectrum, "source_id")
         (back,) = read_fit_records(path)
-        assert back.source_id == "" and back.convergence_spec == {}
+        assert back.source_id == ""
         assert back.params == fit_spectrum(noisy_spectrum).params
+
+    def test_sigmas_are_the_roots_of_the_covariance_diagonal(self, noisy_spectrum):
+        result = fit_spectrum(noisy_spectrum, FitModel.EXP_VOIGT)
+        assert list(result.sigmas) == list(FitModel.EXP_VOIGT.param_names)
+        assert list(result.sigmas.values()) == \
+            np.sqrt(np.maximum(np.diag(result.covariance), 0.0)).tolist()
+        assert result.sigmas is result.sigmas  # computed once per result
+
+    def test_records_that_store_sigmas_and_names_read_to_the_same_values(self):
+        # Records in the earlier layout, which also stored "param_names",
+        # "sigmas" and "convergence_spec": the extra keys are ignored, and the
+        # sigmas derived from the covariance equal the stored ones bit for bit.
+        path = Path(__file__).parent / "fit_records_stored_sigmas.jsonl"
+        stored = [json.loads(line) for line in path.read_text().splitlines()]
+        results = read_fit_records(path)
+        assert [r.model for r in results] == [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT]
+        for record, result in zip(stored, results):
+            assert record["param_names"] == list(result.model.param_names)
+            assert result.sigmas == record["sigmas"]
+            assert result.params == record["params"]
+            assert result.covariance.tolist() == record["covariance"]
 
     @pytest.mark.parametrize("key, value, named", [
         ("converged", "no", "'converged'"),
@@ -178,16 +202,17 @@ class TestFitRecords:
         ("chi2_reduced", "1.0", "'chi2_reduced'"),
         ("chi2_reduced", None, "'chi2_reduced'"),
         ("params", {"delta_mhz": "49.9"}, "'params' .*'delta_mhz'"),
-        ("sigmas", {"delta_mhz": True}, "'sigmas' .*'delta_mhz'"),
         ("params", [49.9], "'params'"),
         ("source_id", 5, "'source_id'"),
         ("model", "gaussian", "'model'"),
-        ("param_names", "abc", "'param_names'"),
-        ("param_names", ["nu0_mhz", 5], "'param_names'"),
         ("covariance", "12", "'covariance'"),
         ("covariance", [1.0, 2.0], "'covariance'"),
         ("covariance", [["1.0"]], "'covariance'"),
         ("covariance", [[1.0]], "'covariance'"),
+        # the model's parameter names are the keys of "params" and the rows
+        # and columns of "covariance"
+        ("model", "exp-voigt", "'params'"),
+        ("params", {"gamma_mhz": 0.1}, "'params'"),
     ])
     def test_mistyped_value_names_line_and_key(self, tmp_path, noisy_spectrum, key, value,
                                                named):
@@ -206,13 +231,34 @@ class TestFitRecords:
             read_fit_records(path)
 
     @pytest.mark.parametrize("key", ["model", "converged", "n_iter", "n_points",
-                                     "chi2_reduced", "param_names", "params", "sigmas",
-                                     "covariance"])
+                                     "chi2_reduced", "params", "covariance"])
     def test_record_without_a_required_key_names_line_and_key(self, tmp_path,
                                                               noisy_spectrum, key):
         path = self.record_without(tmp_path, noisy_spectrum, key)
         with pytest.raises(DataError, match=f"line 1: .*'{key}'"):
             read_fit_records(path)
+
+    def test_record_without_a_parameter_of_its_model_names_line_and_params(
+            self, tmp_path, noisy_spectrum):
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([fit_spectrum(noisy_spectrum, source_id="a")], path)
+        record = json.loads(path.read_text())
+        del record["params"]["delta_mhz"]
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match="line 1: bad value for 'params'"):
+            read_fit_records(path)
+
+
+def test_record_keys_are_the_fields(tmp_path):
+    # a fit record holds each FitResult field once, and a regression summary
+    # each ExtrapolationResult field in order, then the slope threshold
+    assert sorted(key for key, _ in _FIT_RECORD) == \
+        sorted(f.name for f in dataclasses.fields(FitResult))
+    points = [WidthPoint(a, 49.9 + 0.2 * a, 1e-3, 0.0) for a in (0.2, 0.8, 1.6)]
+    path = tmp_path / "summary.json"
+    write_regression_summary(zero_pressure_width(points), 1.5e-6, path)
+    assert list(json.loads(path.read_text())) == \
+        [f.name for f in dataclasses.fields(ExtrapolationResult)] + ["slope_threshold_per_mhz"]
 
 
 class TestSummaryAndTables:
