@@ -28,6 +28,28 @@ fitted alone or inside a block.  ``fit_spectrum`` is ``fit_series`` of a
 batch of one; ``fit_series`` ends each spectrum's fit in a ``fit_spectrum``
 call that only assembles the result from its row of the iterated block.
 
+The iteration allocates no real array of the block's size; only the Voigt's
+complex intermediates (``scipy.special.wofz``) are allocated per call.
+``fit_series`` allocates a workspace once per grid (again only when the
+number of points changes): the data and residual rows, the kernel's
+intermediates (offsets, attenuation, P and its derivatives), each a
+``(rows, points)`` buffer, and the ``(rows, points, params)`` Jacobian, all
+carved from one array.  An evaluation of ``n`` rows uses the ``[:n]`` views
+of these buffers, and ``jacobian``, ``lineshape.profile`` and the residuals
+write every intermediate into them through the ufuncs' ``out=``, with the
+same operations in the same order as the expressions they replace, so the
+bits are unchanged; rejected trial rows are compacted out in place.
+Temporaries allocated per iteration would be freed to the top of glibc's
+heap, which malloc hands back to the OS, so the next iteration would fault
+the pages in again: about 28k minor faults per 400-spectrum W1 fit, a fifth
+of its time spent in the OS.  The single allocation matters too: glibc keeps
+a freed chunk that size in the heap, for the next ``fit_series`` call.  A
+block holds ``_BLOCK_ELEMENTS = 16384`` samples, so a ``(rows, points)``
+buffer is 128 KiB and a Gaussian workspace (12 of them) 1.5 MiB, which stays
+in a core's L2 cache through the chain of ufuncs; a larger block spreads the
+per-iteration Python overhead over more rows, but iterates until its slowest
+row is done.
+
 In the Gaussian variant the homogeneous width is fixed at zero: pressure
 broadening is deliberately absorbed into the fitted width, and the
 zero-pressure extrapolation takes it out.
@@ -39,7 +61,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +77,7 @@ DAMPING_START = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
 _COND_LIMIT = 1e14
-_BLOCK_ELEMENTS = 16384  # rows per block = this // points per spectrum
+_BLOCK_ELEMENTS = 16384  # rows per block = this // points; 128 KiB per (rows, points)
 
 
 class FitModel(enum.Enum):
@@ -86,7 +108,9 @@ class FitResult:
 
     ``params`` is keyed by ``model.param_names``, and the rows and columns of
     ``covariance`` follow that order.  The parameter uncertainties are not
-    stored: ``sigmas`` derives them from the covariance diagonal.
+    stored: ``sigmas`` derives them from the covariance diagonal.  Results
+    are equal when every field is, the covariance compared element by
+    element.
     """
 
     model: FitModel
@@ -97,6 +121,13 @@ class FitResult:
     converged: bool
     n_points: int
     source_id: str = ""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.name != "covariance"]
+        return (np.array_equal(self.covariance, other.covariance)
+                and all(getattr(self, n) == getattr(other, n) for n in names))
 
     @functools.cached_property
     def sigmas(self) -> dict:
@@ -112,33 +143,76 @@ def _columns(theta, model: FitModel) -> dict:
     return {name: theta[:, i:i + 1] for i, name in enumerate(model.param_names)}
 
 
-def jacobian(offsets_mhz, theta, model: FitModel, scale=None) -> tuple:
+class _Workspace(NamedTuple):
+    """Buffers for blocks of up to ``rows`` spectra of ``points`` samples:
+    the data rows, the residual rows, the kernel's and ``jacobian``'s
+    intermediates and the Jacobian (see the module docstring)."""
+
+    data: np.ndarray     # (rows, points)
+    resid: np.ndarray    # (rows, points)
+    kernel: np.ndarray   # (k, rows, points)
+    jac: np.ndarray      # (rows, points, params)
+
+    @classmethod
+    def allocate(cls, rows: int, points: int, model: FitModel) -> "_Workspace":
+        # the offsets, the attenuation, and P, dP/du, dP/ddelta (and dP/dgamma)
+        k = 6 if model is FitModel.EXP_VOIGT else 5
+        n_params = len(model.param_names)
+        planes = np.empty((2 + k + n_params, rows, points))
+        # the memory of the last n_params planes holds the Jacobian
+        return cls(planes[0], planes[1], planes[2:2 + k],
+                   planes[2 + k:].reshape(rows, points, n_params))
+
+
+def jacobian(offsets_mhz, theta, model: FitModel, scale=None, workspace=None) -> tuple:
     """The fit model and its Jacobian for each row of ``theta`` (parameters in
     ``model.param_names`` order) from one profile call: (rows, points) and
     (rows, points, params) arrays.  ``scale`` multiplies column k of the
-    Jacobian by ``scale[k]``, for parameters measured in those units."""
+    Jacobian by ``scale[k]``, for parameters measured in those units.
+
+    With a ``workspace`` (``fit_series`` passes one) every intermediate of
+    that shape is written into its buffers and both arrays returned are
+    views of them, valid until the next call with that workspace; without
+    one they are new arrays.
+    """
     p = _columns(theta, model)
-    u = np.asarray(offsets_mhz, dtype=float) - p["nu0_mhz"]
+    rows = len(p["nu0_mhz"])
+    if workspace is None:
+        workspace = _Workspace.allocate(rows, np.size(offsets_mhz), model)
+    u, atten, *prof_out = workspace.kernel[:, :rows]
+    jac = workspace.jac[:rows]
+    np.subtract(np.asarray(offsets_mhz, dtype=float), p["nu0_mhz"], out=u)
     depth = p["peak_depth"]
     level = p["baseline_level"]
+    slope = p["baseline_slope"]
     prof, dp_du, dp_ddelta, dp_dgamma = profile(
-        u, p["delta_mhz"], p.get("gamma_mhz"), derivs=True)
-    atten = np.exp(-depth * prof)
+        u, p["delta_mhz"], p.get("gamma_mhz"), derivs=True, out=prof_out)
+    np.multiply(-depth, prof, out=atten)
+    np.exp(atten, out=atten)
 
-    cols = [
-        level * depth * dp_du * atten - p["baseline_slope"],  # d/d nu0 (du/dnu0 = -1)
-        -level * depth * dp_ddelta * atten,                   # d/d delta
-        -level * prof * atten,                                # d/d depth
-        atten,                                                # d/d level
-        u,                                                    # d/d slope
-    ]
+    # Each column is formed in place in a profile array that is not read
+    # again, in the order of ``-level * depth * dP * atten`` and so on, and
+    # then scaled into the Jacobian.
+    scale = np.ones(jac.shape[-1]) if scale is None else scale
+    minus_level = -level
+
+    def column(k, factor, values, *, minus=None):
+        np.multiply(factor, values, out=values)
+        np.multiply(values, atten, out=values)
+        if minus is not None:
+            np.subtract(values, minus, out=values)
+        np.multiply(values, scale[k], out=jac[..., k])
+
+    column(0, level * depth, dp_du, minus=slope)             # d/d nu0 (du/dnu0 = -1)
+    column(1, minus_level * depth, dp_ddelta)                # d/d delta
     if model is FitModel.EXP_VOIGT:
-        cols.append(-level * depth * dp_dgamma * atten)      # d/d gamma
-    scale = np.ones(len(cols)) if scale is None else scale
-    out = np.empty(u.shape + (len(cols),))
-    for k, col in enumerate(cols):
-        np.multiply(col, scale[k], out=out[..., k])
-    return level * atten + p["baseline_slope"] * u, out
+        column(5, minus_level * depth, dp_dgamma)            # d/d gamma
+    column(2, minus_level, prof)                             # d/d depth
+    np.multiply(atten, scale[3], out=jac[..., 3])            # d/d level
+    np.multiply(u, scale[4], out=jac[..., 4])                # d/d slope
+    values = np.multiply(level, atten, out=dp_du)
+    np.add(values, np.multiply(slope, u, out=dp_ddelta), out=values)
+    return values, jac
 
 
 def initial_guess(spectrum: Spectrum) -> dict:
@@ -248,12 +322,26 @@ class _Solution(NamedTuple):
     converged: np.ndarray
 
 
-def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
+def _compact(arrays, keep) -> int:
+    """Move the rows where ``keep`` is true to the front of each array, in
+    order, in place; returns their number.  Row ``i`` of the result comes
+    from a row at or after ``i``, so a row is read before it is overwritten."""
+    rows = np.flatnonzero(keep).tolist()
+    for dst, src in enumerate(rows):
+        if dst != src:
+            for a in arrays:
+                a[dst] = a[src]
+    return len(rows)
+
+
+def _iterate_block(block: list, model: FitModel, max_iter: int,
+                   workspace: _Workspace) -> _Solution:
     """Run the damped Gauss-Newton iteration on a block of (spectrum, start
-    vector) rows sharing one grid."""
+    vector) rows sharing one grid, in ``workspace``'s buffers."""
     names = model.param_names
     x = block[0][0].freq_offset_mhz
-    y = np.stack([spectrum.transmission for spectrum, _ in block])
+    y = np.stack([spectrum.transmission for spectrum, _ in block],
+                 out=workspace.data[:len(block)])
     theta = np.stack([start for _, start in block])
     scale = _scales(names, float(x[-1] - x[0]))
     diag = np.arange(len(names))
@@ -264,11 +352,10 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
     # Cost, gradient and normal matrix of each row at its current parameters.
     # They come from the one kernel call at the start rows, and then from the
     # trial call of each accepted step; a rejected step leaves them as they were.
-    values, js = jacobian(x, theta, model, scale)
-    resid = y - values
+    values, js = jacobian(x, theta, model, scale, workspace=workspace)
+    resid = np.subtract(y, values, out=workspace.resid[:len(block)])
     cost = _row_costs(resid)
     grads, hessians = _normal_equations(js, resid)
-    del values, js, resid
     lam = np.full(len(block), DAMPING_START)
     n_iter = np.zeros(len(block), dtype=int)
     converged = np.zeros(len(block), dtype=bool)
@@ -291,18 +378,22 @@ def _iterate_block(block: list, model: FitModel, max_iter: int) -> _Solution:
             candidate[:, i_gamma] = np.abs(candidate[:, i_gamma])
         # Steps to a non-positive width or level are rejected unevaluated.
         trial = ~done & ~((candidate[:, i_delta] <= 0) | (candidate[:, i_level] <= 0))
-        values, js = jacobian(x, candidate[trial], model, scale)
-        new_resid = y[active[trial]] - values
+        rows = active[trial]
+        values, js = jacobian(x, candidate[trial], model, scale, workspace=workspace)
+        # the indices are in range, and "clip" takes rows without a copy of ``out``
+        new_resid = np.take(y, rows, axis=0, out=workspace.resid[:rows.size], mode="clip")
+        np.subtract(new_resid, values, out=new_resid)
         new_cost = _row_costs(new_resid)
         better = np.zeros_like(trial)
-        better[trial] = new_cost <= cost[active[trial]]
+        better[trial] = new_cost <= cost[rows]
         kept = better[trial]  # the accepted ones among the trial rows
         accepted = active[better]
         drop = cost[accepted] - new_cost[kept]
         theta[accepted] = candidate[better]
         cost[accepted] = new_cost[kept]
-        grads[accepted], hessians[accepted] = _normal_equations(js[kept], new_resid[kept])
-        del values, js  # no trial Jacobian stays alive into the next kernel call
+        n_kept = _compact((js, new_resid), kept)
+        grads[accepted], hessians[accepted] = _normal_equations(js[:n_kept],
+                                                                new_resid[:n_kept])
         lam[accepted] = np.maximum(lam[accepted] * DAMPING_DOWN, 1e-15)
         lam[active[~done & ~better]] *= DAMPING_UP
         converged[accepted] = (cost[accepted] == 0.0) | (drop < COST_TOL * cost[accepted])
@@ -336,9 +427,10 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
     rows = zip(spectra, ids, starts)
     results = []
     block, block_ids = [], []
+    workspace = None
 
     def finish():
-        solution = _iterate_block(block, model, max_iter)
+        solution = _iterate_block(block, model, max_iter, workspace)
         results.extend(
             fit_spectrum(spectrum, model, max_iter=max_iter, source_id=source_id,
                          _solved=(solution, r))
@@ -356,11 +448,12 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
             if block:
                 finish()  # a FitError of an earlier spectrum comes first
             raise
-        if block:
-            grid = block[0][0].freq_offset_mhz
-            if (len(block) >= max(1, _BLOCK_ELEMENTS // grid.size)
-                    or not np.array_equal(spectrum.freq_offset_mhz, grid)):
-                finish()
+        if block and (len(block) == len(workspace.data) or not np.array_equal(
+                spectrum.freq_offset_mhz, block[0][0].freq_offset_mhz)):
+            finish()
+        points = spectrum.n_points
+        if workspace is None or workspace.data.shape[1] != points:
+            workspace = _Workspace.allocate(max(1, _BLOCK_ELEMENTS // points), points, model)
         block.append((spectrum, start))
         block_ids.append(source_id)
     if block:

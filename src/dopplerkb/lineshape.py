@@ -65,15 +65,30 @@ class Transition:
         return cls(constants.NH3_LINE_FREQ_MHZ, constants.NH3_MASS_U, constants.NH3_LINE_LABEL)
 
 
-def profile(u, delta, gamma=None, derivs: bool = False):
+def profile(u, delta, gamma=None, derivs: bool = False, out=None):
     """Unit-peak Gaussian (``gamma is None``) or Voigt profile at offsets
     ``u``, with its derivatives on request: see the module docstring.
 
     With ``derivs`` the offsets are a (rows, points) array and ``delta`` and
     ``gamma`` (rows, 1) columns; without, any shapes that broadcast.
+
+    ``out``, the numpy ``out=`` idiom, is an optional tuple of arrays of the
+    broadcast shape, one for each value returned that is not ``None`` and in
+    that order: P, then with ``derivs`` dP/du, dP/ddelta and, for the Voigt,
+    dP/dgamma.  The values are written into them and the same arrays are
+    returned; without ``out`` they are new arrays.  The operations are the
+    same either way, so are the bits.  The Gaussian needs no other array of
+    that shape; the Voigt's complex intermediates are allocated on each call.
     """
+    if out is None:
+        out = (None,) * 4
     if gamma is None:
-        p = np.exp(-((u / delta) ** 2))
+        p = out[0] if out[0] is not None else np.empty(np.broadcast_shapes(np.shape(u),
+                                                                          np.shape(delta)))
+        np.divide(u, delta, out=p)
+        np.square(p, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)  # exp(-(u/delta)**2)
         if not derivs:
             return p, None, None, None
         # Powers of the width use Python's scalar ``**`` row by row: for some
@@ -81,20 +96,31 @@ def profile(u, delta, gamma=None, derivs: bool = False):
         # scalar form keeps each row bit-identical to a per-spectrum fit
         # (tests/_loop_fitter.py).
         widths = delta[:, 0].tolist()
-        dp_du = p * (-2.0 * u / np.array([d**2 for d in widths])[:, None])
-        dp_ddelta = p * (2.0 * u**2 / np.array([d**3 for d in widths])[:, None])
+        dp_du = np.multiply(-2.0, u, out=out[1])
+        np.divide(dp_du, np.array([d**2 for d in widths])[:, None], out=dp_du)
+        np.multiply(p, dp_du, out=dp_du)  # p * (-2.0*u / delta**2)
+        dp_ddelta = np.square(u, out=out[2])
+        np.multiply(2.0, dp_ddelta, out=dp_ddelta)
+        np.divide(dp_ddelta, np.array([d**3 for d in widths])[:, None], out=dp_ddelta)
+        np.multiply(p, dp_ddelta, out=dp_ddelta)  # p * (2.0*u**2 / delta**3)
         return p, dp_du, dp_ddelta, None
     from scipy.special import wofz
 
     z = (u + 1j * np.abs(gamma)) / delta
     w = wofz(z)
+    p = w.real
+    if out[0] is not None:
+        p = out[0]
+        np.copyto(p, w.real)
     if not derivs:
-        return w.real, None, None, None
+        return p, None, None, None
     wprime = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
-    dp_du = wprime.real / delta
-    dp_ddelta = (-(z * wprime).real) / delta
-    dp_dgamma = np.where(gamma < 0, -1.0, 1.0) * ((1j * wprime).real / delta)
-    return w.real, dp_du, dp_ddelta, dp_dgamma
+    dp_du = np.divide(wprime.real, delta, out=out[1])
+    dp_ddelta = np.negative((z * wprime).real, out=out[2])
+    np.divide(dp_ddelta, delta, out=dp_ddelta)
+    dp_dgamma = np.divide((1j * wprime).real, delta, out=out[3])
+    np.multiply(np.where(gamma < 0, -1.0, 1.0), dp_dgamma, out=dp_dgamma)
+    return p, dp_du, dp_ddelta, dp_dgamma
 
 
 def profile_derivatives(u, delta, gamma, order: int) -> np.ndarray:

@@ -114,7 +114,7 @@ def _replica(noiseless: tuple, seed: int, snr: float) -> tuple[Spectrum, GroundT
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         samples = spectrum.transmission + rng.normal(0.0, 1.0 / snr, size=spectrum.n_points)
     meta = replace(spectrum.meta, snr=snr, seed=int(seed))
-    return Spectrum(spectrum.freq_offset_mhz, samples, meta), replace(truth, seed=int(seed))
+    return spectrum.with_transmission(samples, meta), replace(truth, seed=int(seed))
 
 
 def synth_spectrum(

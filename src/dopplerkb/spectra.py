@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,12 @@ class SpectrumMeta:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A frequency grid (offsets from nu0, MHz) plus transmission samples."""
+    """A frequency grid (offsets from nu0, MHz) plus transmission samples.
+
+    The constructor checks the grid (1-d, at least 2 points, finite and
+    strictly increasing) and the samples.  ``with_transmission`` gives a
+    spectrum on the same grid array, which it does not check again.
+    """
 
     freq_offset_mhz: np.ndarray
     transmission: np.ndarray
@@ -52,24 +57,37 @@ class Spectrum:
 
     def __post_init__(self):
         f = np.asarray(self.freq_offset_mhz, dtype=float)
-        t = np.asarray(self.transmission, dtype=float)
-        if f.ndim != 1 or f.shape != t.shape:
+        if f.ndim != 1 or f.shape != np.shape(self.transmission):
             raise ValueError("frequency and transmission arrays must be 1-d and equal length")
         if f.size < 2:
             raise ValueError("a spectrum needs at least 2 samples")
         if not np.all(np.diff(f) > 0):
             raise ValueError("frequency grid must be strictly increasing")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
+        if not np.all(np.isfinite(f)):
             raise ValueError("spectrum samples must be finite")
         object.__setattr__(self, "freq_offset_mhz", f)
-        object.__setattr__(self, "transmission", t)
+        object.__setattr__(self, "transmission", self._checked_samples(self.transmission))
+
+    def _checked_samples(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.shape != self.freq_offset_mhz.shape:
+            raise ValueError("frequency and transmission arrays must be 1-d and equal length")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("spectrum samples must be finite")
+        return t
 
     @property
     def n_points(self) -> int:
         return int(self.freq_offset_mhz.size)
 
-    def with_transmission(self, t: np.ndarray) -> "Spectrum":
-        return replace(self, transmission=np.asarray(t, dtype=float))
+    def with_transmission(self, t, meta: SpectrumMeta | None = None) -> "Spectrum":
+        """This spectrum's grid, the same array, with the samples ``t`` and,
+        if given, ``meta``; only ``t`` is checked."""
+        new = object.__new__(type(self))
+        new.__dict__.update(freq_offset_mhz=self.freq_offset_mhz,
+                            transmission=self._checked_samples(t),
+                            meta=self.meta if meta is None else meta)
+        return new
 
     def noise_sigma_estimate(self) -> float:
         """Nominal per-point noise from the recorded S/N (inf S/N gives 0)."""

@@ -125,6 +125,21 @@ class TestSpectrumFiles:
         with pytest.raises(DataError, match="line 1: unsupported schema version"):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("row, match", [("-125.0 1.0", "increasing"),
+                                            ("-125.5 1.0", "increasing"),
+                                            ("nan 1.0", "non-finite"),
+                                            ("-inf 1.0", "non-finite")])
+    def test_bad_grid_value_names_line(self, tmp_path, noisy_spectrum, row, match):
+        # the second row repeats, goes back from or is not a frequency
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        lines[data_start + 1] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"line {data_start + 2}.*{match}"):
+            read_spectrum(path)
+
     def test_non_numeric_sample_names_line(self, tmp_path, noisy_spectrum):
         path = tmp_path / "s.txt"
         write_spectrum(noisy_spectrum, path)
@@ -149,6 +164,12 @@ class TestFitRecords:
             for field in dataclasses.fields(FitResult):
                 np.testing.assert_equal(getattr(rec, field.name), getattr(orig, field.name),
                                         err_msg=field.name)
+
+    def test_record_read_back_equals_the_result_written(self, tmp_path, noisy_spectrum):
+        result = fit_spectrum(noisy_spectrum, FitModel.EXP_VOIGT, source_id="b")
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([result], path)
+        assert read_fit_records(path) == [result]
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "fits.jsonl"

@@ -1,5 +1,11 @@
+import dataclasses
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +116,20 @@ class TestJacobian:
         assert j.shape == (0, x.size, n)
 
 
+    @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
+    def test_calls_without_a_workspace_return_independent_arrays(self, model):
+        x = np.linspace(-125, 125, 301)
+        theta = as_row(dict(nu0_mhz=1.0, delta_mhz=50.0, peak_depth=0.7, baseline_level=1.0,
+                            baseline_slope=1e-5, gamma_mhz=0.2), model)
+        values, j = jacobian(x, theta, model)
+        kept = values.copy(), j.copy()
+        other = jacobian(x, 2 * theta, model)
+        for mine, theirs in zip((values, j), other):
+            assert not np.shares_memory(mine, theirs)
+        np.testing.assert_array_equal(values, kept[0])
+        np.testing.assert_array_equal(j, kept[1])
+
+
 class TestInitialGuess:
     def test_noiseless_width_within_five_percent(self):
         spectrum, truth = make_spectrum(pressure=3.1)  # depth ~0.5
@@ -217,6 +237,20 @@ def replica_fits():
         spectrum, truth = make_spectrum(pressure=3.1, snr=1000.0, seed=seed)
         fits.append(fit_spectrum(spectrum))
     return fits, truth
+
+
+class TestFitResultEquality:
+    def test_fits_of_one_spectrum_compare_equal(self):
+        spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=12)
+        assert fit_spectrum(spectrum, source_id="a") == fit_spectrum(spectrum, source_id="a")
+
+    def test_a_changed_covariance_compares_unequal(self):
+        spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=12)
+        result = fit_spectrum(spectrum)
+        covariance = result.covariance.copy()
+        covariance[1, 1] = np.nextafter(covariance[1, 1], 1.0)
+        assert result != dataclasses.replace(result, covariance=covariance)
+        assert result != dataclasses.replace(result, source_id="other")
 
 
 class TestFitterStatistics:
@@ -357,6 +391,60 @@ class TestBlockFitting:
         results = fit_series(spectra, model)
         assert sum(r.n_iter for r in results) >= len(rows) - len(spectra) > 0
         assert len(set(rows)) == len(rows)
+
+    def test_reused_buffers_leak_nothing_between_blocks(self):
+        # One call: a full 32-row block, a 5-row block on the same grid, a
+        # second 501-point grid (same buffers, other offsets), then the first
+        # grid again with a row that runs out of iterations.
+        cond = GasConditions(pressure_pa=1.0)
+        pressures = [p for p in GOLDEN_PRESSURES for _ in range(5)][:37]
+        first = [s for s, _ in synth_series(NH3, pressures, cond, make_scan(snr=1000.0), KB, 5)]
+        other_grid = make_scan(snr=1000.0, span=200.0, step=0.4)
+        second = [s for s, _ in synth_series(NH3, [2.0, 4.0, 6.0], cond, other_grid, KB, 9)]
+        last = [s for s, _ in synth_series(NH3, [1.0, 5.0], cond, make_scan(snr=1000.0), KB, 13)]
+        spectra = first + second + last
+        assert second[0].n_points == first[0].n_points
+        far = dict(nu0_mhz=30.0, delta_mhz=20.0, peak_depth=0.1, baseline_level=1.0,
+                   baseline_slope=0.0)
+        inits = [None] * (len(spectra) - 1) + [far]
+        results = fit_series(spectra, inits=inits, max_iter=10)
+        assert (results[-1].converged, results[-1].n_iter) == (False, 10)
+        assert sum(r.converged for r in results) >= len(spectra) - 4
+        for spectrum, init, result in zip(spectra, inits, results):
+            assert result == fit_spectrum(spectrum, init=init, max_iter=10)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the bound is set for glibc's malloc")
+    def test_a_second_fit_series_does_not_page_fault(self):
+        # The block buffers are allocated once per grid, as one array that
+        # malloc keeps for the next call; when every iteration allocated them
+        # anew, a W1 fit took about 24k minor faults.  A fresh interpreter,
+        # because large arrays freed by earlier tests change what malloc
+        # keeps, which can hide the faults.
+        code = textwrap.dedent("""
+            import resource
+            from dopplerkb import GasConditions, ScanConfig, Transition, constants
+            from dopplerkb import fit_series, synth_series
+
+            pressures = [p for p in (0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0)
+                         for _ in range(50)]
+            pairs = synth_series(Transition.nh3(), pressures, GasConditions(pressure_pa=1.0),
+                                 ScanConfig(snr=1000.0), constants.KB_CODATA_2002, 23)
+            spectra = [spectrum for spectrum, _ in pairs]
+            fit_series(spectra)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            results = fit_series(spectra)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(len(results), after - before)
+        """)
+        src = str(Path(fitter.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        n_results, faults = map(int, proc.stdout.split())
+        assert n_results == 400
+        assert faults < 2000
 
     def test_per_spectrum_init_is_used(self):
         spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=12)

@@ -65,6 +65,23 @@ class TestVoigt:
             voigt(0.0, 1.0, -0.1)
 
 
+class TestProfileOutputArrays:
+    @pytest.mark.parametrize("derivs", [False, True])
+    @pytest.mark.parametrize("voigt_gamma", [None, [[0.3], [-0.02]]])
+    def test_written_into_out_with_the_same_bits(self, derivs, voigt_gamma):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-150.0, 150.0, size=(2, 301))
+        delta = np.array([[49.88], [37.5]])
+        gamma = None if voigt_gamma is None else np.array(voigt_gamma)
+        fresh = [v for v in profile(u, delta, gamma, derivs=derivs) if v is not None]
+        out = tuple(np.full(u.shape, np.nan) for _ in fresh)
+        written = profile(u, delta, gamma, derivs=derivs, out=out)
+        assert all(a is b for a, b in zip(written, out))
+        assert written[len(out):] == (None,) * (4 - len(out))
+        for want, got in zip(fresh, out):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestProfileDerivatives:
     def test_gaussian_derivatives_are_hermite_functions(self):
         # d^n/dt^n exp(-t**2) = (-1)**n H_n(t) exp(-t**2)

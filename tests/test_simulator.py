@@ -118,6 +118,17 @@ class TestSynthSeries:
 
 
     @pytest.mark.parametrize("snr", [500.0, math.inf])
+    def test_replicas_of_a_pressure_share_one_grid_array(self, snr):
+        # a replica is its pressure's noiseless spectrum plus noise, on that
+        # spectrum's grid, which is checked once
+        pairs = synth_series(NH3, [1.0, 3.0, 1.0, 1.0, 3.0], GasConditions(pressure_pa=1.0),
+                             scan(snr=snr), KB, 7)
+        grids = [spectrum.freq_offset_mhz for spectrum, _ in pairs]
+        assert grids[0] is grids[2] is grids[3]
+        assert grids[1] is grids[4]
+        np.testing.assert_array_equal(grids[0], scan().offsets_mhz())
+
+    @pytest.mark.parametrize("snr", [500.0, math.inf])
     @pytest.mark.parametrize("with_comb", [False, True])
     def test_series_equals_per_element_synthesis_bit_for_bit(self, with_comb, snr):
         # repeated pressures share one noiseless evaluation in synth_series
