@@ -50,7 +50,6 @@ class CampaignConfig:
     transition_mass_u: float = constants.NH3_MASS_U
     scan_span_mhz: float = ScanConfig.span_mhz
     scan_step_mhz: float = ScanConfig.step_mhz
-    scan_time_constant_ms: float = ScanConfig.time_constant_ms
     pressures_pa: tuple = (0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0)
     replicas: int = 1
     snr: float = ScanConfig.snr  # math.inf = noiseless
@@ -81,7 +80,6 @@ class CampaignConfig:
                   "spectrum header": lambda: SpectrumMeta(
                       self.transition_label, self.transition_nu0_mhz, self.temperature_k,
                       self.temperature_sigma_k, self.pressures_pa[0], self.cell_length_m,
-                      self.scan_span_mhz, self.scan_step_mhz, self.scan_time_constant_ms,
                       self.snr, self.seed),
                   "seed": partial(np.random.SeedSequence, self.seed)}
         builds.update((f"gas conditions at pressures_pa[{i}]", partial(self.conditions, p))
@@ -99,7 +97,6 @@ class CampaignConfig:
         return ScanConfig(
             span_mhz=self.scan_span_mhz,
             step_mhz=self.scan_step_mhz,
-            time_constant_ms=self.scan_time_constant_ms,
             snr=self.snr,
         )
 

@@ -40,19 +40,6 @@ CONSTANTS_VERSION = "codata2002-r1"
 
 
 def as_dict() -> dict:
-    """Snapshot of every constant, for run manifests."""
-    return {
-        "constants_version": CONSTANTS_VERSION,
-        "speed_of_light_m_s": SPEED_OF_LIGHT_M_S,
-        "atomic_mass_kg": ATOMIC_MASS_KG,
-        "kb_codata_2002": KB_CODATA_2002,
-        "kb_codata_2002_sigma": KB_CODATA_2002_SIGMA,
-        "nh3_mass_u": NH3_MASS_U,
-        "nh3_mass_kg": NH3_MASS_KG,
-        "nh3_line_freq_mhz": NH3_LINE_FREQ_MHZ,
-        "nh3_line_label": NH3_LINE_LABEL,
-        "cell_temperature_k": CELL_TEMPERATURE_K,
-        "cell_temperature_sigma_k": CELL_TEMPERATURE_SIGMA_K,
-        "mass_sigma_rel_default": MASS_SIGMA_REL_DEFAULT,
-        "frequency_sigma_rel_default": FREQUENCY_SIGMA_REL_DEFAULT,
-    }
+    """Snapshot of every constant, for run manifests: each upper-case name of
+    this module, lower-cased, with its value."""
+    return {name.lower(): value for name, value in globals().items() if name.isupper()}

@@ -33,9 +33,11 @@ from .fitter import FitModel, FitResult
 from .spectra import SCHEMA_VERSION, Spectrum, SpectrumMeta
 
 SPECTRUM_MAGIC = "# dopplerkb-spectrum"
+# v1 also held span, step and time-constant lines, ignored like other keys.
+_READABLE_VERSIONS = ("v1", f"v{SCHEMA_VERSION}")
 
-# Name and type of every SpectrumMeta field, in field order.
-_HEADER_FIELDS = tuple(get_type_hints(SpectrumMeta).items())
+# The type of every SpectrumMeta field, by name, in field order.
+_HEADER_FIELDS = get_type_hints(SpectrumMeta)
 
 
 def _fmt(x: float) -> str:
@@ -60,7 +62,7 @@ def atomic_write_text(path, text: str) -> None:
 def write_spectrum(spectrum: Spectrum, path) -> None:
     meta = spectrum.meta
     lines = [f"{SPECTRUM_MAGIC} v{SCHEMA_VERSION}"]
-    for name, kind in _HEADER_FIELDS:
+    for name, kind in _HEADER_FIELDS.items():
         value = getattr(meta, name)
         lines.append(f"# {name}: {_fmt(value) if kind is float else value}")
     lines.append("# columns: frequency_offset_mhz transmission")
@@ -70,15 +72,16 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
 
 
 def read_spectrum(path) -> Spectrum:
-    """Parse a spectrum file; errors name the offending line."""
+    """Parse a spectrum file; errors name the offending line (or both lines
+    of a header field given twice)."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or not lines[0].startswith(SPECTRUM_MAGIC):
         raise DataError(f"{path}: line 1: not a dopplerkb spectrum file")
     version = lines[0][len(SPECTRUM_MAGIC):].strip()
-    if version != f"v{SCHEMA_VERSION}":
+    if version not in _READABLE_VERSIONS:
         raise DataError(f"{path}: line 1: unsupported schema version {version!r} "
-                        f"(this reader takes v{SCHEMA_VERSION})")
+                        f"(this reader takes {' and '.join(_READABLE_VERSIONS)})")
 
     header: dict = {}
     freq: list = []
@@ -89,9 +92,13 @@ def read_spectrum(path) -> Spectrum:
             continue
         if line.startswith("#"):
             body = line.lstrip("#").strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                header[key.strip()] = (value.strip(), lineno)
+            key, colon, value = body.partition(":")
+            key = key.strip()
+            if colon and key in _HEADER_FIELDS:
+                if key in header:
+                    raise DataError(f"{path}: lines {header[key][1]} and {lineno}: header "
+                                    f"field {key!r} given twice")
+                header[key] = (value.strip(), lineno)
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -108,7 +115,7 @@ def read_spectrum(path) -> Spectrum:
         trans.append(t)
 
     kwargs = {}
-    for name, kind in _HEADER_FIELDS:
+    for name, kind in _HEADER_FIELDS.items():
         if name not in header:
             raise DataError(f"{path}: missing header field {name!r}")
         raw_value, lineno = header[name]

@@ -61,14 +61,14 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, FitError
 from .lineshape import profile
-from .spectra import Spectrum
+from .spectra import Spectrum, fields_equal
 
 COST_TOL = 1e-12       # relative cost decrease at convergence
 GRAD_TOL = 1e-10       # max-norm of the scaled gradient at convergence
@@ -122,12 +122,7 @@ class FitResult:
     n_points: int
     source_id: str = ""
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = [f.name for f in fields(self) if f.name != "covariance"]
-        return (np.array_equal(self.covariance, other.covariance)
-                and all(getattr(self, n) == getattr(other, n) for n in names))
+    __eq__ = fields_equal
 
     @functools.cached_property
     def sigmas(self) -> dict:
@@ -254,7 +249,7 @@ def initial_guess(spectrum: Spectrum) -> dict:
         raise DataError("line not in scan window")
     delta = 0.5 * (x[hi] - x[lo])
     if delta <= 0:
-        delta = spectrum.meta.step_mhz
+        delta = x[i_min + 1] - x[i_min]  # a one-sample dip: the grid spacing
 
     x_left = float(x[:k].sum()) / k
     x_right = float(x[-k:].sum()) / k

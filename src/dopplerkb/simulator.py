@@ -36,12 +36,11 @@ DEFAULT_CELL_LENGTH_M = 0.30
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Frequency scan geometry and recording settings."""
+    """Frequency scan geometry and the per-point S/N."""
 
     span_mhz: float = 250.0
     step_mhz: float = 0.5
-    time_constant_ms: float = 20.0  # metadata only
-    snr: float = 1000.0             # per-point S/N; math.inf disables noise
+    snr: float = 1000.0  # per-point S/N; math.inf disables noise
 
     def __post_init__(self):
         if not (self.span_mhz > 0 and self.step_mhz > 0):
@@ -94,19 +93,18 @@ class GasConditions:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the simulator actually put into a spectrum."""
+    """What the simulator put into a spectrum that its header does not say;
+    every replica of a pressure shares one."""
 
     kb_true: float
     delta_d_mhz: float
     gamma_mhz: float
     peak_depth: float
-    pressure_pa: float
-    seed: int
 
 
 def _replica(noiseless: tuple, seed: int, snr: float) -> tuple[Spectrum, GroundTruth]:
-    """A copy of a noiseless ``(Spectrum, GroundTruth)`` pair with the noise
-    stream of ``seed`` at ``snr`` added, labelled with that seed and S/N."""
+    """The noiseless ``(Spectrum, GroundTruth)`` pair with the noise stream of
+    ``seed`` at ``snr`` added, labelled with that seed and S/N; the truth is shared."""
     spectrum, truth = noiseless
     if math.isinf(snr):
         samples = spectrum.transmission.copy()
@@ -114,7 +112,7 @@ def _replica(noiseless: tuple, seed: int, snr: float) -> tuple[Spectrum, GroundT
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         samples = spectrum.transmission + rng.normal(0.0, 1.0 / snr, size=spectrum.n_points)
     meta = replace(spectrum.meta, snr=snr, seed=int(seed))
-    return spectrum.with_transmission(samples, meta), replace(truth, seed=int(seed))
+    return spectrum.with_transmission(samples, meta), truth
 
 
 def synth_spectrum(
@@ -147,10 +145,9 @@ def synth_spectrum(
             f"{BLACK_TRANSMISSION_FLOOR} at {conditions.pressure_pa} Pa"
         )
     meta = SpectrumMeta(transition.label, transition.nu0_mhz, conditions.temperature_k,
-                        temperature_sigma_k, conditions.pressure_pa, cell_length_m,
-                        scan.span_mhz, scan.step_mhz, scan.time_constant_ms, math.inf, int(seed))
-    truth = GroundTruth(kb_true, delta, conditions.gamma_mhz, conditions.peak_depth,
-                        conditions.pressure_pa, int(seed))
+                        temperature_sigma_k, conditions.pressure_pa, cell_length_m, math.inf,
+                        int(seed))
+    truth = GroundTruth(kb_true, delta, conditions.gamma_mhz, conditions.peak_depth)
     return _replica((Spectrum(offsets, clean, meta), truth), seed, scan.snr)
 
 

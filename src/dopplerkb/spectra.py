@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+def fields_equal(a, b):
+    """``a == b`` for dataclass instances holding arrays: equal when of one
+    class and equal field by field, arrays compared with ``np.array_equal``."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
 
 @dataclass(frozen=True)
 class SpectrumMeta:
-    """Acquisition metadata carried with every spectrum.
+    """The conditions a spectrum was recorded at.
 
     The fields, in order, are the header of spectrum files of schema
-    ``SCHEMA_VERSION``.
+    ``SCHEMA_VERSION``.  The scan geometry is not among them: the frequency
+    column holds it.
     """
 
     transition_label: str
@@ -24,9 +34,6 @@ class SpectrumMeta:
     temperature_sigma_k: float
     pressure_pa: float
     cell_length_m: float
-    span_mhz: float
-    step_mhz: float
-    time_constant_ms: float
     snr: float  # math.inf for noiseless data
     seed: int
 
@@ -37,6 +44,8 @@ class SpectrumMeta:
             raise ValueError("temperature must be positive")
         if self.temperature_sigma_k < 0:
             raise ValueError("temperature sigma must be >= 0")
+        if not (self.snr > 0):
+            raise ValueError(f"snr must be positive (inf for noiseless), got {self.snr}")
         if not (0 < self.cell_length_m < math.inf):
             raise ValueError(
                 f"cell_length_m must be positive and finite, got {self.cell_length_m}")
@@ -49,11 +58,14 @@ class Spectrum:
     The constructor checks the grid (1-d, at least 2 points, finite and
     strictly increasing) and the samples.  ``with_transmission`` gives a
     spectrum on the same grid array, which it does not check again.
+    Spectra are equal when their grids, samples and meta are.
     """
 
     freq_offset_mhz: np.ndarray
     transmission: np.ndarray
     meta: SpectrumMeta
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         f = np.asarray(self.freq_offset_mhz, dtype=float)

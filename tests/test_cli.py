@@ -102,6 +102,7 @@ class TestSimulate:
         ({"hyperfine_file": "nope.txt"}, (), "hyperfine_file"),
         ({"transition": {"label": "a\nb"}}, (), "transition"),
         ({"cell_length_m": -1}, (), "cell_length_m"),
+        ({"scan": {"time_constant_ms": 20}}, (), "scan.time_constant_ms"),  # not a key
     ])
     def test_value_out_of_range_exits_2_naming_the_key(self, tmp_path, capsys, overrides,
                                                         args, key):
@@ -397,7 +398,6 @@ class TestConfigKeys:
         "transition.mass_u": 1.01 * constants.NH3_MASS_U,
         "scan.span_mhz": 200.0,
         "scan.step_mhz": 0.25,
-        "scan.time_constant_ms": 10.0,
         "pressures_pa": [0.2, 1.0, 5.0],
         "replicas": 2,
         "snr": None,

@@ -88,7 +88,8 @@ class TestSpectrumFiles:
             read_spectrum(path)
 
     @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan",
-                                      "# cell_length_m: -1", "# cell_length_m: inf"])
+                                      "# cell_length_m: -1", "# cell_length_m: inf",
+                                      "# snr: 0", "# snr: -1000", "# snr: nan"])
     def test_header_value_refused_by_the_metadata_is_data_error(self, tmp_path,
                                                                noisy_spectrum, line):
         path = tmp_path / "s.txt"
@@ -108,13 +109,36 @@ class TestSpectrumFiles:
         with pytest.raises(DataError, match="temperature_k"):
             read_spectrum(path)
 
+    def test_header_field_given_twice_names_both_lines(self, tmp_path, noisy_spectrum):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("# temperature_k:")) + 1
+        lines[first - 1] = "# temperature_k: 273.15"
+        lines.insert(first, "# temperature_k: 300")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"lines {first} and {first + 1}: .*'temperature_k'"):
+            read_spectrum(path)
+
+    def test_v1_file_reads_to_the_same_samples_and_meta(self, tmp_path, noisy_spectrum):
+        # v1 also held the scan span and step and a lock-in time constant
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# dopplerkb-spectrum v2"
+        at = next(i for i, l in enumerate(lines) if l.startswith("# snr:"))
+        v1 = (["# dopplerkb-spectrum v1"] + lines[1:at]
+              + ["# span_mhz: 250", "# step_mhz: 0.5", "# time_constant_ms: 20"] + lines[at:])
+        path.write_text("\n".join(v1) + "\n")
+        assert read_spectrum(path) == noisy_spectrum
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("not a spectrum\n1 2\n")
         with pytest.raises(DataError, match="line 1"):
             read_spectrum(path)
 
-    @pytest.mark.parametrize("tag", ["v0", "v2", "v", ""])
+    @pytest.mark.parametrize("tag", ["v0", "v3", "v", ""])
     def test_other_schema_version_rejected_naming_line_1(self, tmp_path, noisy_spectrum, tag):
         path = tmp_path / "s.txt"
         write_spectrum(noisy_spectrum, path)
@@ -341,6 +365,14 @@ class TestManifest:
         assert manifest["config_sha256"] == config_hash(cfg.to_dict())
         assert manifest["constants"]["constants_version"] == constants.CONSTANTS_VERSION
         assert "numpy" in manifest["versions"]
+
+    def test_manifest_holds_every_constant(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        write_manifest(path, "simulate", {}, None)
+        recorded = json.loads(path.read_text())["constants"]
+        names = [name for name in vars(constants) if re.fullmatch(r"[A-Z][A-Z0-9_]*", name)]
+        assert "N14_MASS_U" in names and "H1_MASS_U" in names
+        assert recorded == {name.lower(): getattr(constants, name) for name in names}
 
     def test_hash_is_canonical(self):
         a = {"x": 1, "y": [1, 2]}

@@ -136,29 +136,47 @@ class TestInitialGuess:
         guess = initial_guess(spectrum)
         assert guess["delta_mhz"] == pytest.approx(truth.delta_d_mhz, rel=0.05)
         assert guess["peak_depth"] == pytest.approx(truth.peak_depth, rel=0.05)
-        assert abs(guess["nu0_mhz"]) <= spectrum.meta.step_mhz
+        x = spectrum.freq_offset_mhz
+        assert abs(guess["nu0_mhz"]) <= x[1] - x[0]
+
+    def test_one_sample_dip_starts_at_the_grid_spacing_of_its_minimum(self):
+        # both neighbours of the minimum sit on the baseline, so the 1/e
+        # region is empty and the width starts at the spacing x[i+1] - x[i]
+        x = np.cumsum(np.linspace(0.5, 1.5, 41))
+        t = np.ones_like(x)
+        t[20] = 0.5
+        meta = SpectrumMeta("dip", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
+        guess = initial_guess(Spectrum(x, t, meta))
+        assert guess["nu0_mhz"] == x[20]
+        assert guess["delta_mhz"] == x[21] - x[20] != x[20] - x[19]
+
+    def test_one_sample_dip_on_a_tenth_mhz_scan_starts_ulps_from_the_step(self):
+        # (i - half) * 0.1 is not spaced by exactly 0.1: the width start is
+        # the grid's spacing, a few ulps away from the configured step
+        x = make_scan(span=40.0, step=0.1).offsets_mhz()
+        t = np.ones_like(x)
+        t[250] = 0.5
+        meta = SpectrumMeta("dip", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
+        delta = initial_guess(Spectrum(x, t, meta))["delta_mhz"]
+        assert delta == x[251] - x[250] != 0.1
+        assert abs(delta - 0.1) <= 2 * np.spacing(x[250])
 
     def test_flat_spectrum_rejected(self):
-        scan = make_scan()
-        x = scan.offsets_mhz()
-        meta = SpectrumMeta("flat", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3,
-                            scan.span_mhz, scan.step_mhz, 20.0, math.inf, 0)
+        x = make_scan().offsets_mhz()
+        meta = SpectrumMeta("flat", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
         flat = Spectrum(x, np.ones_like(x), meta)
         with pytest.raises(DataError, match="line not in scan window"):
             initial_guess(flat)
 
     def test_minimum_at_edge_rejected(self):
-        scan = make_scan()
-        x = scan.offsets_mhz()
-        meta = SpectrumMeta("ramp", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3,
-                            scan.span_mhz, scan.step_mhz, 20.0, math.inf, 0)
+        x = make_scan().offsets_mhz()
+        meta = SpectrumMeta("ramp", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
         ramp = Spectrum(x, 1.0 - 1e-3 * (x - x[0]), meta)
         with pytest.raises(DataError, match="line not in scan window"):
             initial_guess(ramp)
 
     def test_too_few_points_rejected(self):
-        meta = SpectrumMeta("short", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3,
-                            10.0, 1.0, 20.0, math.inf, 0)
+        meta = SpectrumMeta("short", NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
         short = Spectrum(np.arange(-5.0, 6.0), np.ones(11), meta)
         with pytest.raises(DataError, match="16"):
             initial_guess(short)
@@ -280,7 +298,8 @@ class TestFitterStatistics:
             assert moved.params[name] == pytest.approx(base.params[name], rel=1e-9)
         # the slope hovers near zero, so "1e-9 relative" is taken against its
         # natural scale level/span (the transmission change it causes)
-        slope_scale = base.params["baseline_level"] / spectrum.meta.span_mhz
+        x = spectrum.freq_offset_mhz
+        slope_scale = base.params["baseline_level"] / (x[-1] - x[0])
         assert abs(moved.params["baseline_slope"] - base.params["baseline_slope"]) \
             <= 1e-9 * slope_scale
 

@@ -73,13 +73,18 @@ def test_finds_an_unread_constant_and_private_function():
     assert unread_definitions(sources) == [("a", "UNUSED"), ("a", "_g"), ("b", "Y")]
 
 
+# Constants only the run manifest reads: constants.as_dict takes them
+# through globals(), which no expression names.
+MANIFEST_ONLY = {"CONSTANTS_VERSION", "KB_CODATA_2002_SIGMA", "NH3_MASS_KG"}
+
+
 def test_package_reads_every_constant_and_private_function():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unread_definitions(sources) == []
+    assert unread_definitions(sources) == sorted(("constants", name) for name in MANIFEST_ONLY)
 
 
 # Exports waiting for their caller: the systematics budget of ROADMAP
-# direction 4 injects these effects and checks the closed-form corrections.
+# direction 7 injects these effects and checks the closed-form corrections.
 AWAITING_CALLER = {"broadening_homogeneous", "broadening_hyperfine", "broadening_modulation",
                    "inject_baseline_slope", "inject_parasitic_ramp"}
 

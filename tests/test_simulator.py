@@ -109,6 +109,15 @@ class TestSynthSeries:
         with pytest.raises(ValueError):
             synth_series(NH3, [], GasConditions(pressure_pa=1.0), scan(), KB, 7)
 
+    def test_spectra_equal_when_of_one_seed(self):
+        cond = GasConditions(pressure_pa=1.0)
+        first, _ = synth_spectrum(NH3, cond, scan(snr=1000.0), KB, 3)
+        again, _ = synth_spectrum(NH3, cond, scan(snr=1000.0), KB, 3)
+        other, _ = synth_spectrum(NH3, cond, scan(snr=1000.0), KB, 4)
+        assert (first == again) is True and (first != again) is False
+        assert (first == other) is False and first != other
+        assert first != first.meta
+
     def test_series_streams_independent_but_deterministic(self):
         cond = GasConditions(pressure_pa=1.0)
         s1 = synth_series(NH3, [1.0, 1.0], cond, scan(snr=1000.0), KB, 7)
@@ -127,6 +136,10 @@ class TestSynthSeries:
         assert grids[0] is grids[2] is grids[3]
         assert grids[1] is grids[4]
         np.testing.assert_array_equal(grids[0], scan().offsets_mhz())
+        # and one ground truth: what differs between replicas is the header's
+        truths = [truth for _, truth in pairs]
+        assert truths[0] is truths[2] is truths[3] and truths[1] is truths[4]
+        assert truths[0] != truths[1]
 
     @pytest.mark.parametrize("snr", [500.0, math.inf])
     @pytest.mark.parametrize("with_comb", [False, True])
@@ -146,9 +159,7 @@ class TestSynthSeries:
             want, want_truth = synth_spectrum(
                 NH3, GasConditions(pressure_pa=p), s, KB, child, temperature_sigma_k=0.01,
                 cell_length_m=0.25, **extra)
-            assert np.array_equal(spectrum.freq_offset_mhz, want.freq_offset_mhz)
-            assert np.array_equal(spectrum.transmission, want.transmission)
-            assert spectrum.meta == want.meta and truth == want_truth
+            assert spectrum == want and truth == want_truth
 
     def test_comb_samples_equal_a_direct_sum_over_the_components(self):
         hf, comb = HyperfineStructure.nh3_placeholder(), ModulationComb.paper_default()

@@ -5,7 +5,7 @@ import pytest
 
 from dopplerkb.spectra import Spectrum, SpectrumMeta
 
-META = SpectrumMeta("", 572113.0, 273.15, 0.0, 1.0, 0.3, 10.0, 1.0, 20.0, math.inf, 0)
+META = SpectrumMeta("", 572113.0, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
 GRID = np.arange(-5.0, 6.0)
 
 
@@ -41,7 +41,7 @@ def test_bad_samples_refused(spectrum, samples, match):
 
 
 def test_with_transmission_keeps_the_grid_array(spectrum):
-    meta = SpectrumMeta("", 572113.0, 273.15, 0.0, 2.0, 0.3, 10.0, 1.0, 20.0, 1000.0, 5)
+    meta = SpectrumMeta("", 572113.0, 273.15, 0.0, 2.0, 0.3, 1000.0, 5)
     samples = np.linspace(0.9, 1.0, GRID.size)
     other = spectrum.with_transmission(samples, meta)
     assert other.freq_offset_mhz is spectrum.freq_offset_mhz
