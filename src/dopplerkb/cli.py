@@ -101,7 +101,7 @@ def fit_command(spectra, out_path, model, max_iter):
         raise DataError(f"--max-iter: must be >= 1, got {max_iter}")
     paths = _collect_spectrum_paths(spectra)
     fit_model = FitModel.from_name(model)
-    # Files are read as the fitter consumes them, one block at a time.
+    # Files are read as the fitter consumes them, one as each row slot frees up.
     results = fit_series((read_spectrum(path) for path in paths), fit_model,
                          max_iter=max_iter, source_ids=[path.name for path in paths])
     write_fit_records(results, out_path)

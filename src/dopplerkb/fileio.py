@@ -33,6 +33,7 @@ from .fitter import FitModel, FitResult
 from .spectra import SCHEMA_VERSION, Spectrum, SpectrumMeta
 
 SPECTRUM_MAGIC = "# dopplerkb-spectrum"
+_COLUMNS = "frequency_offset_mhz transmission"
 # v1 also held span, step and time-constant lines, ignored like other keys.
 _READABLE_VERSIONS = ("v1", f"v{SCHEMA_VERSION}")
 
@@ -65,7 +66,7 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
     for name, kind in _HEADER_FIELDS.items():
         value = getattr(meta, name)
         lines.append(f"# {name}: {_fmt(value) if kind is float else value}")
-    lines.append("# columns: frequency_offset_mhz transmission")
+    lines.append(f"# columns: {_COLUMNS}")
     for f, t in zip(spectrum.freq_offset_mhz, spectrum.transmission):
         lines.append(f"{_fmt(f)} {_fmt(t)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -73,12 +74,14 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
 
 def read_spectrum(path) -> Spectrum:
     """Parse a spectrum file; errors name the offending line (or both lines
-    of a header field given twice)."""
+    of a header field given twice).  Line 1 is the magic, whitespace and a
+    readable version; a ``# columns:`` line must name the writer's columns."""
     text = Path(path).read_text()
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(SPECTRUM_MAGIC):
+    after = lines[0][len(SPECTRUM_MAGIC):] if lines else ""
+    if not lines or not lines[0].startswith(SPECTRUM_MAGIC) or after[:1].strip():
         raise DataError(f"{path}: line 1: not a dopplerkb spectrum file")
-    version = lines[0][len(SPECTRUM_MAGIC):].strip()
+    version = after.strip()
     if version not in _READABLE_VERSIONS:
         raise DataError(f"{path}: line 1: unsupported schema version {version!r} "
                         f"(this reader takes {' and '.join(_READABLE_VERSIONS)})")
@@ -94,6 +97,9 @@ def read_spectrum(path) -> Spectrum:
             body = line.lstrip("#").strip()
             key, colon, value = body.partition(":")
             key = key.strip()
+            if colon and key == "columns" and value.split() != _COLUMNS.split():
+                raise DataError(f"{path}: line {lineno}: columns {value.strip()!r}, "
+                                f"expected {_COLUMNS!r}")
             if colon and key in _HEADER_FIELDS:
                 if key in header:
                     raise DataError(f"{path}: lines {header[key][1]} and {lineno}: header "

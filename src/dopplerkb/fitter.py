@@ -12,23 +12,28 @@ a step raises the cost and shrinks tenfold on success, starting from 1e-3.
 Parameters are scaled internally (frequencies by the scan span, the slope by
 its inverse) to keep the normal matrix well conditioned.
 
-Spectra are fitted in blocks, after the design of Gpufit (Przybylski et al.,
-Sci. Rep. 7, 15722, 2017): consecutive spectra on one frequency grid form a
-``(rows, points)`` block of at most ``16384 // points`` rows, and each
-iteration advances every row still active at once.  The fitter makes one
-kernel call per parameter set: ``jacobian`` gives the model and its Jacobian
-for the start rows and then for each iteration's trial rows, and an accepted
-step keeps its trial's gradient and normal matrix.  These are formed with
-stacked ``matmul``, the conditioning test runs on the whole stack and the
-damped steps come from one stacked ``np.linalg.solve``.  Each row keeps its
-own damping factor, iteration count and convergence state, and leaves the
-active set as soon as it converges or runs out of iterations.  Every
-operation is row-wise, so a spectrum gets the same bits whether it is
-fitted alone or inside a block.  ``fit_spectrum`` is ``fit_series`` of a
-batch of one; ``fit_series`` ends each spectrum's fit in a ``fit_spectrum``
-call that only assembles the result from its row of the iterated block.
+Spectra are fitted in batches, after the design of Gpufit (Przybylski et
+al., Sci. Rep. 7, 15722, 2017): a workspace has ``16384 // points`` row
+slots, each holding one spectrum of the current frequency grid, and each
+iteration advances every occupied row at once.  A slot is refilled as soon
+as its fit ends, converged or out of iterations, so the batch never waits
+for its slowest row: the iteration-level scheduling of Orca (Yu et al., OSDI
+2022).  An iteration makes one kernel call: ``jacobian`` gives the model and
+its Jacobian for the start parameters of the rows just admitted together
+with the trial parameters of the active rows, and an accepted step keeps its
+trial's gradient and normal matrix.  These are formed with stacked
+``matmul``, the conditioning test runs on the whole stack, the damped steps
+come from one stacked ``np.linalg.solve``, and the covariances of the fits
+that end in an iteration from one stacked ``np.linalg.inv``.  Each row keeps
+its own damping factor, iteration count and convergence state.  Every
+operation is row-wise, so a spectrum gets the same bits whether it is fitted
+alone or among others, in whichever slot.  ``fit_spectrum`` is
+``fit_series`` of a batch of one; ``fit_series`` ends each spectrum's fit in
+a ``fit_spectrum`` call that only assembles the result from its row.  A
+spectrum on another grid waits until every slot is free, and the slots then
+start again on its grid.
 
-The iteration allocates no real array of the block's size; only the Voigt's
+The iteration allocates no real array of the slots' size; only the Voigt's
 complex intermediates (``scipy.special.wofz``) are allocated per call.
 ``fit_series`` allocates a workspace once per grid (again only when the
 number of points changes): the data and residual rows, the kernel's
@@ -44,11 +49,13 @@ heap, which malloc hands back to the OS, so the next iteration would fault
 the pages in again: about 28k minor faults per 400-spectrum W1 fit, a fifth
 of its time spent in the OS.  The single allocation matters too: glibc keeps
 a freed chunk that size in the heap, for the next ``fit_series`` call.  A
-block holds ``_BLOCK_ELEMENTS = 16384`` samples, so a ``(rows, points)``
+workspace holds ``_BLOCK_ELEMENTS = 16384`` samples, so a ``(rows, points)``
 buffer is 128 KiB and a Gaussian workspace (12 of them) 1.5 MiB, which stays
-in a core's L2 cache through the chain of ufuncs; a larger block spreads the
-per-iteration Python overhead over more rows, but iterates until its slowest
-row is done.
+in a core's L2 cache through the chain of ufuncs.  More slots spread the
+per-iteration Python overhead over more rows: on a 2-vCPU x86-64 host,
+32768 and 65536 samples fitted a W2 campaign 1.37x and 1.40x as fast, but
+raised the benchmark's peak RSS (about 62 MB, with a 10% bound) by 2.1 and
+5.3 MB on W2 and by 3.3 and 6.7 MB on W3.
 
 In the Gaussian variant the homogeneous width is fixed at zero: pressure
 broadening is deliberately absorbed into the fitted width, and the
@@ -77,7 +84,7 @@ DAMPING_START = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
 _COND_LIMIT = 1e14
-_BLOCK_ELEMENTS = 16384  # rows per block = this // points; 128 KiB per (rows, points)
+_BLOCK_ELEMENTS = 16384  # row slots = this // points; 128 KiB per (rows, points)
 
 
 class FitModel(enum.Enum):
@@ -139,7 +146,7 @@ def _columns(theta, model: FitModel) -> dict:
 
 
 class _Workspace(NamedTuple):
-    """Buffers for blocks of up to ``rows`` spectra of ``points`` samples:
+    """Buffers for up to ``rows`` spectra of ``points`` samples at once:
     the data rows, the residual rows, the kernel's and ``jacobian``'s
     intermediates and the Jacobian (see the module docstring)."""
 
@@ -300,15 +307,26 @@ def _row_costs(resid: np.ndarray) -> np.ndarray:
 
 
 def _normal_equations(js: np.ndarray, resid: np.ndarray) -> tuple:
-    """J^T r and J^T J of each row; raises ``FitError`` if a J^T J is degenerate."""
+    """J^T r and J^T J of each row; raises ``FitError`` if a J^T J is degenerate.
+
+    For a positive semi-definite H of order n, cond(H) <= trace(H)^n / det(H),
+    so a row with ``det(H) * _COND_LIMIT / 10 > trace(H)^n`` is well inside
+    the limit; the factor 10 covers the rounding of the LU determinant (about
+    n * eps * cond, 0.1 at 1e14).  Only the rows this screen leaves over go
+    through the SVD of ``np.linalg.cond``, so the decision is the SVD's.
+    """
     hess = js.transpose(0, 2, 1) @ js
-    if not np.all(np.isfinite(hess)) or np.any(np.linalg.cond(hess) > _COND_LIMIT):
+    if not np.all(np.isfinite(hess)):
+        raise FitError("degenerate fit: singular normal matrix")
+    unclear = (np.linalg.det(hess) * (_COND_LIMIT / 10)
+               <= np.trace(hess, axis1=1, axis2=2) ** hess.shape[-1])
+    if unclear.any() and np.any(np.linalg.cond(hess[unclear]) > _COND_LIMIT):
         raise FitError("degenerate fit: singular normal matrix")
     return (js.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0], hess
 
 
 class _Solution(NamedTuple):
-    """Outcome of iterating a block, one row per spectrum."""
+    """Outcome of the fits that ended in one iteration, one row per spectrum."""
 
     theta: np.ndarray
     covariance: np.ndarray
@@ -329,131 +347,196 @@ def _compact(arrays, keep) -> int:
     return len(rows)
 
 
-def _iterate_block(block: list, model: FitModel, max_iter: int,
-                   workspace: _Workspace) -> _Solution:
-    """Run the damped Gauss-Newton iteration on a block of (spectrum, start
-    vector) rows sharing one grid, in ``workspace``'s buffers."""
-    names = model.param_names
-    x = block[0][0].freq_offset_mhz
-    y = np.stack([spectrum.transmission for spectrum, _ in block],
-                 out=workspace.data[:len(block)])
-    theta = np.stack([start for _, start in block])
-    scale = _scales(names, float(x[-1] - x[0]))
-    diag = np.arange(len(names))
-    i_delta = names.index("delta_mhz")
-    i_level = names.index("baseline_level")
-    i_gamma = names.index("gamma_mhz") if "gamma_mhz" in names else None
+class _Slots:
+    """The rows of a workspace, each holding one spectrum of the current grid
+    from its admission until its fit ends (see the module docstring).
 
-    # Cost, gradient and normal matrix of each row at its current parameters.
-    # They come from the one kernel call at the start rows, and then from the
-    # trial call of each accepted step; a rejected step leaves them as they were.
-    values, js = jacobian(x, theta, model, scale, workspace=workspace)
-    resid = np.subtract(y, values, out=workspace.resid[:len(block)])
-    cost = _row_costs(resid)
-    grads, hessians = _normal_equations(js, resid)
-    lam = np.full(len(block), DAMPING_START)
-    n_iter = np.zeros(len(block), dtype=int)
-    converged = np.zeros(len(block), dtype=bool)
-    active = np.arange(len(block) if max_iter > 0 else 0)
+    Row ``s`` of the workspace's data and of ``theta``, ``cost``, ``grads``,
+    ``hessians``, ``lam`` and ``n_iter`` is the state of the spectrum in slot
+    ``s``; ``owners[s]`` is its (result index, spectrum, source id).
+    """
 
-    while active.size:
-        n_iter[active] += 1
-        grad = grads[active]
+    def __init__(self, points: int, model: FitModel, max_iter: int):
+        rows = max(1, _BLOCK_ELEMENTS // points)
+        names = model.param_names
+        n = len(names)
+        self.model, self.max_iter = model, max_iter
+        self.diag = np.arange(n)
+        self.i_delta = names.index("delta_mhz")
+        self.i_level = names.index("baseline_level")
+        self.i_gamma = names.index("gamma_mhz") if "gamma_mhz" in names else None
+        self.workspace = _Workspace.allocate(rows, points, model)
+        self.theta = np.empty((rows, n))
+        self.cost = np.empty(rows)
+        self.grads = np.empty((rows, n))
+        self.hessians = np.empty((rows, n, n))
+        self.lam = np.empty(rows)
+        self.n_iter = np.empty(rows, dtype=int)
+        self.owners = [None] * rows
+        self.free = list(range(rows))[::-1]  # popped lowest first
+        self.active = np.empty(0, dtype=int)  # slots being iterated
+        self.new = []                         # slots admitted since the last step
+        self.x = self.scale = None
+
+    @property
+    def points(self) -> int:
+        return self.workspace.data.shape[1]
+
+    @property
+    def busy(self) -> bool:
+        return len(self.free) < len(self.owners)
+
+    def takes(self, spectrum: Spectrum) -> bool:
+        """Whether a slot is free for ``spectrum``: one of the same number of
+        points when no slot is taken, else one on the current grid."""
+        if not self.free:
+            return False
+        if self.busy:  # replicas of a pressure share one grid array
+            x = spectrum.freq_offset_mhz
+            return x is self.x or np.array_equal(x, self.x)
+        return spectrum.n_points == self.points
+
+    def admit(self, index: int, spectrum: Spectrum, source_id: str, start) -> None:
+        if not self.busy:
+            self.x = spectrum.freq_offset_mhz
+            self.scale = _scales(self.model.param_names, float(self.x[-1] - self.x[0]))
+        slot = self.free.pop()
+        self.workspace.data[slot] = spectrum.transmission
+        self.theta[slot] = start
+        self.lam[slot] = DAMPING_START
+        self.n_iter[slot] = 0
+        self.owners[slot] = (index, spectrum, source_id)
+        self.new.append(slot)
+
+    def step(self, results: list) -> None:
+        """One iteration: a damped step for every active row, the start of
+        every new row, and the results of the fits that end, into
+        ``results``.  A new row is evaluated at its start parameters in the
+        same ``jacobian`` call as the active rows' trials, and its first step
+        comes in the next iteration."""
+        diag = self.diag
+        active, new = self.active, np.array(self.new, dtype=int)
+        self.new.clear()
+
+        self.n_iter[active] += 1
+        grad = self.grads[active]
         # A row whose gradient vanished is done; its normal matrix has still
         # been through the degeneracy test, which the covariance faces anyway.
         done = np.max(np.abs(grad), axis=1) < GRAD_TOL
-        damped = hessians[active]  # fancy indexing copies
-        damped[:, diag, diag] += lam[active, None] * np.maximum(damped[:, diag, diag], 1e-300)
+        damped = self.hessians[active]  # fancy indexing copies
+        damped[:, diag, diag] += self.lam[active, None] * np.maximum(damped[:, diag, diag],
+                                                                     1e-300)
         try:
             step = np.linalg.solve(damped, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             raise FitError("degenerate fit: singular normal matrix") from None
-        candidate = theta[active] + step * scale
-        if i_gamma is not None:
-            candidate[:, i_gamma] = np.abs(candidate[:, i_gamma])
+        candidate = self.theta[active] + step * self.scale
+        if self.i_gamma is not None:
+            candidate[:, self.i_gamma] = np.abs(candidate[:, self.i_gamma])
         # Steps to a non-positive width or level are rejected unevaluated.
-        trial = ~done & ~((candidate[:, i_delta] <= 0) | (candidate[:, i_level] <= 0))
-        rows = active[trial]
-        values, js = jacobian(x, candidate[trial], model, scale, workspace=workspace)
+        trial = ~done & ~((candidate[:, self.i_delta] <= 0) | (candidate[:, self.i_level] <= 0))
+
+        # Cost, gradient and normal matrix of each row at its current
+        # parameters come from the one kernel call at its start, and then
+        # from the trial call of each accepted step; a rejected step leaves
+        # them as they were.
+        tried = active[trial]
+        rows = np.concatenate((new, tried))
+        values, js = jacobian(self.x, np.concatenate((self.theta[new], candidate[trial])),
+                              self.model, self.scale, workspace=self.workspace)
         # the indices are in range, and "clip" takes rows without a copy of ``out``
-        new_resid = np.take(y, rows, axis=0, out=workspace.resid[:rows.size], mode="clip")
-        np.subtract(new_resid, values, out=new_resid)
-        new_cost = _row_costs(new_resid)
+        resid = np.take(self.workspace.data, rows, axis=0,
+                        out=self.workspace.resid[:rows.size], mode="clip")
+        np.subtract(resid, values, out=resid)
+        costs = _row_costs(resid)
+        new_cost = costs[new.size:]
         better = np.zeros_like(trial)
-        better[trial] = new_cost <= cost[rows]
+        better[trial] = new_cost <= self.cost[tried]
         kept = better[trial]  # the accepted ones among the trial rows
         accepted = active[better]
-        drop = cost[accepted] - new_cost[kept]
-        theta[accepted] = candidate[better]
-        cost[accepted] = new_cost[kept]
-        n_kept = _compact((js, new_resid), kept)
-        grads[accepted], hessians[accepted] = _normal_equations(js[:n_kept],
-                                                                new_resid[:n_kept])
-        lam[accepted] = np.maximum(lam[accepted] * DAMPING_DOWN, 1e-15)
-        lam[active[~done & ~better]] *= DAMPING_UP
-        converged[accepted] = (cost[accepted] == 0.0) | (drop < COST_TOL * cost[accepted])
-        converged[active[done]] = True
-        active = active[~converged[active] & (n_iter[active] < max_iter)]
+        drop = self.cost[accepted] - new_cost[kept]
+        self.theta[accepted] = candidate[better]
+        self.cost[accepted] = new_cost[kept]
+        self.cost[new] = costs[:new.size]
+        n_kept = _compact((js, resid), np.concatenate((np.ones(new.size, dtype=bool), kept)))
+        evaluated = np.concatenate((new, accepted))
+        self.grads[evaluated], self.hessians[evaluated] = _normal_equations(js[:n_kept],
+                                                                            resid[:n_kept])
+        self.lam[accepted] = np.maximum(self.lam[accepted] * DAMPING_DOWN, 1e-15)
+        self.lam[active[~done & ~better]] *= DAMPING_UP
 
-    resid_var = cost / (x.size - len(names))
-    cov = resid_var[:, None, None] * np.linalg.inv(hessians) * np.outer(scale, scale)
-    return _Solution(theta, cov, resid_var, n_iter, converged)
+        converged = np.concatenate((done, np.zeros(new.size, dtype=bool)))
+        converged[:active.size][better] = ((self.cost[accepted] == 0.0)
+                                           | (drop < COST_TOL * self.cost[accepted]))
+        live = np.concatenate((active, new))
+        ended = converged | (self.n_iter[live] >= self.max_iter)
+        self.active = live[~ended]
+        if ended.any():
+            self._finish(live[ended], converged[ended], results)
+
+    def _finish(self, slots: np.ndarray, converged: np.ndarray, results: list) -> None:
+        """Assemble the results of the fits in ``slots`` and free the slots."""
+        resid_var = self.cost[slots] / (self.x.size - len(self.model.param_names))
+        cov = (resid_var[:, None, None] * np.linalg.inv(self.hessians[slots])
+               * np.outer(self.scale, self.scale))
+        solution = _Solution(self.theta[slots], cov, resid_var, self.n_iter[slots], converged)
+        for r, slot in enumerate(slots.tolist()):
+            index, spectrum, source_id = self.owners[slot]
+            results[index] = fit_spectrum(spectrum, self.model, max_iter=self.max_iter,
+                                          source_id=source_id, _solved=(solution, r))
+            self.owners[slot] = None
+            self.free.append(slot)
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
                max_iter: int = MAX_ITER_DEFAULT, source_ids=None, inits=None) -> list:
     """Fit spectra in input order; each result is independent of the others.
 
-    ``spectra`` may be any iterable, a generator included: it is consumed one
-    block at a time.  ``source_ids`` and ``inits`` are optional iterables in
-    step with it, of labels and of starting-parameter dicts (``None`` for the
-    initial guess).  A fit that runs out of iterations comes back flagged
-    (``converged=False``); a degenerate problem (singular normal matrix, e.g.
-    vanishing depth) raises ``FitError``, and a spectrum that cannot be read
-    or started raises its own error once the spectra before it are fitted,
-    so errors surface in input order.
+    ``spectra`` may be any iterable, a generator included: it is read one
+    spectrum at a time, as row slots free up.  ``source_ids`` and ``inits``
+    are optional iterables in step with it, of labels and of
+    starting-parameter dicts (``None`` for the initial guess).  A fit that
+    runs out of iterations comes back flagged (``converged=False``); a
+    degenerate problem (singular normal matrix, e.g. vanishing depth) raises
+    ``FitError``, and a spectrum that cannot be read or started raises its
+    own error once the spectra before it are fitted, so errors surface in
+    input order.
 
-    Each result is assembled by a ``fit_spectrum`` call on the iterated
-    block, because the traced benchmark (``perfbench/tracing.py``) counts
-    fits, iterations and convergence by ``fit_spectrum`` calls.
+    Each result is assembled by a ``fit_spectrum`` call on its row of the
+    iteration it ended in, because the traced benchmark
+    (``perfbench/tracing.py``) counts fits, iterations and convergence by
+    ``fit_spectrum`` calls.
     """
     ids = iter(source_ids) if source_ids is not None else itertools.repeat("")
     starts = iter(inits) if inits is not None else itertools.repeat(None)
     rows = zip(spectra, ids, starts)
     results = []
-    block, block_ids = [], []
-    workspace = None
-
-    def finish():
-        solution = _iterate_block(block, model, max_iter, workspace)
-        results.extend(
-            fit_spectrum(spectrum, model, max_iter=max_iter, source_id=source_id,
-                         _solved=(solution, r))
-            for r, ((spectrum, _), source_id) in enumerate(zip(block, block_ids)))
-        block.clear()
-        block_ids.clear()
-
+    slots = None
+    waiting = None  # a started spectrum that no slot has taken yet
+    exhausted = False
     while True:
-        try:
-            spectrum, source_id, init = next(rows)
-            start = _start(spectrum, model, init)
-        except StopIteration:
-            break
-        except Exception:
-            if block:
-                finish()  # a FitError of an earlier spectrum comes first
-            raise
-        if block and (len(block) == len(workspace.data) or not np.array_equal(
-                spectrum.freq_offset_mhz, block[0][0].freq_offset_mhz)):
-            finish()
-        points = spectrum.n_points
-        if workspace is None or workspace.data.shape[1] != points:
-            workspace = _Workspace.allocate(max(1, _BLOCK_ELEMENTS // points), points, model)
-        block.append((spectrum, start))
-        block_ids.append(source_id)
-    if block:
-        finish()
-    return results
+        if waiting is None and not exhausted:
+            try:
+                spectrum, source_id, init = next(rows)
+                waiting = spectrum, source_id, _start(spectrum, model, init)
+            except StopIteration:
+                exhausted = True
+            except Exception:
+                while slots is not None and slots.busy:
+                    slots.step(results)  # a FitError of an earlier spectrum comes first
+                raise
+        if waiting is not None:
+            spectrum = waiting[0]
+            if slots is None or not slots.busy and slots.points != spectrum.n_points:
+                slots = _Slots(spectrum.n_points, model, max_iter)
+            if slots.takes(spectrum):
+                results.append(None)
+                slots.admit(len(results) - 1, *waiting)
+                waiting = None
+                continue
+        if slots is None or not slots.busy:
+            return results
+        slots.step(results)
 
 
 def fit_spectrum(
@@ -467,9 +550,9 @@ def fit_spectrum(
 ) -> FitResult:
     """Least-squares fit of one spectrum: ``fit_series`` of a batch of one.
 
-    ``_solved`` is ``(solution, row)`` of a block that ``fit_series`` has
-    iterated; it is passed only by ``fit_series``, to assemble that row's
-    result.
+    ``_solved`` is ``(solution, row)`` of the fits that ended in one of
+    ``fit_series``'s iterations; it is passed only by ``fit_series``, to
+    assemble that row's result.
     """
     if _solved is None:
         return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id],

@@ -44,6 +44,8 @@ class SpectrumMeta:
             raise ValueError("temperature must be positive")
         if self.temperature_sigma_k < 0:
             raise ValueError("temperature sigma must be >= 0")
+        if not (0 < self.pressure_pa < math.inf):
+            raise ValueError(f"pressure_pa must be positive and finite, got {self.pressure_pa}")
         if not (self.snr > 0):
             raise ValueError(f"snr must be positive (inf for noiseless), got {self.snr}")
         if not (0 < self.cell_length_m < math.inf):

@@ -363,7 +363,8 @@ class TestFitSeriesKb:
     def test_unknown_command_exits_1(self, capsys):
         assert run("frobnicate") == 1
 
-    @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan"])
+    @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan",
+                                      "# pressure_pa: -3"])
     def test_fit_refuses_a_header_value_the_metadata_refuses(self, tmp_path, spectra_dir,
                                                                capsys, line):
         path = sorted(spectra_dir.glob("spectrum_*.txt"))[1]
@@ -372,6 +373,20 @@ class TestFitSeriesKb:
                                   for l in path.read_text().splitlines()) + "\n")
         assert run("fit", spectra_dir, "--out", tmp_path / "f.jsonl") == 2
         assert capsys.readouterr().err.startswith(f"error: data: {path}: ")
+
+    @pytest.mark.parametrize("old, new", [
+        ("# columns: frequency_offset_mhz transmission",
+         "# columns: transmission frequency_offset_mhz"),
+        ("# dopplerkb-spectrum v2", "# dopplerkb-spectrumv2"),
+    ])
+    def test_fit_refuses_a_header_line_naming_it(self, tmp_path, spectra_dir, capsys, old, new):
+        path = sorted(spectra_dir.glob("spectrum_*.txt"))[1]
+        lines = path.read_text().splitlines()
+        at = lines.index(old)
+        lines[at] = new
+        path.write_text("\n".join(lines) + "\n")
+        assert run("fit", spectra_dir, "--out", tmp_path / "f.jsonl") == 2
+        assert capsys.readouterr().err.startswith(f"error: data: {path}: line {at + 1}: ")
 
     def test_missing_spectrum_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nope.txt"

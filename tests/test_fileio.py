@@ -89,7 +89,9 @@ class TestSpectrumFiles:
 
     @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan",
                                       "# cell_length_m: -1", "# cell_length_m: inf",
-                                      "# snr: 0", "# snr: -1000", "# snr: nan"])
+                                      "# snr: 0", "# snr: -1000", "# snr: nan",
+                                      "# pressure_pa: -3", "# pressure_pa: 0",
+                                      "# pressure_pa: inf"])
     def test_header_value_refused_by_the_metadata_is_data_error(self, tmp_path,
                                                                noisy_spectrum, line):
         path = tmp_path / "s.txt"
@@ -130,6 +132,30 @@ class TestSpectrumFiles:
         v1 = (["# dopplerkb-spectrum v1"] + lines[1:at]
               + ["# span_mhz: 250", "# step_mhz: 0.5", "# time_constant_ms: 20"] + lines[at:])
         path.write_text("\n".join(v1) + "\n")
+        assert read_spectrum(path) == noisy_spectrum
+
+    @pytest.mark.parametrize("columns", ["transmission frequency_offset_mhz",
+                                         "frequency_offset_mhz", "frequency transmission", ""])
+    def test_other_columns_line_rejected_naming_it(self, tmp_path, noisy_spectrum, columns):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        at = lines.index("# columns: frequency_offset_mhz transmission")
+        lines[at] = f"# columns: {columns}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"line {at + 1}: columns"):
+            read_spectrum(path)
+
+    def test_magic_without_a_space_before_the_version_rejected(self, tmp_path, noisy_spectrum):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        lines[0] = f"# dopplerkb-spectrumv{SCHEMA_VERSION}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 1: not a dopplerkb spectrum file"):
+            read_spectrum(path)
+        lines[0] = f"# dopplerkb-spectrum\tv{SCHEMA_VERSION}"
+        path.write_text("\n".join(lines) + "\n")
         assert read_spectrum(path) == noisy_spectrum
 
     def test_wrong_magic_rejected(self, tmp_path):

@@ -465,6 +465,80 @@ class TestBlockFitting:
         assert n_results == 400
         assert faults < 2000
 
+    def test_a_w1_series_fills_its_slots_and_evaluates_the_same_rows(self, monkeypatch):
+        # With its slots refilled as fits end, a 400-spectrum W1 fit makes
+        # about 90 kernel calls; iterated block by block it made about 200.
+        pressures = [p for p in GOLDEN_PRESSURES for _ in range(50)]
+        spectra = [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 23)]
+        rows, calls = [], []
+        columns, kernel = fitter._columns, fitter.jacobian
+
+        def recording(theta, model):
+            rows.extend(row.tobytes() for row in np.asarray(theta, dtype=float))
+            return columns(theta, model)
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "_columns", recording)
+        monkeypatch.setattr(fitter, "jacobian", counting)
+        batch = fit_series(spectra)
+        in_batch, rows[:] = sorted(rows), []
+        assert len(calls) <= 100
+        assert sum(calls) == len(in_batch)
+        alone = [fit_spectrum(spectrum) for spectrum in spectra]
+        assert sorted(rows) == in_batch
+        assert batch == alone
+
+    def test_an_error_of_an_earlier_row_comes_before_a_later_unstartable_one(self):
+        spectra = [s for s, _ in synth_series(NH3, [3.1] * 41, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 4)]
+        meta = spectra[40].meta
+        spectra[40] = spectra[40].with_transmission(np.ones(spectra[40].n_points), meta)
+        flat = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.0,
+                    baseline_level=1.0, baseline_slope=0.0)
+        inits = [None] * 41
+        inits[3] = flat
+        with pytest.raises(FitError, match="degenerate"):
+            fit_series(spectra, inits=inits)
+        with pytest.raises(DataError, match="line not in scan window"):
+            fit_series(spectra)
+
+    def test_the_slot_of_a_row_out_of_iterations_is_refilled(self, monkeypatch):
+        # Two slots: A runs out of iterations; B converges and C, which also
+        # runs out, takes its slot; D then takes A's slot while C still runs.
+        spectra = [s for s, _ in synth_series(NH3, [2.0, 3.1, 5.0, 7.5],
+                                              GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 31)]
+        far = dict(nu0_mhz=50.0, delta_mhz=20.0, peak_depth=0.1, baseline_level=1.0,
+                   baseline_slope=0.0)
+        inits = [far, None, dict(far, nu0_mhz=60.0), None]
+        calls = []
+        kernel = fitter.jacobian
+
+        def recording(*args, **kwargs):
+            calls.append({row.tobytes() for row in args[1]})
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "_BLOCK_ELEMENTS", 2 * spectra[0].n_points)
+        monkeypatch.setattr(fitter, "jacobian", recording)
+        a, b, c, d = fit_series(spectra, inits=inits, max_iter=10)
+        monkeypatch.undo()
+
+        def start_call(i):
+            start = fitter._start(spectra[i], FitModel.EXP_GAUSSIAN, inits[i]).tobytes()
+            return next(k for k, rows in enumerate(calls) if start in rows)
+
+        assert (a.converged, a.n_iter, c.converged, c.n_iter) == (False, 10, False, 10)
+        assert b.converged and b.n_iter < 10
+        assert start_call(0) == start_call(1) == 0
+        assert start_call(2) == b.n_iter + 1
+        assert start_call(3) == a.n_iter + 1 < start_call(2) + c.n_iter
+        for spectrum, init, result in zip(spectra, inits, (a, b, c, d)):
+            assert result == fit_spectrum(spectrum, init=init, max_iter=10)
+
     def test_per_spectrum_init_is_used(self):
         spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=12)
         base = fit_spectrum(spectrum)
@@ -472,6 +546,59 @@ class TestBlockFitting:
         assert restart.n_iter < base.n_iter
         assert restart.params["delta_mhz"] == pytest.approx(base.params["delta_mhz"],
                                                             rel=1e-9)
+
+
+def normal_matrix_stacks(seed):
+    """Jacobians (m, 5) whose J^T J have conditions from 1 to 1e17, most
+    between 3e13 and 3e14, in stacks of 1 to 8.  Every other one has its
+    three middle eigenvalues near half the largest, where trace^5 / det is
+    closest to the condition (about 780 times it)."""
+    rng = np.random.default_rng(seed)
+    conds = np.concatenate([10 ** rng.uniform(0, 17, 400),
+                            10 ** rng.uniform(math.log10(3e13), math.log10(3e14), 800)])
+    js = []
+    for k, cond in enumerate(conds):
+        u, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        if k % 2:
+            eigen = np.r_[1.0, rng.uniform(0.3, 0.7, 3), 1.0 / cond]
+        else:
+            eigen = np.r_[1.0, cond ** -np.sort(rng.uniform(0, 1, 3)), 1.0 / cond]
+        js.append((u * (rng.uniform(0.1, 1e3) * np.sqrt(eigen))) @ v.T)
+    rng.shuffle(js)
+    sizes = rng.integers(1, 9, len(js))
+    bounds = np.cumsum(sizes)[np.cumsum(sizes) < len(js)]
+    return np.split(np.array(js), bounds)
+
+
+class TestConditionScreen:
+    def test_raises_exactly_when_a_condition_number_exceeds_the_limit(self):
+        raised = 0
+        for js in normal_matrix_stacks(12):
+            resid = np.ones(js.shape[:2])
+            hess = js.transpose(0, 2, 1) @ js
+            if np.any(np.linalg.cond(hess) > fitter._COND_LIMIT):
+                raised += 1
+                with pytest.raises(FitError, match="degenerate"):
+                    fitter._normal_equations(js, resid)
+            else:
+                fitter._normal_equations(js, resid)
+        assert raised > 50
+
+    def test_no_w1_normal_matrix_reaches_the_svd(self, monkeypatch):
+        pressures = [p for p in GOLDEN_PRESSURES for _ in range(50)]
+        spectra = [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 29)]
+        svd_rows = []
+        cond = np.linalg.cond
+
+        def counting(hess, *args):
+            svd_rows.append(len(hess))
+            return cond(hess, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        results = fit_series(spectra)
+        assert len(results) == 400 and sum(svd_rows) == 0
 
 
 def assert_equals_loop(result, spectrum, model, **kwargs):

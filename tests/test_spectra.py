@@ -49,3 +49,9 @@ def test_with_transmission_keeps_the_grid_array(spectrum):
     np.testing.assert_array_equal(other.transmission, samples)
     np.testing.assert_array_equal(spectrum.transmission, np.ones(GRID.size))
     assert spectrum.with_transmission(samples).meta is META
+
+
+@pytest.mark.parametrize("pressure", [-3.0, 0.0, math.inf, math.nan])
+def test_pressure_not_positive_and_finite_refused(pressure):
+    with pytest.raises(ValueError, match="pressure_pa must be positive and finite"):
+        SpectrumMeta("", 572113.0, 273.15, 0.0, pressure, 0.3, math.inf, 0)
