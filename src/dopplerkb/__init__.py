@@ -10,12 +10,8 @@ with an itemized uncertainty budget.
 __version__ = "0.1.0"
 
 from .absorption import (
-    CorrectedWidth,
     HyperfineStructure,
     ModulationComb,
-    broadening_homogeneous,
-    broadening_hyperfine,
-    broadening_modulation,
     transmission,
 )
 from .boltzmann import (
@@ -39,8 +35,6 @@ from .simulator import (
     GasConditions,
     GroundTruth,
     ScanConfig,
-    inject_baseline_slope,
-    inject_parasitic_ramp,
     synth_series,
     synth_spectrum,
 )
@@ -48,7 +42,6 @@ from .spectra import Spectrum, SpectrumMeta
 
 __all__ = [
     "BoltzmannResult",
-    "CorrectedWidth",
     "DataError",
     "DopplerKBError",
     "ExtrapolationResult",
@@ -65,17 +58,12 @@ __all__ = [
     "TemperatureReading",
     "Transition",
     "WidthPoint",
-    "broadening_homogeneous",
-    "broadening_hyperfine",
-    "broadening_modulation",
     "default_slope_threshold",
     "doppler_width",
     "filter_by_slope",
     "fit_series",
     "fit_spectrum",
     "initial_guess",
-    "inject_baseline_slope",
-    "inject_parasitic_ramp",
     "jacobian",
     "kb_from_width",
     "points_from_fit_results",

@@ -1,7 +1,6 @@
-"""Physical absorption model: hyperfine comb, FM sideband comb, Beer-Lambert
-transmission (the one synthesis call, from line parameters to samples), and
-the closed-form width corrections for the small perturbations that broaden
-the apparent Gaussian.
+"""Physical absorption model: hyperfine comb, FM sideband comb and
+Beer-Lambert transmission (the one synthesis call, from line parameters to
+samples).
 
 ``transmission`` sums the Voigt profiles of the hyperfine x comb components
 (324 for the placeholder table times the paper's comb) without evaluating
@@ -15,17 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .lineshape import profile_derivatives, voigt
-
-# Validity limit of the first-order width-correction formulas; beyond it the
-# result is still computed but flagged.
-CORRECTION_DOMAIN_LIMIT = 0.1
 
 _WEIGHT_SUM_TOL = 1e-12
 _CENTROID_TOL_MHZ = 1e-9
@@ -66,10 +60,6 @@ class HyperfineStructure:
         if abs(centroid) > _CENTROID_TOL_MHZ:
             raise ValueError(f"hyperfine centroid must be 0 (got {centroid:.3e} MHz)")
 
-    @property
-    def span_mhz(self) -> float:
-        return float(max(self.offsets_mhz) - min(self.offsets_mhz))
-
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple]) -> "HyperfineStructure":
         """Build from raw (offset, weight) pairs, normalizing the weights and
@@ -92,7 +82,7 @@ class HyperfineStructure:
         normalized and offsets re-centered on load.
         """
         try:
-            text = Path(path).read_text()
+            text = read_text(path)
         except OSError as exc:
             raise DataError(f"{path}: cannot read hyperfine table ({exc.strerror})") from None
         pairs = []
@@ -246,49 +236,3 @@ def _expansion_order(s_max: float, weight: float) -> int:
         n += 1
     return n
 
-
-class CorrectedWidth(NamedTuple):
-    """A width-correction result with its validity flag."""
-
-    delta_mhz: float
-    within_domain: bool
-
-
-def broadening_homogeneous(delta_d_mhz: float, gamma_mhz: float) -> CorrectedWidth:
-    """Apparent Gaussian width with homogeneous (Lorentzian) broadening:
-    ``delta * (1 + 0.484 * gamma/delta)``, first order in ``gamma/delta``.
-
-    Valid for ``gamma/delta <= 0.1``; outside that the value is returned with
-    ``within_domain=False``.
-    """
-    if not (delta_d_mhz > 0):
-        raise ValueError("Doppler width must be positive")
-    if gamma_mhz < 0:
-        raise ValueError("homogeneous width must be >= 0")
-    ratio = gamma_mhz / delta_d_mhz
-    return CorrectedWidth(delta_d_mhz * (1.0 + 0.484 * ratio), ratio <= CORRECTION_DOMAIN_LIMIT)
-
-
-def broadening_hyperfine(delta_d_mhz: float, delta_hyp_mhz: float) -> CorrectedWidth:
-    """Apparent width with an unresolved structure of total span
-    ``delta_hyp``: ``delta * (1 + 0.254 * (delta_hyp/delta)**2)``.
-
-    The 0.254 coefficient is the worst case, an equal-amplitude doublet.
-    """
-    if not (delta_d_mhz > 0):
-        raise ValueError("Doppler width must be positive")
-    if delta_hyp_mhz < 0:
-        raise ValueError("hyperfine span must be >= 0")
-    ratio = delta_hyp_mhz / delta_d_mhz
-    return CorrectedWidth(delta_d_mhz * (1.0 + 0.254 * ratio**2), ratio <= CORRECTION_DOMAIN_LIMIT)
-
-
-def broadening_modulation(delta_d_mhz: float, depth_mhz: float) -> CorrectedWidth:
-    """Apparent width with FM modulation depth ``depth``:
-    ``delta * (1 + (depth/delta)**2)``."""
-    if not (delta_d_mhz > 0):
-        raise ValueError("Doppler width must be positive")
-    if depth_mhz < 0:
-        raise ValueError("modulation depth must be >= 0")
-    ratio = depth_mhz / delta_d_mhz
-    return CorrectedWidth(delta_d_mhz * (1.0 + ratio**2), ratio <= CORRECTION_DOMAIN_LIMIT)

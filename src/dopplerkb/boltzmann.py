@@ -27,10 +27,10 @@ class TemperatureReading:
     sigma_k: float = 0.0
 
     def __post_init__(self):
-        if not (self.value_k > 0):
-            raise ValueError("temperature must be positive")
-        if self.sigma_k < 0:
-            raise ValueError("temperature sigma must be >= 0")
+        if not (0 < self.value_k < math.inf):
+            raise ValueError(f"temperature must be positive and finite, got {self.value_k}")
+        if not (0 <= self.sigma_k < math.inf):
+            raise ValueError(f"temperature sigma must be >= 0 and finite, got {self.sigma_k}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ def kb_from_width(delta_d_mhz: float, transition: Transition,
                   temperature: TemperatureReading) -> float:
     """Boltzmann constant from the zero-pressure Doppler 1/e half-width:
     ``(m*c^2 / (2*T)) * (delta_d/nu)^2``."""
-    if not (delta_d_mhz > 0):
-        raise ValueError("Doppler width must be positive")
+    if not (0 < delta_d_mhz < math.inf):
+        raise ValueError(f"Doppler width must be positive and finite, got {delta_d_mhz}")
     mc2 = transition.mass_kg * constants.SPEED_OF_LIGHT_M_S**2
     return (mc2 / (2.0 * temperature.value_k)) * (delta_d_mhz / transition.nu0_mhz) ** 2
 
@@ -74,8 +74,8 @@ def uncertainty_budget(
     """
     for name, sigma in {"delta_d_sigma_mhz": delta_d_sigma_mhz, "mass_sigma_rel": mass_sigma_rel,
                         "nu_sigma_rel": nu_sigma_rel}.items():
-        if sigma < 0:
-            raise ValueError(f"{name} must be >= 0, got {sigma}")
+        if not (0 <= sigma < math.inf):
+            raise ValueError(f"{name} must be >= 0 and finite, got {sigma}")
     kb = kb_from_width(delta_d_mhz, transition, temperature)
     budget = {
         "width": 2.0 * delta_d_sigma_mhz / delta_d_mhz,

@@ -31,7 +31,7 @@ import numpy as np
 from . import constants
 from .absorption import HyperfineStructure
 from .boltzmann import TemperatureReading, uncertainty_budget
-from .errors import DataError
+from .errors import DataError, read_text
 from .lineshape import Transition, doppler_width
 from .simulator import (
     DEFAULT_ABSORPTION_DEPTH_PA,
@@ -196,7 +196,7 @@ def config_from_dict(raw: dict) -> CampaignConfig:
 
 def load_config(path) -> CampaignConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(read_text(path))
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

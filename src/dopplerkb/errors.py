@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the one text-file read
+that turns an undecodable file into a ``DataError``.
 
 The CLI maps these onto exit codes: usage errors exit 1, ``DataError`` exits
 2, ``FitError`` (degenerate or unconverged fits) exits 3.
 """
+
+from pathlib import Path
 
 
 class DopplerKBError(Exception):
@@ -15,3 +18,13 @@ class DataError(DopplerKBError):
 
 class FitError(DopplerKBError):
     """Degenerate or non-converged least-squares problems."""
+
+
+def read_text(path) -> str:
+    """The text of the file ``path``; one that is not UTF-8 is a ``DataError``
+    naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a UTF-8 text file (byte {exc.start}: "
+                        f"{exc.reason})") from None

@@ -159,12 +159,11 @@ def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0,
 
     resid = width - (a + b * amp)
     chi2 = float((weights * resid**2).sum())
-    dof = len(points) - 2
-    chi2_reduced = chi2 / dof if dof > 0 else float("nan")
+    chi2_reduced = chi2 / (len(points) - 2)  # MIN_POINTS leaves at least one dof
 
     sigma_a = math.sqrt(cov[0, 0])
     sigma_b = math.sqrt(cov[1, 1])
-    inflated = dof > 0 and chi2_reduced > 1.0
+    inflated = chi2_reduced > 1.0
     if inflated:
         factor = math.sqrt(chi2_reduced)
         sigma_a *= factor

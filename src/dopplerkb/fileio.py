@@ -1,9 +1,9 @@
 """File formats: spectrum files, fit-result records, regression summaries,
 uncertainty budgets and run manifests.
 
-Everything is text.  Floats are written with 17 significant digits so a
-write/read round trip is bit-exact.  All writes go through a temp file in
-the target directory followed by an atomic rename.
+Everything is UTF-8 text, whatever the locale.  Floats are written with 17
+significant digits so a write/read round trip is bit-exact.  All writes go
+through a temp file in the target directory followed by an atomic rename.
 
 Each record layout has one source that both its writer and its reader walk:
 the spectrum header is the fields of ``SpectrumMeta`` (``_HEADER_FIELDS``),
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import constants
 from .config import json_bool, json_integer, json_number, json_text
-from .errors import DataError
+from .errors import DataError, read_text
 from .extrapolation import ExtrapolationResult, WidthPoint
 from .fitter import FitModel, FitResult
 from .spectra import SCHEMA_VERSION, Spectrum, SpectrumMeta
@@ -51,7 +51,7 @@ def atomic_write_text(path, text: str) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -76,8 +76,7 @@ def read_spectrum(path) -> Spectrum:
     """Parse a spectrum file; errors name the offending line (or both lines
     of a header field given twice).  Line 1 is the magic, whitespace and a
     readable version; a ``# columns:`` line must name the writer's columns."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     after = lines[0][len(SPECTRUM_MAGIC):] if lines else ""
     if not lines or not lines[0].startswith(SPECTRUM_MAGIC) or after[:1].strip():
         raise DataError(f"{path}: line 1: not a dopplerkb spectrum file")
@@ -196,7 +195,7 @@ def write_fit_records(results: Sequence[FitResult], path) -> None:
 
 def read_fit_records(path) -> list:
     results = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}: line {lineno}"
@@ -244,7 +243,7 @@ _SUMMARY_INPUTS = (("delta_d_mhz", "> 0", lambda x: 0 < x < math.inf),
 
 def read_regression_summary(path) -> dict:
     try:
-        record = json.loads(Path(path).read_text())
+        record = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: bad regression summary ({exc})") from None
     if not isinstance(record, dict):

@@ -193,35 +193,3 @@ def synth_series(
         out.append(_replica(noiseless[pressure], child, scan.snr))
     return out
 
-
-def inject_baseline_slope(spectrum: Spectrum, slope_per_mhz: float) -> Spectrum:
-    """Add ``slope * (nu - nu0)`` to every sample.
-
-    This matches the fit model's own slope term exactly, so it is absorbed by
-    the slope parameter and leaves every other fitted parameter untouched;
-    use it to verify that round trip.
-    """
-    if not math.isfinite(slope_per_mhz):
-        raise ValueError("slope must be finite")
-    if slope_per_mhz == 0.0:
-        return spectrum
-    return spectrum.with_transmission(
-        spectrum.transmission + slope_per_mhz * spectrum.freq_offset_mhz
-    )
-
-
-def inject_parasitic_ramp(spectrum: Spectrum, ramp_per_mhz: float) -> Spectrum:
-    """Add stray light growing linearly from zero at the scan start:
-    ``ramp * (nu - nu_start)``.
-
-    Equivalent to a baseline slope plus a constant offset of
-    ``ramp * span/2``.  The offset is outside the fit model, so this is the
-    systematic that shifts fitted widths while betraying itself through the
-    fitted slope; it is what the slope filter is for.
-    """
-    if not math.isfinite(ramp_per_mhz):
-        raise ValueError("ramp must be finite")
-    if ramp_per_mhz == 0.0:
-        return spectrum
-    x = spectrum.freq_offset_mhz
-    return spectrum.with_transmission(spectrum.transmission + ramp_per_mhz * (x - x[0]))

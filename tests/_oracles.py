@@ -1,25 +1,12 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the package's own evaluation paths: the Voigt
-oracle integrates the convolution definition with adaptive quadrature, and
-the width-fit oracle goes through scipy's curve_fit rather than the
-package fitter.
+oracle integrates the convolution definition with adaptive quadrature.
 """
 
 import math
-import warnings
 
-import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import OptimizeWarning, curve_fit
-
-# Half-window of the width-fit oracle in units of the true 1/e half-width.
-# The first-order broadening coefficient of a Gaussian fitted to a Voigt
-# depends on the fit window; with a free constant baseline it rises from
-# 0.44 at 1.4 widths through 0.484 near sqrt(pi) widths to 0.56 at 2.5
-# widths.  sqrt(pi) (the profile's equivalent width, area/peak) reproduces
-# the published 0.484 coefficient to a few permil and is frozen here.
-FIT_ORACLE_HALFWIDTH = math.sqrt(math.pi)
 
 
 def voigt_quadrature(x: float, delta: float, gamma: float) -> float:
@@ -38,21 +25,3 @@ def voigt_quadrature(x: float, delta: float, gamma: float) -> float:
                   epsabs=1e-16, epsrel=1e-11, limit=400)
     return total + val
 
-
-def fit_gaussian_width(x: np.ndarray, y: np.ndarray, width_guess: float) -> float:
-    """1/e half-width of the best-fit Gaussian-plus-linear-baseline profile."""
-
-    def model(x, amp, width, x0, const, slope):
-        return amp * np.exp(-(((x - x0) / width) ** 2)) + const + slope * x
-
-    p0 = (float(y.max() - y.min()), width_guess, 0.0, float(y.min()), 0.0)
-    with warnings.catch_warnings():
-        # noiseless data fits exactly; the covariance estimate is irrelevant
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(model, x, y, p0=p0, maxfev=20000)
-    return abs(popt[1])
-
-
-def oracle_grid(delta: float, step: float = 0.5) -> np.ndarray:
-    half = FIT_ORACLE_HALFWIDTH * delta
-    return np.arange(-half, half + 1e-12, step)

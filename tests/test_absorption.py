@@ -3,22 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dopplerkb import (
-    HyperfineStructure,
-    ModulationComb,
-    broadening_homogeneous,
-    broadening_hyperfine,
-    broadening_modulation,
-    transmission,
-    voigt,
-)
+from dopplerkb import HyperfineStructure, ModulationComb, transmission, voigt
 from dopplerkb.absorption import _component_sum
 from dopplerkb.config import CampaignConfig
 from dopplerkb.errors import DataError
 from dopplerkb.lineshape import Transition, doppler_width
 from dopplerkb.simulator import ScanConfig
-
-from _oracles import fit_gaussian_width, oracle_grid
 
 DELTA = 49.883040330170026
 CENTER = np.array([0.0])
@@ -135,89 +125,6 @@ class TestTransmission:
             assert np.all(t <= 1.0)
 
 
-class TestBroadeningHomogeneous:
-    def test_identity_at_zero(self):
-        assert broadening_homogeneous(DELTA, 0.0).delta_mhz == DELTA
-
-    def test_paper_coefficient(self):
-        out = broadening_homogeneous(DELTA, 1e-2 * DELTA)
-        assert out.delta_mhz / DELTA - 1.0 == pytest.approx(4.84e-3, rel=1e-12)
-        assert out.within_domain
-
-    def test_against_gaussian_fit_oracle(self):
-        # fit a Gaussian profile to a synthetic Voigt and compare widths
-        x = oracle_grid(DELTA)
-        for ratio in (1e-3, 3e-3, 1e-2):
-            fitted = fit_gaussian_width(x, voigt(x, DELTA, ratio * DELTA), DELTA)
-            predicted = broadening_homogeneous(DELTA, ratio * DELTA).delta_mhz
-            correction = predicted - DELTA
-            assert abs(fitted - predicted) <= 0.05 * correction
-
-    def test_domain_flag(self):
-        assert not broadening_homogeneous(DELTA, 0.2 * DELTA).within_domain
-
-    def test_monotone_in_gamma(self):
-        gammas = np.linspace(0.0, 0.1 * DELTA, 10)
-        widths = [broadening_homogeneous(DELTA, g).delta_mhz for g in gammas]
-        assert all(a < b for a, b in zip(widths, widths[1:]))
-
-
-class TestBroadeningHyperfine:
-    def test_identity_at_zero(self):
-        assert broadening_hyperfine(DELTA, 0.0).delta_mhz == DELTA
-
-    def test_negligible_at_paper_scale(self):
-        out = broadening_hyperfine(DELTA, 0.150)
-        rel = out.delta_mhz / DELTA - 1.0
-        assert rel == pytest.approx(0.254 * (0.150 / DELTA) ** 2, rel=1e-12)
-        assert rel < 5e-6
-
-    def test_doublet_fit_oracle(self):
-        # equal-amplitude doublet of total span s: second-moment argument
-        # predicts ~0.25, the published worst-case coefficient is 0.254
-        x = oracle_grid(DELTA)
-        for ratio in (0.01, 0.03, 0.05):
-            s = ratio * DELTA
-            y = 0.5 * (voigt(x - s / 2, DELTA, 0.0) + voigt(x + s / 2, DELTA, 0.0))
-            fitted = fit_gaussian_width(x, y, DELTA)
-            predicted = broadening_hyperfine(DELTA, s).delta_mhz
-            correction = predicted - DELTA
-            assert abs(fitted - predicted) <= 0.10 * correction
-
-
-class TestBroadeningModulation:
-    def test_identity_at_zero(self):
-        assert broadening_modulation(DELTA, 0.0).delta_mhz == DELTA
-
-    def test_negligible_at_paper_depth(self):
-        out = broadening_modulation(DELTA, 0.038)
-        rel = out.delta_mhz / DELTA - 1.0
-        assert rel == pytest.approx((0.038 / DELTA) ** 2, rel=1e-12)
-        assert rel < 1e-6
-
-    def test_comb_oracle_same_order_logged(self, capsys):
-        # The formula uses a unit coefficient; a comb-convolution fit oracle
-        # lands near 0.5 for sinusoidal FM.  At the real 38 kHz depth the
-        # whole effect is ~6e-7 relative, far below every tolerance, so the
-        # discrepancy is recorded here and not asserted.
-        depth_mhz = 1.0
-        comb = ModulationComb(depth_mhz * 1e3 / 4.75, depth_mhz * 1e3)
-        x = oracle_grid(DELTA)
-        y = np.zeros_like(x)
-        for off, w in zip(comb.offsets_mhz, comb.weights):
-            y += w * voigt(x - off, DELTA, 0.0)
-        fitted = fit_gaussian_width(x, y, DELTA)
-        coeff = (fitted / DELTA - 1.0) / (depth_mhz / DELTA) ** 2
-        print(f"modulation-broadening oracle coefficient: {coeff:.3f} "
-              f"(formula uses 1.0)")
-        assert 0.0 < coeff <= 1.5
-
-    def test_all_corrections_monotone(self):
-        for fn in (broadening_hyperfine, broadening_modulation):
-            values = [fn(DELTA, p).delta_mhz for p in np.linspace(0, 0.1 * DELTA, 8)]
-            assert all(a < b for a, b in zip(values, values[1:]))
-
-
 class TestHyperfineStructure:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -235,7 +142,7 @@ class TestHyperfineStructure:
     def test_placeholder_spans_150_khz(self):
         hf = HyperfineStructure.nh3_placeholder()
         assert len(hf.weights) == 12
-        assert hf.span_mhz == pytest.approx(0.150, rel=1e-12)
+        assert max(hf.offsets_mhz) - min(hf.offsets_mhz) == pytest.approx(0.150, rel=1e-12)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "hyperfine.txt"

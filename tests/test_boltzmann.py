@@ -44,6 +44,20 @@ class TestKbFromWidth:
         with pytest.raises(ValueError):
             kb_from_width(0.0, NH3, T_CELL)
 
+    @pytest.mark.parametrize("width", [math.inf, math.nan])
+    def test_rejects_non_finite_width(self, width):
+        with pytest.raises(ValueError, match="positive and finite"):
+            kb_from_width(width, NH3, T_CELL)
+
+
+class TestTemperatureReading:
+    @pytest.mark.parametrize("value_k, sigma_k", [
+        (math.inf, 0.0), (math.nan, 0.0), (273.15, math.inf), (273.15, math.nan),
+    ])
+    def test_rejects_non_finite_value_or_sigma(self, value_k, sigma_k):
+        with pytest.raises(ValueError, match="finite"):
+            TemperatureReading(value_k, sigma_k)
+
 
 class TestUncertaintyBudget:
     def test_paper_terms(self):
@@ -96,3 +110,11 @@ class TestUncertaintyBudget:
     def test_rejects_negative_sigmas(self):
         with pytest.raises(ValueError):
             uncertainty_budget(49.8831, -0.001, NH3, T_CELL)
+
+    @pytest.mark.parametrize("name", ["delta_d_sigma_mhz", "mass_sigma_rel", "nu_sigma_rel"])
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_rejects_non_finite_sigmas_naming_them(self, name, sigma):
+        kwargs = {"mass_sigma_rel": 0.0, "nu_sigma_rel": 0.0, name: sigma}
+        width_sigma = kwargs.pop("delta_d_sigma_mhz", 0.001)
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+            uncertainty_budget(49.8831, width_sigma, NH3, T_CELL, **kwargs)

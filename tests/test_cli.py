@@ -388,6 +388,23 @@ class TestFitSeriesKb:
         assert run("fit", spectra_dir, "--out", tmp_path / "f.jsonl") == 2
         assert capsys.readouterr().err.startswith(f"error: data: {path}: line {at + 1}: ")
 
+    @pytest.mark.parametrize("args", [
+        ("fit", "bad.txt", "--out", "f.jsonl"),
+        ("series", "--fits", "bad.txt", "--out-summary", "s.json", "--out-table", "t.txt"),
+        ("kb", "--summary", "bad.txt", "--out", "kb.json"),
+        ("simulate", "--config", "bad.txt", "--out", "spectra"),
+        ("simulate", "--config", "hf.json", "--out", "spectra"),
+    ], ids=["spectrum", "fit records", "summary", "config", "hyperfine table"])
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                     args):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.txt").write_bytes(b"\x89PNG\r\n\x1a\n")
+        Path("hf.json").write_text(json.dumps({"hyperfine_file": "bad.txt"}))
+        assert run(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "bad.txt: not a UTF-8 text file" in err
+        assert sorted(os.listdir()) == ["bad.txt", "hf.json"]
+
     def test_missing_spectrum_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nope.txt"
         path.write_text("garbage\n")
@@ -475,6 +492,12 @@ class TestBudgetCommands:
         ("--delta-d-sigma-mhz", -0.1),
         ("--temperature-k", -3.0),
         ("--mass-sigma-rel", -1.0),
+        ("--delta-d-mhz", math.inf),
+        ("--delta-d-sigma-mhz", math.nan),
+        ("--temperature-k", math.inf),
+        ("--temperature-sigma-k", math.nan),
+        ("--mass-sigma-rel", math.nan),
+        ("--nu-sigma-rel", math.inf),
     ])
     def test_refused_value_exits_2_naming_the_option(self, tmp_path, capsys, option, value):
         args = {"--delta-d-mhz": 49.88, "--delta-d-sigma-mhz": 0.01, option: value}
@@ -509,6 +532,18 @@ class TestProcessContract:
         text = " ".join(capsys.readouterr().out.split())
         assert "from config" not in text
         assert "default: exp-gaussian" in text
+
+    def test_non_ascii_label_is_written_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # the readers take UTF-8 only, so the writers must not use the locale's encoding
+        src = str(Path(dopplerkb.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        cfg = write_config(tmp_path, transition={"label": "NH3 \u00b5"}, pressures_pa=[1.0])
+        subprocess.run([sys.executable, "-m", "dopplerkb.cli", "simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "x")], env=env, capture_output=True, timeout=60,
+                       check=True)
+        spectrum = read_spectrum(tmp_path / "x" / "spectrum_p00_r000.txt")
+        assert spectrum.meta.transition_label == "NH3 \u00b5"
 
     def test_import_does_not_load_scipy_special(self):
         src = str(Path(dopplerkb.__file__).resolve().parents[1])

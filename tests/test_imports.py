@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, the package reads
-each constant and private function it defines, and each name it exports.
+each constant and private function it defines, and a module other than
+``__init__.py`` reads each name it exports, with no exemption: an export
+that only the tests call is removed.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -83,12 +85,6 @@ def test_package_reads_every_constant_and_private_function():
     assert unread_definitions(sources) == sorted(("constants", name) for name in MANIFEST_ONLY)
 
 
-# Exports waiting for their caller: the systematics budget of ROADMAP
-# direction 7 injects these effects and checks the closed-form corrections.
-AWAITING_CALLER = {"broadening_homogeneous", "broadening_hyperfine", "broadening_modulation",
-                   "inject_baseline_slope", "inject_parasitic_ramp"}
-
-
 def unused_exports(exports, sources: list) -> list:
     """Each name of ``exports`` that no module of ``sources`` reads as a name
     or imports."""
@@ -109,4 +105,4 @@ def test_finds_an_unused_export():
 
 def test_package_uses_every_export():
     sources = [path.read_text() for path in MODULES]
-    assert unused_exports(dopplerkb.__all__, sources) == sorted(AWAITING_CALLER)
+    assert unused_exports(dopplerkb.__all__, sources) == []
