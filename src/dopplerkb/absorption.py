@@ -81,12 +81,8 @@ class HyperfineStructure:
         One component per line, ``#`` starts a comment.  Weights are
         normalized and offsets re-centered on load.
         """
-        try:
-            text = read_text(path)
-        except OSError as exc:
-            raise DataError(f"{path}: cannot read hyperfine table ({exc.strerror})") from None
         pairs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -47,14 +47,27 @@ class BoltzmannResult:
     combined_relative: float
 
 
+def _squared(x: float) -> float:
+    """``x ** 2``, or inf where that overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def kb_from_width(delta_d_mhz: float, transition: Transition,
                   temperature: TemperatureReading) -> float:
     """Boltzmann constant from the zero-pressure Doppler 1/e half-width:
-    ``(m*c^2 / (2*T)) * (delta_d/nu)^2``."""
+    ``(m*c^2 / (2*T)) * (delta_d/nu)^2``; a result that is not positive and
+    finite (it over- or underflows) is a ``ValueError``."""
     if not (0 < delta_d_mhz < math.inf):
         raise ValueError(f"Doppler width must be positive and finite, got {delta_d_mhz}")
     mc2 = transition.mass_kg * constants.SPEED_OF_LIGHT_M_S**2
-    return (mc2 / (2.0 * temperature.value_k)) * (delta_d_mhz / transition.nu0_mhz) ** 2
+    kb = (mc2 / (2.0 * temperature.value_k)) * _squared(delta_d_mhz / transition.nu0_mhz)
+    if not (0 < kb < math.inf):
+        raise ValueError(f"k_B must be positive and finite, got {kb} J/K from a Doppler "
+                         f"width of {delta_d_mhz} MHz at {temperature.value_k} K")
+    return kb
 
 
 def uncertainty_budget(
@@ -70,7 +83,8 @@ def uncertainty_budget(
 
     Relative contributions: ``2*sigma_delta/delta`` (width),
     ``sigma_T/T`` (temperature), ``2*sigma_nu/nu`` (frequency) and
-    ``sigma_m/m`` (mass), combined in quadrature.
+    ``sigma_m/m`` (mass), combined in quadrature.  A k_B or a combined
+    uncertainty that is not finite is a ``ValueError``.
     """
     for name, sigma in {"delta_d_sigma_mhz": delta_d_sigma_mhz, "mass_sigma_rel": mass_sigma_rel,
                         "nu_sigma_rel": nu_sigma_rel}.items():
@@ -83,10 +97,13 @@ def uncertainty_budget(
         "frequency": 2.0 * nu_sigma_rel,
         "mass": mass_sigma_rel,
     }
-    combined = math.sqrt(sum(v**2 for v in budget.values()))
+    combined = math.sqrt(sum(_squared(v) for v in budget.values()))
+    sigma_kb = kb * combined
+    if not sigma_kb < math.inf:
+        raise ValueError(f"the uncertainty of k_B overflows (relative terms {budget})")
     return BoltzmannResult(
         kb=kb,
-        sigma_kb=kb * combined,
+        sigma_kb=sigma_kb,
         budget=budget,
         combined_relative=combined,
     )

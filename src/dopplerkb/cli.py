@@ -156,7 +156,8 @@ def kb(summary_path, config_path, out_path):
     """Convert an extrapolated width into k_B with its uncertainty budget."""
     summary = read_regression_summary(summary_path)
     cfg = load_config(config_path) if config_path else CampaignConfig()
-    result = uncertainty_budget(
+    result = _refused_as(
+        summary_path, uncertainty_budget,
         summary["delta_d_mhz"], summary["delta_d_sigma_mhz"],
         cfg.transition(),
         TemperatureReading(cfg.temperature_k, cfg.temperature_sigma_k),
@@ -183,19 +184,21 @@ def kb(summary_path, config_path, out_path):
 def budget(delta_d_mhz, delta_d_sigma_mhz, temperature_k, temperature_sigma_k,
            mass_sigma_rel, nu_sigma_rel, out_path):
     """Uncertainty budget for explicit width/temperature inputs (NH3 line)."""
-    # Each build adds one option to those already accepted: a refusal names it.
-    reading = _refused_as("--temperature-k", TemperatureReading, temperature_k)
-    reading = _refused_as("--temperature-sigma-k", TemperatureReading, temperature_k,
-                          temperature_sigma_k)
-
-    def terms(sigma, mass, nu):
-        return uncertainty_budget(delta_d_mhz, sigma, Transition.nh3(), reading,
+    # Each build adds one option to those already accepted, the width first
+    # at the default temperature: a refusal names the option it added.
+    def terms(t, t_sigma=0.0, width_sigma=0.0, mass=0.0, nu=0.0):
+        return uncertainty_budget(delta_d_mhz, width_sigma, Transition.nh3(),
+                                  TemperatureReading(t, t_sigma),
                                   mass_sigma_rel=mass, nu_sigma_rel=nu)
 
-    _refused_as("--delta-d-mhz", terms, 0.0, 0.0, 0.0)
-    _refused_as("--delta-d-sigma-mhz", terms, delta_d_sigma_mhz, 0.0, 0.0)
-    _refused_as("--mass-sigma-rel", terms, delta_d_sigma_mhz, mass_sigma_rel, 0.0)
-    result = _refused_as("--nu-sigma-rel", terms, delta_d_sigma_mhz, mass_sigma_rel, nu_sigma_rel)
+    _refused_as("--delta-d-mhz", terms, constants.CELL_TEMPERATURE_K)
+    _refused_as("--temperature-k", terms, temperature_k)
+    reading = (temperature_k, temperature_sigma_k)
+    _refused_as("--temperature-sigma-k", terms, *reading)
+    _refused_as("--delta-d-sigma-mhz", terms, *reading, delta_d_sigma_mhz)
+    _refused_as("--mass-sigma-rel", terms, *reading, delta_d_sigma_mhz, mass_sigma_rel)
+    result = _refused_as("--nu-sigma-rel", terms, *reading, delta_d_sigma_mhz, mass_sigma_rel,
+                         nu_sigma_rel)
     click.echo(format_budget_table(result))
     if out_path:
         write_boltzmann_record(result, out_path)

@@ -197,8 +197,6 @@ def config_from_dict(raw: dict) -> CampaignConfig:
 def load_config(path) -> CampaignConfig:
     try:
         raw = json.loads(read_text(path))
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if isinstance(raw, dict) and isinstance(raw.get("hyperfine_file"), str):

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the toolkit, and the one text-file read
-that turns an undecodable file into a ``DataError``.
+that turns an unreadable or undecodable file into a ``DataError``.
 
 The CLI maps these onto exit codes: usage errors exit 1, ``DataError`` exits
 2, ``FitError`` (degenerate or unconverged fits) exits 3.
@@ -21,10 +21,12 @@ class FitError(DopplerKBError):
 
 
 def read_text(path) -> str:
-    """The text of the file ``path``; one that is not UTF-8 is a ``DataError``
-    naming it."""
+    """The text of the file ``path``; one that cannot be read (missing, a
+    directory, no permission) or is not UTF-8 is a ``DataError`` naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a UTF-8 text file (byte {exc.start}: "
                         f"{exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None

@@ -43,7 +43,8 @@ carved from one array.  An evaluation of ``n`` rows uses the ``[:n]`` views
 of these buffers, and ``jacobian``, ``lineshape.profile`` and the residuals
 write every intermediate into them through the ufuncs' ``out=``, with the
 same operations in the same order as the expressions they replace, so the
-bits are unchanged; rejected trial rows are compacted out in place.
+bits are unchanged; the normal equations of rejected trials are formed
+with the others and dropped.
 Temporaries allocated per iteration would be freed to the top of glibc's
 heap, which malloc hands back to the OS, so the next iteration would fault
 the pages in again: about 28k minor faults per 400-spectrum W1 fit, a fifth
@@ -306,45 +307,28 @@ def _row_costs(resid: np.ndarray) -> np.ndarray:
     return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
 
 
-def _normal_equations(js: np.ndarray, resid: np.ndarray) -> tuple:
-    """J^T r and J^T J of each row; raises ``FitError`` if a J^T J is degenerate.
+def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray) -> tuple:
+    """J^T r and J^T J of the rows where ``keep`` is true; raises ``FitError``
+    if one of their J^T J is degenerate.
 
-    For a positive semi-definite H of order n, cond(H) <= trace(H)^n / det(H),
-    so a row with ``det(H) * _COND_LIMIT / 10 > trace(H)^n`` is well inside
-    the limit; the factor 10 covers the rounding of the LU determinant (about
-    n * eps * cond, 0.1 at 1e14).  Only the rows this screen leaves over go
-    through the SVD of ``np.linalg.cond``, so the decision is the SVD's.
+    Both are formed for every row of ``js`` and ``resid`` and those of the
+    other rows dropped, so the kept rows need not be moved together first; a
+    row that is not kept never raises.  For a positive semi-definite H of
+    order n, cond(H) <= trace(H)^n / det(H), so a row with
+    ``det(H) * _COND_LIMIT / 10 > trace(H)^n`` is well inside the limit; the
+    factor 10 covers the rounding of the LU determinant (about n * eps *
+    cond, 0.1 at 1e14).  Only the rows this screen leaves over go through the
+    SVD of ``np.linalg.cond``, so the decision is the SVD's.
     """
-    hess = js.transpose(0, 2, 1) @ js
+    jt = js.transpose(0, 2, 1)
+    hess = (jt @ js)[keep]
     if not np.all(np.isfinite(hess)):
         raise FitError("degenerate fit: singular normal matrix")
     unclear = (np.linalg.det(hess) * (_COND_LIMIT / 10)
                <= np.trace(hess, axis1=1, axis2=2) ** hess.shape[-1])
     if unclear.any() and np.any(np.linalg.cond(hess[unclear]) > _COND_LIMIT):
         raise FitError("degenerate fit: singular normal matrix")
-    return (js.transpose(0, 2, 1) @ resid[:, :, None])[:, :, 0], hess
-
-
-class _Solution(NamedTuple):
-    """Outcome of the fits that ended in one iteration, one row per spectrum."""
-
-    theta: np.ndarray
-    covariance: np.ndarray
-    resid_var: np.ndarray
-    n_iter: np.ndarray
-    converged: np.ndarray
-
-
-def _compact(arrays, keep) -> int:
-    """Move the rows where ``keep`` is true to the front of each array, in
-    order, in place; returns their number.  Row ``i`` of the result comes
-    from a row at or after ``i``, so a row is read before it is overwritten."""
-    rows = np.flatnonzero(keep).tolist()
-    for dst, src in enumerate(rows):
-        if dst != src:
-            for a in arrays:
-                a[dst] = a[src]
-    return len(rows)
+    return (jt @ resid[:, :, None])[keep, :, 0], hess
 
 
 class _Slots:
@@ -379,10 +363,6 @@ class _Slots:
         self.x = self.scale = None
 
     @property
-    def points(self) -> int:
-        return self.workspace.data.shape[1]
-
-    @property
     def busy(self) -> bool:
         return len(self.free) < len(self.owners)
 
@@ -394,7 +374,7 @@ class _Slots:
         if self.busy:  # replicas of a pressure share one grid array
             x = spectrum.freq_offset_mhz
             return x is self.x or np.array_equal(x, self.x)
-        return spectrum.n_points == self.points
+        return spectrum.n_points == self.workspace.data.shape[1]
 
     def admit(self, index: int, spectrum: Spectrum, source_id: str, start) -> None:
         if not self.busy:
@@ -450,18 +430,16 @@ class _Slots:
         np.subtract(resid, values, out=resid)
         costs = _row_costs(resid)
         new_cost = costs[new.size:]
+        kept = new_cost <= self.cost[tried]  # the accepted ones among the trial rows
         better = np.zeros_like(trial)
-        better[trial] = new_cost <= self.cost[tried]
-        kept = better[trial]  # the accepted ones among the trial rows
+        better[trial] = kept
         accepted = active[better]
         drop = self.cost[accepted] - new_cost[kept]
         self.theta[accepted] = candidate[better]
-        self.cost[accepted] = new_cost[kept]
-        self.cost[new] = costs[:new.size]
-        n_kept = _compact((js, resid), np.concatenate((np.ones(new.size, dtype=bool), kept)))
-        evaluated = np.concatenate((new, accepted))
-        self.grads[evaluated], self.hessians[evaluated] = _normal_equations(js[:n_kept],
-                                                                            resid[:n_kept])
+        keep = np.concatenate((np.ones(new.size, dtype=bool), kept))
+        evaluated = rows[keep]  # the new rows, then the accepted ones
+        self.cost[evaluated] = costs[keep]
+        self.grads[evaluated], self.hessians[evaluated] = _normal_equations(js, resid, keep)
         self.lam[accepted] = np.maximum(self.lam[accepted] * DAMPING_DOWN, 1e-15)
         self.lam[active[~done & ~better]] *= DAMPING_UP
 
@@ -479,11 +457,11 @@ class _Slots:
         resid_var = self.cost[slots] / (self.x.size - len(self.model.param_names))
         cov = (resid_var[:, None, None] * np.linalg.inv(self.hessians[slots])
                * np.outer(self.scale, self.scale))
-        solution = _Solution(self.theta[slots], cov, resid_var, self.n_iter[slots], converged)
-        for r, slot in enumerate(slots.tolist()):
+        for slot, *solved in zip(slots.tolist(), self.theta[slots], cov, resid_var,
+                                 self.n_iter[slots], converged):
             index, spectrum, source_id = self.owners[slot]
             results[index] = fit_spectrum(spectrum, self.model, max_iter=self.max_iter,
-                                          source_id=source_id, _solved=(solution, r))
+                                          source_id=source_id, _solved=tuple(solved))
             self.owners[slot] = None
             self.free.append(slot)
 
@@ -512,31 +490,23 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
     rows = zip(spectra, ids, starts)
     results = []
     slots = None
-    waiting = None  # a started spectrum that no slot has taken yet
-    exhausted = False
     while True:
-        if waiting is None and not exhausted:
-            try:
-                spectrum, source_id, init = next(rows)
-                waiting = spectrum, source_id, _start(spectrum, model, init)
-            except StopIteration:
-                exhausted = True
-            except Exception:
-                while slots is not None and slots.busy:
-                    slots.step(results)  # a FitError of an earlier spectrum comes first
-                raise
-        if waiting is not None:
-            spectrum = waiting[0]
-            if slots is None or not slots.busy and slots.points != spectrum.n_points:
+        try:
+            spectrum, source_id, init = next(rows)
+            start = _start(spectrum, model, init)
+        except Exception as exc:  # the end of the input, or a spectrum that cannot start
+            while slots is not None and slots.busy:
+                slots.step(results)  # a FitError of an earlier spectrum comes first
+            if isinstance(exc, StopIteration):
+                return results
+            raise
+        while slots is None or not slots.takes(spectrum):
+            if slots is not None and slots.busy:
+                slots.step(results)
+            else:  # idle slots on another number of points
                 slots = _Slots(spectrum.n_points, model, max_iter)
-            if slots.takes(spectrum):
-                results.append(None)
-                slots.admit(len(results) - 1, *waiting)
-                waiting = None
-                continue
-        if slots is None or not slots.busy:
-            return results
-        slots.step(results)
+        results.append(None)
+        slots.admit(len(results) - 1, spectrum, source_id, start)
 
 
 def fit_spectrum(
@@ -550,24 +520,25 @@ def fit_spectrum(
 ) -> FitResult:
     """Least-squares fit of one spectrum: ``fit_series`` of a batch of one.
 
-    ``_solved`` is ``(solution, row)`` of the fits that ended in one of
-    ``fit_series``'s iterations; it is passed only by ``fit_series``, to
-    assemble that row's result.
+    ``_solved`` is the (parameters, covariance, residual variance, iteration
+    count, converged) of a row that ended in one of ``fit_series``'s
+    iterations; it is passed only by ``fit_series``, to assemble that row's
+    result.
     """
     if _solved is None:
         return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id],
                           inits=[init])[0]
-    solution, r = _solved
-    params = dict(zip(model.param_names, solution.theta[r].tolist()))
-    var = float(solution.resid_var[r])
+    theta, covariance, var, n_iter, converged = _solved
+    params = dict(zip(model.param_names, theta.tolist()))
+    var = float(var)
     noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
     return FitResult(
         model=model,
         params=params,
-        covariance=solution.covariance[r],
+        covariance=covariance,
         chi2_reduced=var / noise**2 if noise > 0 else var,
-        n_iter=int(solution.n_iter[r]),
-        converged=bool(solution.converged[r]),
+        n_iter=int(n_iter),
+        converged=bool(converged),
         n_points=int(spectrum.n_points),
         source_id=source_id,
     )

@@ -38,12 +38,14 @@ class SpectrumMeta:
     seed: int
 
     def __post_init__(self):
-        if not (self.nu0_mhz > 0):
-            raise ValueError("nu0 must be positive")
-        if not (self.temperature_k > 0):
-            raise ValueError("temperature must be positive")
-        if self.temperature_sigma_k < 0:
-            raise ValueError("temperature sigma must be >= 0")
+        if not (0 < self.nu0_mhz < math.inf):
+            raise ValueError(f"nu0_mhz must be positive and finite, got {self.nu0_mhz}")
+        if not (0 < self.temperature_k < math.inf):
+            raise ValueError(
+                f"temperature_k must be positive and finite, got {self.temperature_k}")
+        if not (0 <= self.temperature_sigma_k < math.inf):
+            raise ValueError(f"temperature_sigma_k must be >= 0 and finite, "
+                             f"got {self.temperature_sigma_k}")
         if not (0 < self.pressure_pa < math.inf):
             raise ValueError(f"pressure_pa must be positive and finite, got {self.pressure_pa}")
         if not (self.snr > 0):

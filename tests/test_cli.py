@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -356,6 +357,14 @@ class TestFitSeriesKb:
         assert capsys.readouterr().err.startswith(f"error: data: {summary}: field '{field}'")
         assert not out.exists()
 
+    def test_kb_refuses_a_width_whose_kb_overflows_naming_the_summary(self, tmp_path, capsys):
+        summary, out = tmp_path / "summary.json", tmp_path / "kb.json"
+        summary.write_text(json.dumps({"delta_d_mhz": 1e300, "delta_d_sigma_mhz": 0.005}))
+        assert run("kb", "--summary", summary, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: data: {summary}: k_B must be positive and finite, got inf")
+        assert not out.exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert run("fit") == 1
         assert capsys.readouterr().err.startswith("error: usage:")
@@ -409,6 +418,18 @@ class TestFitSeriesKb:
         path = tmp_path / "nope.txt"
         path.write_text("garbage\n")
         assert run("fit", path, "--out", tmp_path / "f.jsonl") == 2
+
+    def test_unreadable_spectrum_path_exits_2_naming_it(self, tmp_path, capsys):
+        spectrum, _ = synth_spectrum(NH3, GasConditions(pressure_pa=1.0), ScanConfig(snr=1000.0),
+                                     constants.KB_CODATA_2002, 1)
+        (tmp_path / "sp").mkdir()
+        write_spectrum(spectrum, tmp_path / "sp" / "spectrum_000.txt")
+        unreadable = tmp_path / "sp" / "spectrum_zz.txt"
+        unreadable.mkdir()
+        assert run("fit", tmp_path / "sp", "--out", tmp_path / "f.jsonl") == 2
+        assert capsys.readouterr().err == (
+            f"error: data: {unreadable}: cannot read ({os.strerror(errno.EISDIR)})\n")
+        assert not (tmp_path / "f.jsonl").exists()
 
     def test_degenerate_fit_before_a_bad_file_exits_3(self, tmp_path, capsys):
         # errors surface in file order: the degenerate fit of the first file
@@ -498,6 +519,11 @@ class TestBudgetCommands:
         ("--temperature-sigma-k", math.nan),
         ("--mass-sigma-rel", math.nan),
         ("--nu-sigma-rel", math.inf),
+        # a k_B or an uncertainty that over- or underflows
+        ("--delta-d-mhz", 1e300),
+        ("--delta-d-sigma-mhz", 1e300),
+        ("--delta-d-mhz", 1e-200),
+        ("--temperature-k", 1e305),
     ])
     def test_refused_value_exits_2_naming_the_option(self, tmp_path, capsys, option, value):
         args = {"--delta-d-mhz": 49.88, "--delta-d-sigma-mhz": 0.01, option: value}

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -91,7 +93,9 @@ class TestSpectrumFiles:
                                       "# cell_length_m: -1", "# cell_length_m: inf",
                                       "# snr: 0", "# snr: -1000", "# snr: nan",
                                       "# pressure_pa: -3", "# pressure_pa: 0",
-                                      "# pressure_pa: inf"])
+                                      "# pressure_pa: inf", "# nu0_mhz: inf",
+                                      "# temperature_k: inf", "# temperature_sigma_k: nan",
+                                      "# temperature_sigma_k: inf"])
     def test_header_value_refused_by_the_metadata_is_data_error(self, tmp_path,
                                                                noisy_spectrum, line):
         path = tmp_path / "s.txt"
@@ -454,8 +458,10 @@ class TestCampaignConfig:
             load_config(path)
 
     def test_missing_file_is_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="not found"):
-            load_config(tmp_path / "absent.json")
+        path = tmp_path / "absent.json"
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: cannot read ({os.strerror(errno.ENOENT)})")):
+            load_config(path)
 
     def test_bad_model_rejected(self):
         # the fit model is chosen by `fit --model` and the slope threshold by

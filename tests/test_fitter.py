@@ -573,17 +573,25 @@ def normal_matrix_stacks(seed):
 
 class TestConditionScreen:
     def test_raises_exactly_when_a_condition_number_exceeds_the_limit(self):
-        raised = 0
+        # every row kept, then a random part of them: the rows left out never
+        # raise, and the kept ones get the bits they get alone
+        rng = np.random.default_rng(5)
+        raised = spared = 0
         for js in normal_matrix_stacks(12):
-            resid = np.ones(js.shape[:2])
-            hess = js.transpose(0, 2, 1) @ js
-            if np.any(np.linalg.cond(hess) > fitter._COND_LIMIT):
-                raised += 1
-                with pytest.raises(FitError, match="degenerate"):
-                    fitter._normal_equations(js, resid)
-            else:
-                fitter._normal_equations(js, resid)
-        assert raised > 50
+            resid = rng.standard_normal(js.shape[:2])
+            degenerate = np.linalg.cond(js.transpose(0, 2, 1) @ js) > fitter._COND_LIMIT
+            for keep in (np.ones(len(js), dtype=bool), rng.random(len(js)) < 0.5):
+                if np.any(degenerate[keep]):
+                    raised += 1
+                    with pytest.raises(FitError, match="degenerate"):
+                        fitter._normal_equations(js, resid, keep)
+                    continue
+                spared += bool(np.any(degenerate))
+                grads, hess = fitter._normal_equations(js, resid, keep)
+                alone = fitter._normal_equations(js[keep], resid[keep],
+                                                 np.ones(keep.sum(), dtype=bool))
+                assert (grads.tobytes(), hess.tobytes()) == tuple(a.tobytes() for a in alone)
+        assert raised > 50 and spared > 20
 
     def test_no_w1_normal_matrix_reaches_the_svd(self, monkeypatch):
         pressures = [p for p in GOLDEN_PRESSURES for _ in range(50)]

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, the package reads
-each constant and private function it defines, and a module other than
-``__init__.py`` reads each name it exports, with no exemption: an export
-that only the tests call is removed.
+each constant, private function and private class it defines, and a module
+other than ``__init__.py`` reads each name it exports, with no exemption: an
+export that only the tests call is removed.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -47,8 +47,9 @@ def test_module_uses_every_import(path):
 
 def unread_definitions(sources: dict) -> list:
     """(module, name) of each module-level UPPER_CASE constant and each
-    ``_``-prefixed top-level function of ``sources`` (module name -> source)
-    that no expression of any of them reads, as a name or an attribute."""
+    ``_``-prefixed top-level function or class of ``sources`` (module name ->
+    source) that no expression of any of them reads, as a name or an
+    attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -60,7 +61,7 @@ def unread_definitions(sources: dict) -> list:
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
                 defined.append((module, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -70,9 +71,12 @@ def unread_definitions(sources: dict) -> list:
 
 
 def test_finds_an_unread_constant_and_private_function():
-    sources = {"a": "LIMIT = 1\nUNUSED = 2\ndef _f(): pass\ndef _g(): pass\n",
-               "b": "from a import LIMIT\nimport a\nx = LIMIT + a._f()\nY: int = 3\n"}
-    assert unread_definitions(sources) == [("a", "UNUSED"), ("a", "_g"), ("b", "Y")]
+    sources = {"a": "LIMIT = 1\nUNUSED = 2\ndef _f(): pass\ndef _g(): pass\n"
+                    "class _Read: pass\nclass _Record: pass\n",
+               "b": "from a import LIMIT\nimport a\nx = LIMIT + a._f()\nY: int = 3\n"
+                    "r = a._Read()\n"}
+    assert unread_definitions(sources) == [("a", "UNUSED"), ("a", "_Record"), ("a", "_g"),
+                                           ("b", "Y")]
 
 
 # Constants only the run manifest reads: constants.as_dict takes them
