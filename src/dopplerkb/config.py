@@ -14,7 +14,8 @@ silently fall back to a default, and every value must have its JSON type
 JSON record of the package goes through.  ``snr: null`` means noiseless.
 Values are then checked by the objects the pipeline builds from them, listed
 in ``CampaignConfig.__post_init__``, so a config that loads is one those
-objects accept.
+objects accept; the Doppler width they give must also lie between the scan's
+step and span, or the scan could not resolve the line.
 """
 
 from __future__ import annotations
@@ -70,11 +71,14 @@ class CampaignConfig:
         if self.replicas < 1:
             raise DataError("config: replicas must be >= 1")
         reading = partial(TemperatureReading, self.temperature_k, self.temperature_sigma_k)
+
+        def width():
+            return doppler_width(self.transition(), self.temperature_k, self.kb_true)
+
         builds = {"transition": self.transition, "scan": self.scan, "temperature reading": reading,
-                  "kb_true": lambda: doppler_width(self.transition(), self.temperature_k,
-                                                   self.kb_true),
-                  "uncertainty budget": lambda: uncertainty_budget(  # the config has no width
-                      1.0, 0.0, self.transition(), reading(),
+                  "kb_true": width, "Doppler width": lambda: self._within_scan(width()),
+                  "uncertainty budget": lambda: uncertainty_budget(
+                      width(), 0.0, self.transition(), reading(),
                       mass_sigma_rel=self.mass_sigma_rel, nu_sigma_rel=self.nu_sigma_rel),
                   "hyperfine_file": self.hyperfine,
                   "spectrum header": lambda: SpectrumMeta(
@@ -89,6 +93,14 @@ class CampaignConfig:
                 build()
             except (ValueError, DataError) as exc:
                 raise DataError(f"config: {what}: {exc}") from None
+
+    def _within_scan(self, width_mhz: float) -> None:
+        """Refuse a Doppler width the scan cannot resolve: narrower than its
+        step or wider than its span."""
+        if not (self.scan_step_mhz <= width_mhz <= self.scan_span_mhz):
+            raise ValueError(f"{width_mhz:.6g} MHz at temperature_k = {self.temperature_k} K "
+                             f"is outside the scan's step ({self.scan_step_mhz} MHz) to span "
+                             f"({self.scan_span_mhz} MHz)")
 
     def transition(self) -> Transition:
         return Transition(self.transition_nu0_mhz, self.transition_mass_u, self.transition_label)

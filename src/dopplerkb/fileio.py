@@ -4,6 +4,9 @@ uncertainty budgets and run manifests.
 Everything is UTF-8 text, whatever the locale.  Floats are written with 17
 significant digits so a write/read round trip is bit-exact.  All writes go
 through a temp file in the target directory followed by an atomic rename.
+A spectrum body is written by one format call and read as one array of
+Python-``float`` parsed fields; the lines are walked row by row only to
+name the first bad sample.
 
 Each record layout has one source that both its writer and its reader walk:
 the spectrum header is the fields of ``SpectrumMeta`` (``_HEADER_FIELDS``),
@@ -67,15 +70,16 @@ def write_spectrum(spectrum: Spectrum, path) -> None:
         value = getattr(meta, name)
         lines.append(f"# {name}: {_fmt(value) if kind is float else value}")
     lines.append(f"# columns: {_COLUMNS}")
-    for f, t in zip(spectrum.freq_offset_mhz, spectrum.transmission):
-        lines.append(f"{_fmt(f)} {_fmt(t)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    samples = np.column_stack((spectrum.freq_offset_mhz, spectrum.transmission))
+    body = "%.17g %.17g\n" * spectrum.n_points % tuple(samples.ravel().tolist())
+    atomic_write_text(path, "\n".join(lines) + "\n" + body)
 
 
 def read_spectrum(path) -> Spectrum:
-    """Parse a spectrum file; errors name the offending line (or both lines
-    of a header field given twice).  Line 1 is the magic, whitespace and a
-    readable version; a ``# columns:`` line must name the writer's columns."""
+    """Parse a spectrum file; errors name the first offending line in file
+    order (or both lines of a header field given twice).  Line 1 is the magic,
+    whitespace and a readable version; a ``# columns:`` line must name the
+    writer's columns."""
     lines = read_text(path).splitlines()
     after = lines[0][len(SPECTRUM_MAGIC):] if lines else ""
     if not lines or not lines[0].startswith(SPECTRUM_MAGIC) or after[:1].strip():
@@ -85,39 +89,45 @@ def read_spectrum(path) -> Spectrum:
         raise DataError(f"{path}: line 1: unsupported schema version {version!r} "
                         f"(this reader takes {' and '.join(_READABLE_VERSIONS)})")
 
+    # One pass gathers the header and the row fields; it stops at the first
+    # line whose fault needs no number parsed (``fault``).
     header: dict = {}
-    freq: list = []
-    trans: list = []
+    tokens: list = []
+    fault = None
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            key, colon, value = body.partition(":")
-            key = key.strip()
-            if colon and key == "columns" and value.split() != _COLUMNS.split():
-                raise DataError(f"{path}: line {lineno}: columns {value.strip()!r}, "
-                                f"expected {_COLUMNS!r}")
-            if colon and key in _HEADER_FIELDS:
-                if key in header:
-                    raise DataError(f"{path}: lines {header[key][1]} and {lineno}: header "
-                                    f"field {key!r} given twice")
-                header[key] = (value.strip(), lineno)
+        if fields[0][0] != "#":
+            if len(fields) != 2:
+                fault = DataError(f"{path}: line {lineno}: expected 2 columns, got {len(fields)}")
+                break
+            tokens += fields
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise DataError(f"{path}: line {lineno}: expected 2 columns, got {len(fields)}")
-        try:
-            f, t = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: non-numeric sample") from None
-        if not (math.isfinite(f) and math.isfinite(t)):
-            raise DataError(f"{path}: line {lineno}: non-finite sample")
-        if freq and f <= freq[-1]:
-            raise DataError(f"{path}: line {lineno}: frequency column not strictly increasing")
-        freq.append(f)
-        trans.append(t)
+        key, colon, value = raw.strip().lstrip("#").partition(":")
+        key = key.strip()
+        if colon and key == "columns" and value.split() != _COLUMNS.split():
+            fault = DataError(f"{path}: line {lineno}: columns {value.strip()!r}, "
+                              f"expected {_COLUMNS!r}")
+            break
+        if colon and key in _HEADER_FIELDS:
+            if key in header:
+                fault = DataError(f"{path}: lines {header[key][1]} and {lineno}: header "
+                                  f"field {key!r} given twice")
+                break
+            header[key] = (value.strip(), lineno)
+
+    # The rows before the fault parse as one array; a bad sample among them
+    # comes first in the file, and only then are the lines walked to name it.
+    try:
+        samples = np.array(tokens, dtype=float).reshape(-1, 2)
+        sound = np.isfinite(samples).all() and (np.diff(samples[:, 0]) > 0).all()
+    except ValueError:
+        sound = False
+    if not sound:
+        raise _first_bad_sample(path, lines)
+    if fault is not None:
+        raise fault
 
     kwargs = {}
     for name, kind in _HEADER_FIELDS.items():
@@ -129,13 +139,36 @@ def read_spectrum(path) -> Spectrum:
         except ValueError:
             raise DataError(f"{path}: line {lineno}: bad value for {name!r}: "
                             f"{raw_value!r}") from None
-    if len(freq) < 2:
+    if len(samples) < 2:
         raise DataError(f"{path}: needs at least 2 data rows")
 
+    freq, trans = samples.T.copy()
     try:
-        return Spectrum(np.array(freq), np.array(trans), SpectrumMeta(**kwargs))
+        return Spectrum(freq, trans, SpectrumMeta(**kwargs))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _first_bad_sample(path, lines) -> DataError:
+    """The error naming the first data row of the spectrum file ``lines``
+    that is non-numeric, non-finite or not above the row before.
+    ``read_spectrum`` calls it only when such a row comes before any row of
+    another field count, so every row it reaches has two fields."""
+    previous = -math.inf
+    for lineno, raw in enumerate(lines[1:], start=2):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            f, t = float(fields[0]), float(fields[1])
+        except ValueError:
+            return DataError(f"{path}: line {lineno}: non-numeric sample")
+        if not (math.isfinite(f) and math.isfinite(t)):
+            return DataError(f"{path}: line {lineno}: non-finite sample")
+        if f <= previous:
+            return DataError(f"{path}: line {lineno}: frequency column not strictly increasing")
+        previous = f
+    raise AssertionError("the array check found a bad sample that the row walk did not")
 
 
 def _json_default(obj):

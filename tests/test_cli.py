@@ -98,6 +98,7 @@ class TestSimulate:
         ({"seed": -1}, (), "seed"),
         ({}, ("--seed", -5), "seed"),
         ({"kb_true": -1}, (), "kb_true"),
+        ({"temperature_k": 1e305}, (), "temperature_k"),
         ({"mass_sigma_rel": -1}, (), "mass_sigma_rel"),
         ({"nu_sigma_rel": -1}, (), "nu_sigma_rel"),
         ({"hyperfine_file": "nope.txt"}, (), "hyperfine_file"),

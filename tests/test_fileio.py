@@ -39,7 +39,7 @@ from dopplerkb.fileio import (
     write_spectrum,
     write_width_table,
 )
-from dopplerkb.spectra import SCHEMA_VERSION
+from dopplerkb.spectra import SCHEMA_VERSION, Spectrum
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002
@@ -203,6 +203,65 @@ class TestSpectrumFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=rf"line {data_start + 1}"):
             read_spectrum(path)
+
+    def test_body_is_one_17_digit_row_per_sample(self, tmp_path, noisy_spectrum):
+        awkward = Spectrum(np.array([-125.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0, 1e300]),
+                           np.array([-0.0, 5e-324, 1e-300, 1e300, 0.1, 1 / 3, -125.0, 2.0]),
+                           noisy_spectrum.meta)
+        for spectrum in (noisy_spectrum, awkward):
+            path = tmp_path / "s.txt"
+            write_spectrum(spectrum, path)
+            body = path.read_text().split("# columns: frequency_offset_mhz transmission\n")[1]
+            assert body == "".join(
+                format(float(f), ".17g") + " " + format(float(t), ".17g") + "\n"
+                for f, t in zip(spectrum.freq_offset_mhz, spectrum.transmission))
+            back = read_spectrum(path)
+            assert back.freq_offset_mhz.tobytes() == spectrum.freq_offset_mhz.tobytes()
+            assert back.transmission.tobytes() == spectrum.transmission.tobytes()
+
+    def test_blank_and_comment_lines_crlf_tabs_and_indents_read_alike(self, tmp_path,
+                                                                      noisy_spectrum):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        edited = lines[:data_start] + ["", "# a note"]
+        for i, line in enumerate(lines[data_start:]):
+            edited.append(line.replace(" ", "\t") if i % 3 == 0 else
+                          "  \t" + line if i % 3 == 1 else line)
+            if i % 50 == 7:
+                edited += ["", "   ", "# note", "  # columns: frequency_offset_mhz transmission"]
+        path.write_bytes(("\r\n".join(edited) + "\r\n").encode())
+        assert read_spectrum(path) == noisy_spectrum
+
+    @pytest.mark.parametrize("first, second, match", [
+        ((5, "-120.0 not_a_number"), (9, "-118.0 1.0 2.0"), "line {}: non-numeric sample"),
+        ((5, "-118.0 1.0 2.0"), (9, "-120.0 not_a_number"), "line {}: expected 2 columns"),
+        ((5, "-125.0 1.0"), (9, "# temperature_k: 300"), "line {}: frequency column not"),
+        ((5, "# temperature_k: 300"), (9, "-125.0 1.0"), "lines .* and {}: header field"),
+        ((5, "-120.0 inf"), (9, "# columns: a b"), "line {}: non-finite sample"),
+        ((5, "# columns: a b"), (9, "-120.0 inf"), "line {}: columns"),
+    ])
+    def test_file_with_two_faults_names_the_first(self, tmp_path, noisy_spectrum, first,
+                                                   second, match):
+        # each fault replaces a data row, the first 5 rows and the second 9
+        # rows into the body
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        lines = path.read_text().splitlines()
+        data_start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        for offset, line in (first, second):
+            lines[data_start + offset] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=match.format(data_start + first[0] + 1)):
+            read_spectrum(path)
+
+    def test_columns_are_c_contiguous_float64(self, tmp_path, noisy_spectrum):
+        path = tmp_path / "s.txt"
+        write_spectrum(noisy_spectrum, path)
+        back = read_spectrum(path)
+        for column in (back.freq_offset_mhz, back.transmission):
+            assert column.dtype == np.float64 and column.flags.c_contiguous
 
 
 class TestFitRecords:
@@ -509,6 +568,9 @@ class TestCampaignConfig:
         ({"pressures_pa": [0.001]}, "pressures_pa[0]"),
         ({"seed": -1}, "seed"),
         ({"kb_true": -1.0}, "kb_true"),
+        ({"temperature_k": 1e305}, "Doppler width"),
+        ({"temperature_k": 1e-300}, "Doppler width"),
+        ({"scan": {"span_mhz": 40.0}}, "Doppler width"),
         ({"mass_sigma_rel": -1.0}, "uncertainty budget"),
         ({"nu_sigma_rel": -1.0}, "uncertainty budget"),
         ({"hyperfine_file": "nope.txt"}, "hyperfine_file"),
@@ -519,9 +581,10 @@ class TestCampaignConfig:
     ])
     def test_value_refused_by_a_built_object_is_data_error(self, raw, what):
         # the config builds the transition, the scan, the temperature reading,
-        # the Doppler width, the uncertainty budget, the hyperfine structure,
-        # the spectrum header, the gas conditions at every pressure and the
-        # seed sequence, and names the one that failed
+        # the Doppler width (which the scan must resolve), the uncertainty
+        # budget at that width, the hyperfine structure, the spectrum header,
+        # the gas conditions at every pressure and the seed sequence, and
+        # names the one that failed
         with pytest.raises(DataError, match=rf"config: .*{re.escape(what)}: "):
             config_from_dict(raw)
 
