@@ -18,40 +18,47 @@ slots, each holding one spectrum of the current frequency grid, and each
 iteration advances every occupied row at once.  A slot is refilled as soon
 as its fit ends, converged or out of iterations, so the batch never waits
 for its slowest row: the iteration-level scheduling of Orca (Yu et al., OSDI
-2022).  An iteration makes one kernel call: ``jacobian`` gives the model and
-its Jacobian for the start parameters of the rows just admitted together
-with the trial parameters of the active rows, and an accepted step keeps its
-trial's gradient and normal matrix.  These are formed with stacked
-``matmul``, the conditioning test runs on the whole stack, the damped steps
-come from one stacked ``np.linalg.solve``, and the covariances of the fits
-that end in an iteration from one stacked ``np.linalg.inv``.  Each row keeps
-its own damping factor, iteration count and convergence state.  Every
-operation is row-wise, so a spectrum gets the same bits whether it is fitted
-alone or among others, in whichever slot.  ``fit_spectrum`` is
-``fit_series`` of a batch of one; ``fit_series`` ends each spectrum's fit in
-a ``fit_spectrum`` call that only assembles the result from its row.  A
+2022).  ``fit_series`` reads the spectra in stacks, each of up to as many
+spectra on one grid as there are slots, and a stack's starts come from one pass over
+its samples (``_guesses``); its spectra take slots as they free up.  An
+iteration makes one kernel call: ``jacobian`` gives the model and its
+Jacobian for the start parameters of the rows just admitted together with
+the trial parameters of the active rows.  The gradient and normal matrix
+are formed with stacked ``matmul`` for the new rows and the accepted trials
+only, and an accepted step keeps its trial's; the conditioning test runs on
+the whole stack of them, and the damped steps come from one stacked
+``np.linalg.solve``.  A fit that ends keeps its parameters, normal matrix,
+cost, iteration count and convergence.  When the number of points changes
+and when the input ends, one stacked ``np.linalg.inv`` gives the
+covariances of all the fits that ended, and a ``fit_spectrum`` call per
+spectrum assembles its result.  Each row keeps its own damping factor,
+iteration count and convergence state.  Every operation is row-wise, so a
+spectrum gets the same bits whether it is fitted alone or among others, in
+whichever slot.  ``fit_spectrum`` is ``fit_series`` of a batch of one.  A
 spectrum on another grid waits until every slot is free, and the slots then
 start again on its grid.
 
 The iteration allocates no real array of the slots' size; only the Voigt's
 complex intermediates (``scipy.special.wofz``) are allocated per call.
 ``fit_series`` allocates a workspace once per grid (again only when the
-number of points changes): the data and residual rows, the kernel's
-intermediates (offsets, attenuation, P and its derivatives), each a
-``(rows, points)`` buffer, and the ``(rows, points, params)`` Jacobian, all
-carved from one array.  An evaluation of ``n`` rows uses the ``[:n]`` views
-of these buffers, and ``jacobian``, ``lineshape.profile`` and the residuals
-write every intermediate into them through the ufuncs' ``out=``, with the
-same operations in the same order as the expressions they replace, so the
-bits are unchanged; the normal equations of rejected trials are formed
-with the others and dropped.
+number of points changes): the data and residual rows, a spare plane, the
+samples of the stack read ahead, the kernel's intermediates (offsets,
+attenuation, P and its derivatives), each a ``(rows, points)`` buffer, and
+the ``(rows, points, params)`` Jacobian, all carved from one array.  An
+evaluation of ``n`` rows uses the ``[:n]`` views of these buffers, and
+``jacobian``, ``lineshape.profile`` and the residuals write every
+intermediate into them through the ufuncs' ``out=``, with the same
+operations in the same order as the expressions they replace, so the bits
+are unchanged.  When a trial is rejected, the Jacobian and residual rows
+that are kept are gathered into the kernel's planes, spent by then, and the
+spare plane.
 Temporaries allocated per iteration would be freed to the top of glibc's
 heap, which malloc hands back to the OS, so the next iteration would fault
 the pages in again: about 28k minor faults per 400-spectrum W1 fit, a fifth
 of its time spent in the OS.  The single allocation matters too: glibc keeps
 a freed chunk that size in the heap, for the next ``fit_series`` call.  A
 workspace holds ``_BLOCK_ELEMENTS = 16384`` samples, so a ``(rows, points)``
-buffer is 128 KiB and a Gaussian workspace (12 of them) 1.5 MiB, which stays
+buffer is 128 KiB and a Gaussian workspace (14 of them) 1.75 MiB, which stays
 in a core's L2 cache through the chain of ufuncs.  More slots spread the
 per-iteration Python overhead over more rows: on a 2-vCPU x86-64 host,
 32768 and 65536 samples fitted a W2 campaign 1.37x and 1.40x as fast, but
@@ -148,23 +155,29 @@ def _columns(theta, model: FitModel) -> dict:
 
 class _Workspace(NamedTuple):
     """Buffers for up to ``rows`` spectra of ``points`` samples at once:
-    the data rows, the residual rows, the kernel's and ``jacobian``'s
-    intermediates and the Jacobian (see the module docstring)."""
+    the data rows, the residual rows, a spare plane, the samples read
+    ahead, the kernel's and ``jacobian``'s intermediates and the Jacobian
+    (see the module docstring)."""
 
     data: np.ndarray     # (rows, points)
     resid: np.ndarray    # (rows, points)
+    spare: np.ndarray    # (rows, points)
+    ahead: np.ndarray    # (rows, points)
     kernel: np.ndarray   # (k, rows, points)
     jac: np.ndarray      # (rows, points, params)
+    kept: np.ndarray     # (rows, points, params), the memory of ``kernel``
 
     @classmethod
     def allocate(cls, rows: int, points: int, model: FitModel) -> "_Workspace":
-        # the offsets, the attenuation, and P, dP/du, dP/ddelta (and dP/dgamma)
+        # the offsets, the attenuation, and P, dP/du, dP/ddelta (and dP/dgamma):
+        # as many planes as there are parameters, so ``kept`` fits in them
         k = 6 if model is FitModel.EXP_VOIGT else 5
         n_params = len(model.param_names)
-        planes = np.empty((2 + k + n_params, rows, points))
+        planes = np.empty((4 + k + n_params, rows, points))
         # the memory of the last n_params planes holds the Jacobian
-        return cls(planes[0], planes[1], planes[2:2 + k],
-                   planes[2 + k:].reshape(rows, points, n_params))
+        return cls(*planes[:4], planes[4:4 + k],
+                   planes[4 + k:].reshape(rows, points, n_params),
+                   planes[4:4 + k].reshape(rows, points, n_params))
 
 
 def jacobian(offsets_mhz, theta, model: FitModel, scale=None, workspace=None) -> tuple:
@@ -302,38 +315,126 @@ def _start(spectrum: Spectrum, model: FitModel, init) -> np.ndarray:
     return np.array([params[n] for n in names], dtype=float)
 
 
+def _guesses(x: np.ndarray, t: np.ndarray, model: FitModel) -> tuple:
+    """``_start`` without an ``init`` for each row of ``t``, samples on the
+    grid ``x``: the (rows, params) starts, and a list of whether ``_start``
+    accepts each row.
+
+    Every step is made on the whole stack but ``math.log`` and ``math.exp``,
+    which run row by row: the operations of ``initial_guess`` and ``_start``
+    on the same float64 values, so an accepted row's start has the same
+    bits.  The start of a row that is not accepted is meaningless;
+    ``_start`` of its spectrum gives its error.
+    """
+    rows, n = t.shape
+    theta = np.zeros((rows, len(model.param_names)))
+    if n < 16:
+        return theta, [False] * rows
+    i_min = np.argmin(t, axis=1)
+    k = max(2, n // 10)
+    left = t[:, :k].sum(axis=1) / k
+    right = t[:, -k:].sum(axis=1) / k
+    level = 0.5 * (left + right)
+    depth = [math.log(lv / tm) if 0 < j < n - 1 and 0.0 < tm < lv else math.nan
+             for j, lv, tm in zip(i_min.tolist(), level.tolist(), t.min(axis=1).tolist())]
+    # a refused row's threshold is nan, which no sample reaches
+    above = t >= np.array([lv * math.exp(-d / math.e)
+                           for lv, d in zip(level.tolist(), depth)])[:, None]
+
+    # The 1/e region lies between the last sample at or above the threshold
+    # before the minimum and the first one from it on; with no such sample
+    # it reaches the edge of the scan, and the row is refused.
+    from_min = np.arange(n) >= i_min[:, None]
+    after = above & from_min
+    before = (above & ~from_min)[:, ::-1]
+    hi = np.where(after.any(axis=1), np.argmax(after, axis=1) - 1, n - 1)
+    lo = np.where(before.any(axis=1), n - np.argmax(before, axis=1), 0)
+    inside = (lo != 0) & (hi != n - 1)
+
+    delta = 0.5 * (x[hi] - x[lo])
+    flat = inside & (delta <= 0)  # a one-sample dip: the grid spacing
+    delta[flat] = x[i_min[flat] + 1] - x[i_min[flat]]
+    x_left = float(x[:k].sum()) / k
+    x_right = float(x[-k:].sum()) / k
+    columns = [x[i_min], delta, depth, level, (right - left) / (x_right - x_left)]
+    if model is FitModel.EXP_VOIGT:
+        columns.append(delta / 100.0)
+    theta[:] = np.transpose(columns)
+    ok = inside & np.isfinite(theta).all(axis=1) & (delta > 0)
+    return theta, ok.tolist()
+
+
 def _row_costs(resid: np.ndarray) -> np.ndarray:
     """Sum of squares of each row, through the same dot product as ``r @ r``."""
     return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
 
 
-def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray) -> tuple:
-    """J^T r and J^T J of the rows where ``keep`` is true; raises ``FitError``
-    if one of their J^T J is degenerate.
+class _Degenerate(FitError):
+    """A degenerate normal matrix; ``rows`` are the positions of the
+    degenerate ones among the kept rows."""
 
-    Both are formed for every row of ``js`` and ``resid`` and those of the
-    other rows dropped, so the kept rows need not be moved together first; a
-    row that is not kept never raises.  For a positive semi-definite H of
-    order n, cond(H) <= trace(H)^n / det(H), so a row with
-    ``det(H) * _COND_LIMIT / 10 > trace(H)^n`` is well inside the limit; the
-    factor 10 covers the rounding of the LU determinant (about n * eps *
-    cond, 0.1 at 1e14).  Only the rows this screen leaves over go through the
-    SVD of ``np.linalg.cond``, so the decision is the SVD's.
+    def __init__(self, rows: np.ndarray):
+        super().__init__("degenerate fit: singular normal matrix")
+        self.rows = rows
+
+
+def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray,
+                      workspace: _Workspace | None = None) -> tuple:
+    """J^T r and J^T J of the rows where ``keep`` is true; raises
+    ``_Degenerate``, a ``FitError`` that tells which, if one of their J^T J
+    is degenerate.
+
+    Only the kept rows are multiplied, so the normal equations of a
+    rejected trial are never formed.  When a row is not kept, the others
+    are first gathered into the workspace's ``kept`` and ``spare`` buffers
+    (the kernel's intermediates are spent by then), or into new arrays
+    without a workspace; each row's product is the same either way.
+
+    For a positive semi-definite H of order n, cond(H) <= trace(H)^n /
+    det(H), so a row with ``det(H) * _COND_LIMIT / 10 > trace(H)^n`` is well
+    inside the limit; the factor 10 covers the rounding of the LU
+    determinant (about n * eps * cond, 0.1 at 1e14).  Only the rows this
+    screen leaves over go through the SVD of ``np.linalg.cond``, so the
+    decision is the SVD's.
     """
+    if not keep.all():
+        rows = np.flatnonzero(keep)
+        if workspace is None:
+            js, resid = js[rows], resid[rows]
+        else:  # the indices are in range, and "clip" takes rows without a copy of ``out``
+            js = np.take(js, rows, axis=0, out=workspace.kept[:rows.size], mode="clip")
+            resid = np.take(resid, rows, axis=0, out=workspace.spare[:rows.size], mode="clip")
+    grads, hess = _gram(js, resid)
+    if np.all(np.isfinite(hess)):
+        unclear = np.flatnonzero(np.linalg.det(hess) * (_COND_LIMIT / 10)
+                                 <= np.trace(hess, axis1=1, axis2=2) ** hess.shape[-1])
+        bad = np.empty(0, dtype=int)
+    else:  # each finite row faces the SVD
+        finite = np.isfinite(hess).all(axis=(1, 2))
+        unclear, bad = np.flatnonzero(finite), np.flatnonzero(~finite)
+    if unclear.size:
+        bad = np.union1d(bad, unclear[np.linalg.cond(hess[unclear]) > _COND_LIMIT])
+    if bad.size:
+        raise _Degenerate(bad)
+    return grads, hess
+
+
+def _gram(js: np.ndarray, resid: np.ndarray) -> tuple:
+    """J^T r and J^T J of every row: the products of ``_normal_equations``."""
     jt = js.transpose(0, 2, 1)
-    hess = (jt @ js)[keep]
-    if not np.all(np.isfinite(hess)):
-        raise FitError("degenerate fit: singular normal matrix")
-    unclear = (np.linalg.det(hess) * (_COND_LIMIT / 10)
-               <= np.trace(hess, axis1=1, axis2=2) ** hess.shape[-1])
-    if unclear.any() and np.any(np.linalg.cond(hess[unclear]) > _COND_LIMIT):
-        raise FitError("degenerate fit: singular normal matrix")
-    return (jt @ resid[:, :, None])[keep, :, 0], hess
+    return (jt @ resid[:, :, None])[:, :, 0], jt @ js
+
+
+def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are one frequency grid (replicas of a
+    pressure share one grid array)."""
+    return a is b or np.array_equal(a, b)
 
 
 class _Slots:
     """The rows of a workspace, each holding one spectrum of the current grid
-    from its admission until its fit ends (see the module docstring).
+    from its admission until its fit ends, and the fits that ended until
+    their results are assembled (see the module docstring).
 
     Row ``s`` of the workspace's data and of ``theta``, ``cost``, ``grads``,
     ``hessians``, ``lam`` and ``n_iter`` is the state of the spectrum in slot
@@ -360,40 +461,66 @@ class _Slots:
         self.free = list(range(rows))[::-1]  # popped lowest first
         self.active = np.empty(0, dtype=int)  # slots being iterated
         self.new = []                         # slots admitted since the last step
+        self.ended = []                       # fits set aside by ``_finish``
         self.x = self.scale = None
 
     @property
     def busy(self) -> bool:
         return len(self.free) < len(self.owners)
 
-    def takes(self, spectrum: Spectrum) -> bool:
-        """Whether a slot is free for ``spectrum``: one of the same number of
-        points when no slot is taken, else one on the current grid."""
-        if not self.free:
-            return False
-        if self.busy:  # replicas of a pressure share one grid array
-            x = spectrum.freq_offset_mhz
-            return x is self.x or np.array_equal(x, self.x)
-        return spectrum.n_points == self.workspace.data.shape[1]
+    def admit(self, rows: list, results: list):
+        """Admit ``rows`` (spectrum, source id, init), all on one grid and of
+        the workspace's number of points, no more than it has slots, in input
+        order up to the first that cannot start; return that one's error (a
+        ``DataError`` prefixed by its source id), or None.
 
-    def admit(self, index: int, spectrum: Spectrum, source_id: str, start) -> None:
-        if not self.busy:
-            self.x = spectrum.freq_offset_mhz
-            self.scale = _scales(self.model.param_names, float(self.x[-1] - self.x[0]))
-        slot = self.free.pop()
-        self.workspace.data[slot] = spectrum.transmission
-        self.theta[slot] = start
-        self.lam[slot] = DAMPING_START
-        self.n_iter[slot] = 0
-        self.owners[slot] = (index, spectrum, source_id)
-        self.new.append(slot)
+        The starts come from one ``_guesses`` call, or from ``_start`` for a
+        row with an ``init`` and for a row it refuses.  The rows then take
+        slots as they free up, after the fits on another grid have ended."""
+        x = rows[0][0].freq_offset_mhz
+        t = np.stack([spectrum.transmission for spectrum, _, _ in rows],
+                     out=self.workspace.ahead[:len(rows)])
+        starts, ok = _guesses(x, t, self.model)
+        error = None
+        for i, (spectrum, source_id, init) in enumerate(rows):
+            if init is None and ok[i]:
+                continue
+            try:
+                starts[i] = _start(spectrum, self.model, init)
+            except Exception as exc:  # raised once the rows before it are fitted
+                error = exc
+                if isinstance(exc, DataError) and source_id:
+                    error = DataError(f"{source_id}: {exc}")
+                rows = rows[:i]
+                break
+        i = 0
+        while i < len(rows):
+            if not self.free or (self.busy and not _same_grid(x, self.x)):
+                self.step()
+                continue
+            if not self.busy:
+                self.x = x
+                self.scale = _scales(self.model.param_names, float(x[-1] - x[0]))
+            taken = rows[i:i + len(self.free)]
+            slots = [self.free.pop() for _ in taken]
+            self.workspace.data[slots] = t[i:i + len(taken)]
+            self.theta[slots] = starts[i:i + len(taken)]
+            self.lam[slots] = DAMPING_START
+            self.n_iter[slots] = 0
+            for slot, (spectrum, source_id, _) in zip(slots, taken):
+                self.owners[slot] = (len(results), spectrum, source_id)
+                results.append(None)
+            self.new += slots
+            i += len(taken)
+        return error
 
-    def step(self, results: list) -> None:
+    def step(self) -> None:
         """One iteration: a damped step for every active row, the start of
-        every new row, and the results of the fits that end, into
-        ``results``.  A new row is evaluated at its start parameters in the
-        same ``jacobian`` call as the active rows' trials, and its first step
-        comes in the next iteration."""
+        every new row, and the fits that end set aside.  A new row is
+        evaluated at its start parameters in the same ``jacobian`` call as
+        the active rows' trials, and its first step comes in the next
+        iteration.  A degenerate normal matrix raises ``FitError`` naming the
+        first of its spectra in input order."""
         diag = self.diag
         active, new = self.active, np.array(self.new, dtype=int)
         self.new.clear()
@@ -439,7 +566,12 @@ class _Slots:
         keep = np.concatenate((np.ones(new.size, dtype=bool), kept))
         evaluated = rows[keep]  # the new rows, then the accepted ones
         self.cost[evaluated] = costs[keep]
-        self.grads[evaluated], self.hessians[evaluated] = _normal_equations(js, resid, keep)
+        try:
+            self.grads[evaluated], self.hessians[evaluated] = _normal_equations(
+                js, resid, keep, self.workspace)
+        except _Degenerate as exc:  # named by its first spectrum in input order
+            _, _, source_id = min(self.owners[s] for s in evaluated[exc.rows].tolist())
+            raise FitError(f"{source_id}: {exc}" if source_id else str(exc)) from None
         self.lam[accepted] = np.maximum(self.lam[accepted] * DAMPING_DOWN, 1e-15)
         self.lam[active[~done & ~better]] *= DAMPING_UP
 
@@ -450,63 +582,107 @@ class _Slots:
         ended = converged | (self.n_iter[live] >= self.max_iter)
         self.active = live[~ended]
         if ended.any():
-            self._finish(live[ended], converged[ended], results)
+            self._finish(live[ended], converged[ended])
 
-    def _finish(self, slots: np.ndarray, converged: np.ndarray, results: list) -> None:
-        """Assemble the results of the fits in ``slots`` and free the slots."""
-        resid_var = self.cost[slots] / (self.x.size - len(self.model.param_names))
-        cov = (resid_var[:, None, None] * np.linalg.inv(self.hessians[slots])
-               * np.outer(self.scale, self.scale))
-        for slot, *solved in zip(slots.tolist(), self.theta[slots], cov, resid_var,
-                                 self.n_iter[slots], converged):
-            index, spectrum, source_id = self.owners[slot]
-            results[index] = fit_spectrum(spectrum, self.model, max_iter=self.max_iter,
-                                          source_id=source_id, _solved=tuple(solved))
+    def _finish(self, slots: np.ndarray, converged: np.ndarray) -> None:
+        """Set the fits that ended in ``slots`` aside and free the slots."""
+        self.ended.append(([self.owners[s] for s in slots.tolist()], self.theta[slots],
+                           self.hessians[slots],
+                           self.cost[slots] / (self.x.size - len(self.model.param_names)),
+                           self.scale, self.n_iter[slots], converged))
+        for slot in slots.tolist():
             self.owners[slot] = None
             self.free.append(slot)
+
+    def drain(self, results: list) -> None:
+        """Step until every fit has ended, then put the results of the fits
+        set aside into ``results``: one stacked ``inv`` gives every
+        covariance, each scaled by its own grid's span, and a
+        ``fit_spectrum`` call per spectrum assembles its result."""
+        while self.busy:
+            self.step()
+        if not self.ended:
+            return
+        owners, theta, hessians, var, scale, n_iter, converged = zip(*self.ended)
+        self.ended = []
+        scale = np.repeat(np.array(scale), [len(o) for o in owners], axis=0)
+        var = np.concatenate(var)
+        cov = (var[:, None, None] * np.linalg.inv(np.concatenate(hessians))
+               * (scale[:, :, None] * scale[:, None, :]))
+        solved = zip(np.concatenate(theta).tolist(), cov, var.tolist(),
+                     np.concatenate(n_iter).tolist(), np.concatenate(converged).tolist())
+        for (index, spectrum, source_id), row in zip(itertools.chain.from_iterable(owners),
+                                                     solved):
+            results[index] = fit_spectrum(spectrum, self.model, max_iter=self.max_iter,
+                                          source_id=source_id, _solved=row)
+
+
+def _inputs(spectra, source_ids, inits):
+    """The (spectrum, source id, init) rows of ``fit_series``'s input, then
+    the exception that ended it: ``StopIteration`` at its end, else the
+    error of the spectrum that could not be read."""
+    ids = iter(source_ids) if source_ids is not None else itertools.repeat("")
+    starts = iter(inits) if inits is not None else itertools.repeat(None)
+    rows = zip(spectra, ids, starts)
+    while True:
+        try:
+            yield next(rows)
+        except Exception as exc:
+            yield exc
+            return
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
                max_iter: int = MAX_ITER_DEFAULT, source_ids=None, inits=None) -> list:
     """Fit spectra in input order; each result is independent of the others.
 
-    ``spectra`` may be any iterable, a generator included: it is read one
-    spectrum at a time, as row slots free up.  ``source_ids`` and ``inits``
-    are optional iterables in step with it, of labels and of
-    starting-parameter dicts (``None`` for the initial guess).  A fit that
-    runs out of iterations comes back flagged (``converged=False``); a
-    degenerate problem (singular normal matrix, e.g. vanishing depth) raises
-    ``FitError``, and a spectrum that cannot be read or started raises its
-    own error once the spectra before it are fitted, so errors surface in
-    input order.
+    ``spectra`` may be any iterable, a generator included.  It is read in
+    stacks: a spectrum, the spectra after it on its grid up to as many as
+    the workspace has slots, and the one after those, which begins the next
+    stack.  The starts of a stack come from one array pass (``_guesses``),
+    and its spectra take slots as they free up.  ``source_ids`` and
+    ``inits`` are optional iterables in step with it, of labels and of
+    starting-parameter dicts (``None`` for the initial guess); a spectrum
+    with an ``init`` is started on its own by ``_start``.
 
-    Each result is assembled by a ``fit_spectrum`` call on its row of the
-    iteration it ended in, because the traced benchmark
-    (``perfbench/tracing.py``) counts fits, iterations and convergence by
-    ``fit_spectrum`` calls.
+    A fit that runs out of iterations comes back flagged
+    (``converged=False``).  A degenerate problem (singular normal matrix,
+    e.g. vanishing depth) raises ``FitError``.  A spectrum that cannot be
+    read or started raises its own error once the spectra before it are
+    fitted, so errors surface in input order: the spectra of its stack
+    before an unstartable one are fitted, and those after it are dropped
+    unfitted, as is a spectrum read after it.  The error of a spectrum that
+    cannot be started or fitted is prefixed by its source id, the first in
+    input order among the degenerate fits of an iteration.
+
+    Each result is assembled by a ``fit_spectrum`` call, once per spectrum,
+    because the traced benchmark (``perfbench/tracing.py``) counts fits,
+    iterations and convergence by ``fit_spectrum`` calls.
     """
-    ids = iter(source_ids) if source_ids is not None else itertools.repeat("")
-    starts = iter(inits) if inits is not None else itertools.repeat(None)
-    rows = zip(spectra, ids, starts)
+    inputs = _inputs(spectra, source_ids, inits)
+    row = next(inputs)
     results = []
     slots = None
-    while True:
-        try:
-            spectrum, source_id, init = next(rows)
-            start = _start(spectrum, model, init)
-        except Exception as exc:  # the end of the input, or a spectrum that cannot start
-            while slots is not None and slots.busy:
-                slots.step(results)  # a FitError of an earlier spectrum comes first
-            if isinstance(exc, StopIteration):
-                return results
-            raise
-        while slots is None or not slots.takes(spectrum):
-            if slots is not None and slots.busy:
-                slots.step(results)
-            else:  # idle slots on another number of points
-                slots = _Slots(spectrum.n_points, model, max_iter)
-        results.append(None)
-        slots.admit(len(results) - 1, spectrum, source_id, start)
+    while not isinstance(row, Exception):
+        spectrum = row[0]
+        if slots is None or spectrum.n_points != slots.workspace.data.shape[1]:
+            if slots is not None:
+                slots.drain(results)
+            slots = _Slots(spectrum.n_points, model, max_iter)
+        stack = [row]
+        for row in inputs:
+            if (isinstance(row, Exception) or len(stack) == len(slots.owners)
+                    or not _same_grid(row[0].freq_offset_mhz, spectrum.freq_offset_mhz)):
+                break
+            stack.append(row)
+        error = slots.admit(stack, results)
+        if error is not None:
+            row = error
+    if slots is not None:
+        slots.drain(results)  # a FitError of an earlier spectrum comes first
+    if not isinstance(row, StopIteration):
+        raise row
+    return results
 
 
 def fit_spectrum(
@@ -520,25 +696,23 @@ def fit_spectrum(
 ) -> FitResult:
     """Least-squares fit of one spectrum: ``fit_series`` of a batch of one.
 
-    ``_solved`` is the (parameters, covariance, residual variance, iteration
-    count, converged) of a row that ended in one of ``fit_series``'s
-    iterations; it is passed only by ``fit_series``, to assemble that row's
-    result.
+    ``_solved`` is the (parameter list, covariance, residual variance,
+    iteration count, converged) of a fit that ended in ``fit_series``; it
+    is passed only by ``fit_series``, to assemble that fit's result.
     """
     if _solved is None:
         return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id],
                           inits=[init])[0]
     theta, covariance, var, n_iter, converged = _solved
-    params = dict(zip(model.param_names, theta.tolist()))
-    var = float(var)
+    params = dict(zip(model.param_names, theta))
     noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
     return FitResult(
         model=model,
         params=params,
         covariance=covariance,
         chi2_reduced=var / noise**2 if noise > 0 else var,
-        n_iter=int(n_iter),
-        converged=bool(converged),
-        n_points=int(spectrum.n_points),
+        n_iter=n_iter,
+        converged=converged,
+        n_points=spectrum.n_points,
         source_id=source_id,
     )

@@ -443,6 +443,42 @@ class TestFitSeriesKb:
         assert run("fit", tmp_path, "--out", tmp_path / "f.jsonl") == 3
         assert "degenerate" in capsys.readouterr().err
 
+    @staticmethod
+    def spectra_with(tmp_path, odd):
+        """Three W1-like spectrum files, the second replaced by ``odd``."""
+        pairs = synth_series(NH3, [1.2, 3.2, 7.5], GasConditions(pressure_pa=1.0),
+                             ScanConfig(snr=1000.0), constants.KB_CODATA_2002, 7)
+        spectra = [spectrum for spectrum, _ in pairs]
+        spectra[1] = odd(spectra[1])
+        for i, spectrum in enumerate(spectra):
+            write_spectrum(spectrum, tmp_path / f"spectrum_{i:03d}.txt")
+        return tmp_path
+
+    def test_a_spectrum_whose_line_is_outside_the_scan_exits_2_naming_it(self, tmp_path,
+                                                                          capsys):
+        # the line moved off the scan: its minimum sits on the last sample
+        def off_scan(spectrum):
+            x = spectrum.freq_offset_mhz
+            return spectrum.with_transmission(1.0 - 1e-3 * (x - x[0]))
+
+        spectra = self.spectra_with(tmp_path / "sp", off_scan)
+        assert run("fit", spectra, "--out", tmp_path / "f.jsonl") == 2
+        assert capsys.readouterr().err == \
+            "error: data: spectrum_001.txt: line not in scan window\n"
+        assert not (tmp_path / "f.jsonl").exists()
+
+    def test_a_degenerate_fit_exits_3_naming_its_spectrum(self, tmp_path, capsys):
+        def degenerate(spectrum):
+            low, _ = synth_spectrum(NH3, GasConditions(pressure_pa=0.01), ScanConfig(snr=1000.0),
+                                    constants.KB_CODATA_2002, 1)
+            return low
+
+        spectra = self.spectra_with(tmp_path / "sp", degenerate)
+        assert run("fit", spectra, "--out", tmp_path / "f.jsonl") == 3
+        assert capsys.readouterr().err == \
+            "error: fit: spectrum_001.txt: degenerate fit: singular normal matrix\n"
+        assert not (tmp_path / "f.jsonl").exists()
+
 
 class TestConfigKeys:
     # A changed value for every key of the config (nested keys as "a.b").

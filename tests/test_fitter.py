@@ -31,6 +31,7 @@ from dopplerkb.errors import DataError, FitError
 from dopplerkb.simulator import spawn_seeds
 from dopplerkb.spectra import Spectrum, SpectrumMeta
 
+import _loop_fitter
 from _loop_fitter import loop_fit
 
 NH3 = Transition.nh3()
@@ -506,6 +507,18 @@ class TestBlockFitting:
         with pytest.raises(DataError, match="line not in scan window"):
             fit_series(spectra)
 
+    def test_a_degenerate_fit_names_the_first_degenerate_spectrum_in_input_order(self):
+        spectra = [s for s, _ in synth_series(NH3, [3.1] * 8, GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 4)]
+        flat = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.0,
+                    baseline_level=1.0, baseline_slope=0.0)
+        ids = [f"s{i}.txt" for i in range(8)]
+        inits = [None, None, None, flat, None, flat, None, None]
+        with pytest.raises(FitError, match=r"^s3\.txt: degenerate fit: singular normal matrix$"):
+            fit_series(spectra, source_ids=ids, inits=inits)
+        with pytest.raises(FitError, match=r"^degenerate fit: singular normal matrix$"):
+            fit_series(spectra, inits=inits)
+
     def test_the_slot_of_a_row_out_of_iterations_is_refilled(self, monkeypatch):
         # Two slots: A runs out of iterations; B converges and C, which also
         # runs out, takes its slot; D then takes A's slot while C still runs.
@@ -546,6 +559,220 @@ class TestBlockFitting:
         assert restart.n_iter < base.n_iter
         assert restart.params["delta_mhz"] == pytest.approx(base.params["delta_mhz"],
                                                             rel=1e-9)
+
+
+def w1_spectra(seed, replicas=50):
+    pressures = [p for p in GOLDEN_PRESSURES for _ in range(replicas)]
+    return [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                       make_scan(snr=1000.0), KB, seed)]
+
+
+def w3_spectra(seed):
+    pressures = [p for p in GOLDEN_PRESSURES for _ in range(6)]
+    return [s for s, _ in synth_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                       make_scan(snr=1000.0), KB, seed,
+                                       hyperfine=HyperfineStructure.nh3_placeholder(),
+                                       comb=ModulationComb.paper_default())]
+
+
+def dip_meta(label):
+    return SpectrumMeta(label, NH3.nu0_mhz, 273.15, 0.0, 1.0, 0.3, math.inf, 0)
+
+
+def one_sample_dips():
+    """The spectra of the two one-sample-dip tests of ``TestInitialGuess``."""
+    uneven = np.cumsum(np.linspace(0.5, 1.5, 41))
+    tenth = make_scan(span=40.0, step=0.1).offsets_mhz()
+    dips = []
+    for x, i in ((uneven, 20), (tenth, 250)):
+        t = np.ones_like(x)
+        t[i] = 0.5
+        dips.append(Spectrum(x, t, dip_meta("dip")))
+    return dips
+
+
+def refused_spectra():
+    """Spectra ``initial_guess`` or ``_start`` refuses, on the default scan:
+    flat, a ramp (minimum at the edge), a dip so deep that the depth
+    overflows (minimum on its own 1/e boundary, width from the spacing), and
+    a wide dip near the edge whose 1/e region runs off the scan."""
+    x = make_scan().offsets_mhz()
+    deep = np.ones_like(x)
+    deep[250] = 5e-324
+    near_edge = 1.0 - 0.5 * np.exp(-((x - x[10]) / 30.0) ** 2)
+    return [Spectrum(x, t, dip_meta(label)) for label, t in (
+        ("flat", np.ones_like(x)), ("ramp", 1.0 - 1e-3 * (x - x[0])), ("deep", deep),
+        ("near edge", near_edge))]
+
+
+def start_error(spectrum, model=FitModel.EXP_GAUSSIAN):
+    with pytest.raises(DataError) as info:
+        fitter._start(spectrum, model, None)
+    return str(info.value)
+
+
+class TestStackedStarts:
+    @pytest.mark.parametrize("model,campaign", [(FitModel.EXP_GAUSSIAN, w1_spectra),
+                                                (FitModel.EXP_VOIGT, w3_spectra)],
+                             ids=["w1", "w3"])
+    def test_every_start_of_a_campaign_equals_the_initial_guess(self, model, campaign):
+        # the whole campaign as one stack, and in read-ahead-sized stacks
+        spectra = campaign(41)
+        x = spectra[0].freq_offset_mhz
+        t = np.array([s.transmission for s in spectra])
+        names = model.param_names
+        for lo, hi in [(0, len(spectra))] + [(i, i + 7) for i in range(0, len(spectra), 7)]:
+            starts, ok = fitter._guesses(x, t[lo:hi], model)
+            assert all(ok)
+            for spectrum, start in zip(spectra[lo:hi], starts):
+                guess = initial_guess(spectrum)
+                assert start[:5].tobytes() == np.array([guess[n] for n in names[:5]]).tobytes()
+                assert start.tobytes() == fitter._start(spectrum, model, None).tobytes()
+
+    @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
+    def test_a_one_sample_dip_starts_at_the_grid_spacing_as_alone(self, model):
+        for dip in one_sample_dips():
+            x = dip.freq_offset_mhz
+            starts, ok = fitter._guesses(x, dip.transmission[None], model)
+            assert ok == [True]
+            assert starts[0].tobytes() == fitter._start(dip, model, None).tobytes()
+            i = int(np.argmin(dip.transmission))
+            assert starts[0, 1] == x[i + 1] - x[i]
+
+    def test_refused_rows_are_left_to_start_and_spare_their_neighbours(self):
+        good = w1_spectra(43, replicas=1)[:3]
+        refused = refused_spectra()
+        stack = [good[0], refused[0], good[1], refused[1], refused[2], refused[3], good[2]]
+        starts, ok = fitter._guesses(good[0].freq_offset_mhz,
+                                     np.array([s.transmission for s in stack]),
+                                     FitModel.EXP_GAUSSIAN)
+        assert ok == [True, False, True, False, False, False, True]
+        for i in (0, 2, 6):
+            assert starts[i].tobytes() == \
+                fitter._start(stack[i], FitModel.EXP_GAUSSIAN, None).tobytes()
+        assert [start_error(s) for s in refused] == [
+            "line not in scan window", "line not in scan window",
+            "initial guess contains non-finite parameters", "line not in scan window"]
+
+    def test_each_refusal_gives_todays_error_named_by_its_source(self):
+        short = Spectrum(np.arange(-5.0, 6.0), np.ones(11), dip_meta("short"))
+        good = w1_spectra(44, replicas=1)[0]
+        for bad in refused_spectra() + [short]:
+            message = str(pytest.raises(DataError, initial_guess, bad).value) \
+                if bad is short else start_error(bad)
+            with pytest.raises(DataError) as alone:
+                fit_series([bad])
+            assert str(alone.value) == message
+            with pytest.raises(DataError) as named:
+                fit_series([good, bad], source_ids=["a.txt", "b.txt"])
+            assert str(named.value) == f"b.txt: {message}"
+
+
+class TestReadAhead:
+    def test_an_unstartable_spectrum_comes_before_a_later_read_error(self):
+        spectra = w1_spectra(45, replicas=1)[:4]
+        flat = refused_spectra()[0]
+
+        def reading(items):
+            for i, item in enumerate(items):
+                if item is None:
+                    raise DataError(f"spectrum_{i}.txt: cannot read")
+                yield item
+
+        ids = [f"spectrum_{i}.txt" for i in range(6)]
+        inputs = [spectra[0], spectra[1], flat, spectra[2], spectra[3], None]
+        with pytest.raises(DataError, match=r"^spectrum_2\.txt: line not in scan window$"):
+            fit_series(reading(inputs), source_ids=ids)
+        inputs = [spectra[0], spectra[1], None, spectra[2], spectra[3], flat]
+        with pytest.raises(DataError, match=r"^spectrum_2\.txt: cannot read$"):
+            fit_series(reading(inputs), source_ids=ids)
+        # a degenerate fit read after the unstartable spectrum is never fitted
+        degenerate = dict(nu0_mhz=0.0, delta_mhz=50.0, peak_depth=0.0,
+                          baseline_level=1.0, baseline_slope=0.0)
+        with pytest.raises(DataError, match=r"^spectrum_1\.txt: line not in scan window$"):
+            fit_series([spectra[0], flat, spectra[1]], source_ids=ids,
+                       inits=[None, None, degenerate])
+
+    def test_reads_as_many_spectra_as_slots_and_one_more(self, monkeypatch):
+        spectra = w1_spectra(46, replicas=2)
+        read = []
+
+        def reading():
+            for i, spectrum in enumerate(spectra):
+                read.append(i)
+                yield spectrum
+
+        admitted = []
+        admit = fitter._Slots.admit
+
+        def recording(slots, rows, results):
+            admitted.append((len(rows), len(read)))
+            return admit(slots, rows, results)
+
+        monkeypatch.setattr(fitter, "_BLOCK_ELEMENTS", 3 * spectra[0].n_points)
+        monkeypatch.setattr(fitter._Slots, "admit", recording)
+        results = fit_series(reading())
+        # a stack of three (the slots), read with the spectrum after it
+        assert admitted == [(3, 4), (3, 7), (3, 10), (3, 13), (3, 16), (1, 16)]
+        assert results == fit_series(spectra)
+
+    def test_each_fit_is_assembled_by_one_fit_spectrum_call(self, monkeypatch):
+        # the traced benchmark counts fits by ``fit_spectrum`` calls
+        spectra = w1_spectra(47)
+        spectra[1::7] = [s for s, _ in synth_series(
+            NH3, [3.1] * len(spectra[1::7]), GasConditions(pressure_pa=1.0),
+            make_scan(snr=1000.0, span=200.0), KB, 8)]  # other grids among them
+        ids = [f"s{i}" for i in range(len(spectra))]
+        calls = []
+        assemble = fitter.fit_spectrum
+
+        def counting(spectrum, *args, **kwargs):
+            calls.append(kwargs["source_id"])
+            return assemble(spectrum, *args, **kwargs)
+
+        monkeypatch.setattr(fitter, "fit_spectrum", counting)
+        for max_iter in (200, 3):
+            calls.clear()
+            results = fit_series(spectra, source_ids=ids, max_iter=max_iter)
+            assert sorted(calls) == sorted(ids) and [r.source_id for r in results] == ids
+
+
+class TestKeptRowsOnly:
+    @pytest.mark.parametrize("model,replicas", [(FitModel.EXP_GAUSSIAN, 50),
+                                                (FitModel.EXP_VOIGT, 5)])
+    def test_no_rejected_trial_reaches_the_normal_equations(self, model, replicas,
+                                                            monkeypatch):
+        # The loop lowers its damping by DAMPING_DOWN exactly when it accepts
+        # a step: a float that counts its multiplications counts them.
+        spectra = w1_spectra(48, replicas)
+        accepted = []
+
+        class Counted(float):
+            def __rmul__(self, other):
+                accepted.append(other)
+                return other * float(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_loop_fitter, "DAMPING_DOWN", Counted(fitter.DAMPING_DOWN))
+            for spectrum in spectra:
+                loop_fit(spectrum, model)
+        multiplied, kept, evaluated = [], [], []
+        gram, normal = fitter._gram, fitter._normal_equations
+
+        def products(js, resid):
+            multiplied.append(len(js))
+            return gram(js, resid)
+
+        def screening(js, resid, keep, *args):
+            kept.append(int(keep.sum()))
+            evaluated.append(len(keep))
+            return normal(js, resid, keep, *args)
+
+        monkeypatch.setattr(fitter, "_gram", products)
+        monkeypatch.setattr(fitter, "_normal_equations", screening)
+        fit_series(spectra, model)
+        assert multiplied == kept
+        assert sum(multiplied) == len(spectra) + len(accepted) < sum(evaluated)
 
 
 def normal_matrix_stacks(seed):
