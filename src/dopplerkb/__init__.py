@@ -29,7 +29,7 @@ from .extrapolation import (
     points_from_fit_results,
     zero_pressure_width,
 )
-from .fitter import FitModel, FitResult, fit_series, fit_spectrum, initial_guess, jacobian
+from .fitter import FitModel, FitResult, fit_series, fit_spectrum, jacobian
 from .lineshape import Transition, doppler_width, voigt
 from .simulator import (
     GasConditions,
@@ -63,7 +63,6 @@ __all__ = [
     "filter_by_slope",
     "fit_series",
     "fit_spectrum",
-    "initial_guess",
     "jacobian",
     "kb_from_width",
     "points_from_fit_results",

@@ -19,24 +19,24 @@ iteration advances every occupied row at once.  A slot is refilled as soon
 as its fit ends, converged or out of iterations, so the batch never waits
 for its slowest row: the iteration-level scheduling of Orca (Yu et al., OSDI
 2022).  ``fit_series`` reads the spectra in stacks, each of up to as many
-spectra on one grid as there are slots, and a stack's starts come from one pass over
-its samples (``_guesses``); its spectra take slots as they free up.  An
-iteration makes one kernel call: ``jacobian`` gives the model and its
-Jacobian for the start parameters of the rows just admitted together with
-the trial parameters of the active rows.  The gradient and normal matrix
-are formed with stacked ``matmul`` for the new rows and the accepted trials
-only, and an accepted step keeps its trial's; the conditioning test runs on
-the whole stack of them, and the damped steps come from one stacked
-``np.linalg.solve``.  A fit that ends keeps its parameters, normal matrix,
-cost, iteration count and convergence.  When the number of points changes
-and when the input ends, one stacked ``np.linalg.inv`` gives the
-covariances of all the fits that ended, and a ``fit_spectrum`` call per
-spectrum assembles its result.  Each row keeps its own damping factor,
-iteration count and convergence state.  Every operation is row-wise, so a
-spectrum gets the same bits whether it is fitted alone or among others, in
-whichever slot.  ``fit_spectrum`` is ``fit_series`` of a batch of one.  A
-spectrum on another grid waits until every slot is free, and the slots then
-start again on its grid.
+spectra on one grid as there are slots.  Every start, and every refusal to
+start, comes from one pass over a stack's samples (``_guesses``), and its
+spectra take slots as they free up.  An iteration makes one kernel call:
+``jacobian`` gives the model and its Jacobian for the start parameters of
+the rows just admitted together with the trial parameters of the active
+rows.  The gradient and normal matrix are formed with stacked ``matmul``
+for the new rows and the accepted trials only, and an accepted step keeps
+its trial's; the conditioning test runs on the whole stack of them, and the
+damped steps come from one stacked ``np.linalg.solve``.  A fit that ends
+keeps its parameters, normal matrix, cost, iteration count and convergence.
+When the number of points changes and when the input ends, one stacked
+``np.linalg.inv`` gives the covariances of all the fits that ended, and a
+``fit_spectrum`` call per spectrum assembles its result.  Each row keeps its
+own damping factor, iteration count and convergence state.  Every operation
+is row-wise, so a spectrum gets the same bits whether it is fitted alone or
+among others, in whichever slot.  ``fit_spectrum`` is ``fit_series`` of a
+batch of one.  A spectrum on another grid waits until every slot is free,
+and the slots then start again on its grid.
 
 The iteration allocates no real array of the slots' size; only the Voigt's
 complex intermediates (``scipy.special.wofz``) are allocated per call.
@@ -231,60 +231,6 @@ def jacobian(offsets_mhz, theta, model: FitModel, scale=None, workspace=None) ->
     return values, jac
 
 
-def initial_guess(spectrum: Spectrum) -> dict:
-    """Direct parameter estimates from the raw samples.
-
-    Center from the grid position of minimum transmission (which must lie
-    strictly inside the scan), baseline from the outer 10% of samples on each
-    side, depth from the log of the baseline-to-minimum ratio, width from the
-    half-width of the region where the optical depth exceeds 1/e of its peak,
-    slope from the difference of the two edge means.
-    """
-    x = spectrum.freq_offset_mhz
-    t = spectrum.transmission
-    n = x.size
-    if n < 16:
-        raise DataError(f"spectrum too short for a fit ({n} points, need >= 16)")
-
-    i_min = int(np.argmin(t))
-    if i_min == 0 or i_min == n - 1:
-        raise DataError("line not in scan window")
-
-    k = max(2, n // 10)
-    left = float(t[:k].sum()) / k
-    right = float(t[-k:].sum()) / k
-    level = 0.5 * (left + right)
-    t_min = float(t[i_min])
-    if not (t_min > 0.0) or t_min >= level:
-        raise DataError("line not in scan window")
-    depth = math.log(level / t_min)
-
-    # Region where transmission < level * exp(-depth/e), i.e. optical depth
-    # above 1/e of its peak; its half-width estimates the 1/e half-width.
-    threshold = level * math.exp(-depth / math.e)
-    outside = np.flatnonzero(t >= threshold)
-    j = int(np.searchsorted(outside, i_min))
-    lo = int(outside[j - 1]) + 1 if j > 0 else 0
-    hi = int(outside[j]) - 1 if j < outside.size else n - 1
-    if lo == 0 or hi == n - 1:
-        raise DataError("line not in scan window")
-    delta = 0.5 * (x[hi] - x[lo])
-    if delta <= 0:
-        delta = x[i_min + 1] - x[i_min]  # a one-sample dip: the grid spacing
-
-    x_left = float(x[:k].sum()) / k
-    x_right = float(x[-k:].sum()) / k
-    slope = (right - left) / (x_right - x_left)
-
-    return {
-        "nu0_mhz": float(x[i_min]),
-        "delta_mhz": float(delta),
-        "peak_depth": depth,
-        "baseline_level": level,
-        "baseline_slope": slope,
-    }
-
-
 def _scales(names: tuple, span: float) -> np.ndarray:
     per_name = {
         "nu0_mhz": span,
@@ -297,39 +243,39 @@ def _scales(names: tuple, span: float) -> np.ndarray:
     return np.array([per_name[n] for n in names])
 
 
-def _start(spectrum: Spectrum, model: FitModel, init) -> np.ndarray:
-    """Validated starting parameters of one spectrum, as a vector."""
-    names = model.param_names
-    if spectrum.n_points <= len(names):
-        raise DataError("spectrum has fewer points than fit parameters")
-    params = dict(init) if init is not None else initial_guess(spectrum)
-    if model is FitModel.EXP_VOIGT and "gamma_mhz" not in params:
-        params["gamma_mhz"] = params["delta_mhz"] / 100.0
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise DataError(f"initial guess missing parameters: {missing}")
-    if not all(math.isfinite(params[n]) for n in names):
-        raise DataError("initial guess contains non-finite parameters")
-    if params["delta_mhz"] <= 0 or params["baseline_level"] <= 0:
-        raise DataError("initial guess needs positive width and baseline level")
-    return np.array([params[n] for n in names], dtype=float)
-
-
 def _guesses(x: np.ndarray, t: np.ndarray, model: FitModel) -> tuple:
-    """``_start`` without an ``init`` for each row of ``t``, samples on the
-    grid ``x``: the (rows, params) starts, and a list of whether ``_start``
-    accepts each row.
+    """Direct parameter estimates from the raw samples of each row of ``t``,
+    on the grid ``x``: the (rows, params) starts, and for each row None or
+    the message of its refusal.
 
-    Every step is made on the whole stack but ``math.log`` and ``math.exp``,
-    which run row by row: the operations of ``initial_guess`` and ``_start``
-    on the same float64 values, so an accepted row's start has the same
-    bits.  The start of a row that is not accepted is meaningless;
-    ``_start`` of its spectrum gives its error.
+    Center from the grid position of minimum transmission, baseline from
+    the outer 10% of samples on each side, depth from the log of the
+    baseline-to-minimum ratio, width from the half-width of the region
+    where the optical depth exceeds 1/e of its peak (the grid spacing at the
+    minimum for a one-sample dip), slope from the difference of the two
+    edge means, and for the Voigt a homogeneous width of 1/100 of the
+    width.  The checks, in order, and their messages:
+
+    - ``spectrum has fewer points than fit parameters``;
+    - ``spectrum too short for a fit (n points, need >= 16)``;
+    - ``line not in scan window``: the minimum or its 1/e region reaches an
+      edge of the scan, or the minimum is not positive and below the
+      baseline;
+    - ``initial guess contains non-finite parameters``, e.g. a depth that
+      overflows.
+
+    A finite start has a positive width and baseline level, since the grid
+    is strictly increasing.  Every step is made on the whole stack but
+    ``math.log`` and ``math.exp``, which run row by row, so a row gets the
+    same bits alone or in any stack.  The start of a refused row is
+    meaningless.
     """
     rows, n = t.shape
     theta = np.zeros((rows, len(model.param_names)))
+    if n <= theta.shape[1]:
+        return theta, ["spectrum has fewer points than fit parameters"] * rows
     if n < 16:
-        return theta, [False] * rows
+        return theta, [f"spectrum too short for a fit ({n} points, need >= 16)"] * rows
     i_min = np.argmin(t, axis=1)
     k = max(2, n // 10)
     left = t[:, :k].sum(axis=1) / k
@@ -360,8 +306,10 @@ def _guesses(x: np.ndarray, t: np.ndarray, model: FitModel) -> tuple:
     if model is FitModel.EXP_VOIGT:
         columns.append(delta / 100.0)
     theta[:] = np.transpose(columns)
-    ok = inside & np.isfinite(theta).all(axis=1) & (delta > 0)
-    return theta, ok.tolist()
+    finite = np.isfinite(theta).all(axis=1)
+    return theta, ["line not in scan window" if not in_window
+                   else None if ok else "initial guess contains non-finite parameters"
+                   for in_window, ok in zip(inside.tolist(), finite.tolist())]
 
 
 def _row_costs(resid: np.ndarray) -> np.ndarray:
@@ -469,28 +417,22 @@ class _Slots:
         return len(self.free) < len(self.owners)
 
     def admit(self, rows: list, results: list):
-        """Admit ``rows`` (spectrum, source id, init), all on one grid and of
-        the workspace's number of points, no more than it has slots, in input
-        order up to the first that cannot start; return that one's error (a
-        ``DataError`` prefixed by its source id), or None.
+        """Admit ``rows`` (spectrum, source id), all on one grid and of the
+        workspace's number of points, no more than it has slots, in input
+        order up to the first that ``_guesses`` refuses; return that one's
+        error (a ``DataError`` prefixed by its source id), or None.
 
-        The starts come from one ``_guesses`` call, or from ``_start`` for a
-        row with an ``init`` and for a row it refuses.  The rows then take
+        The starts come from one ``_guesses`` call.  The rows then take
         slots as they free up, after the fits on another grid have ended."""
         x = rows[0][0].freq_offset_mhz
-        t = np.stack([spectrum.transmission for spectrum, _, _ in rows],
+        t = np.stack([spectrum.transmission for spectrum, _ in rows],
                      out=self.workspace.ahead[:len(rows)])
-        starts, ok = _guesses(x, t, self.model)
+        starts, refusals = _guesses(x, t, self.model)
         error = None
-        for i, (spectrum, source_id, init) in enumerate(rows):
-            if init is None and ok[i]:
-                continue
-            try:
-                starts[i] = _start(spectrum, self.model, init)
-            except Exception as exc:  # raised once the rows before it are fitted
-                error = exc
-                if isinstance(exc, DataError) and source_id:
-                    error = DataError(f"{source_id}: {exc}")
+        for i, message in enumerate(refusals):
+            if message is not None:  # raised once the rows before it are fitted
+                source_id = rows[i][1]
+                error = DataError(f"{source_id}: {message}" if source_id else message)
                 rows = rows[:i]
                 break
         i = 0
@@ -507,7 +449,7 @@ class _Slots:
             self.theta[slots] = starts[i:i + len(taken)]
             self.lam[slots] = DAMPING_START
             self.n_iter[slots] = 0
-            for slot, (spectrum, source_id, _) in zip(slots, taken):
+            for slot, (spectrum, source_id) in zip(slots, taken):
                 self.owners[slot] = (len(results), spectrum, source_id)
                 results.append(None)
             self.new += slots
@@ -617,13 +559,12 @@ class _Slots:
                                           source_id=source_id, _solved=row)
 
 
-def _inputs(spectra, source_ids, inits):
-    """The (spectrum, source id, init) rows of ``fit_series``'s input, then
-    the exception that ended it: ``StopIteration`` at its end, else the
-    error of the spectrum that could not be read."""
+def _inputs(spectra, source_ids):
+    """The (spectrum, source id) rows of ``fit_series``'s input, then the
+    exception that ended it: ``StopIteration`` at its end, else the error of
+    the spectrum that could not be read."""
     ids = iter(source_ids) if source_ids is not None else itertools.repeat("")
-    starts = iter(inits) if inits is not None else itertools.repeat(None)
-    rows = zip(spectra, ids, starts)
+    rows = zip(spectra, ids)
     while True:
         try:
             yield next(rows)
@@ -633,33 +574,32 @@ def _inputs(spectra, source_ids, inits):
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
-               max_iter: int = MAX_ITER_DEFAULT, source_ids=None, inits=None) -> list:
+               max_iter: int = MAX_ITER_DEFAULT, source_ids=None) -> list:
     """Fit spectra in input order; each result is independent of the others.
 
     ``spectra`` may be any iterable, a generator included.  It is read in
     stacks: a spectrum, the spectra after it on its grid up to as many as
     the workspace has slots, and the one after those, which begins the next
-    stack.  The starts of a stack come from one array pass (``_guesses``),
-    and its spectra take slots as they free up.  ``source_ids`` and
-    ``inits`` are optional iterables in step with it, of labels and of
-    starting-parameter dicts (``None`` for the initial guess); a spectrum
-    with an ``init`` is started on its own by ``_start``.
+    stack.  Every start comes from the samples, in one array pass per stack
+    (``_guesses``), and a stack's spectra take slots as they free up.
+    ``source_ids`` is an optional iterable of labels in step with it.
 
     A fit that runs out of iterations comes back flagged
     (``converged=False``).  A degenerate problem (singular normal matrix,
     e.g. vanishing depth) raises ``FitError``.  A spectrum that cannot be
-    read or started raises its own error once the spectra before it are
-    fitted, so errors surface in input order: the spectra of its stack
-    before an unstartable one are fitted, and those after it are dropped
-    unfitted, as is a spectrum read after it.  The error of a spectrum that
-    cannot be started or fitted is prefixed by its source id, the first in
-    input order among the degenerate fits of an iteration.
+    read raises its own error, and one that ``_guesses`` refuses raises
+    ``DataError`` with its message, once the spectra before it are fitted,
+    so errors surface in input order: the spectra of its stack before an
+    unstartable one are fitted, and those after it are dropped unfitted, as
+    is a spectrum read after it.  The error of a spectrum that cannot be
+    started or fitted is prefixed by its source id, the first in input order
+    among the degenerate fits of an iteration.
 
     Each result is assembled by a ``fit_spectrum`` call, once per spectrum,
     because the traced benchmark (``perfbench/tracing.py``) counts fits,
     iterations and convergence by ``fit_spectrum`` calls.
     """
-    inputs = _inputs(spectra, source_ids, inits)
+    inputs = _inputs(spectra, source_ids)
     row = next(inputs)
     results = []
     slots = None
@@ -688,21 +628,20 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
 def fit_spectrum(
     spectrum: Spectrum,
     model: FitModel = FitModel.EXP_GAUSSIAN,
-    init: dict | None = None,
     *,
     max_iter: int = MAX_ITER_DEFAULT,
     source_id: str = "",
     _solved: tuple | None = None,
 ) -> FitResult:
-    """Least-squares fit of one spectrum: ``fit_series`` of a batch of one.
+    """Least-squares fit of one spectrum: ``fit_series`` of a batch of one,
+    started and refused as there (see ``_guesses``).
 
     ``_solved`` is the (parameter list, covariance, residual variance,
     iteration count, converged) of a fit that ended in ``fit_series``; it
     is passed only by ``fit_series``, to assemble that fit's result.
     """
     if _solved is None:
-        return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id],
-                          inits=[init])[0]
+        return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id])[0]
     theta, covariance, var, n_iter, converged = _solved
     params = dict(zip(model.param_names, theta))
     noise = spectrum.noise_sigma_estimate() * params["baseline_level"]

@@ -1,10 +1,11 @@
 """Per-spectrum reference for the block fitter.
 
-The same damped Gauss-Newton rules as ``dopplerkb.fitter``, written as one
-Python loop per spectrum with scalar parameters, the way the package fitted
-spectra before it advanced them in blocks.  Every block operation is
-row-wise with the same arithmetic, so the block fitter must reproduce this
-loop bit for bit.
+The same start and damped Gauss-Newton rules as ``dopplerkb.fitter``,
+written as one Python loop per spectrum with scalar parameters, the way the
+package started and fitted spectra before it advanced them in blocks.
+Every block operation is row-wise with the same arithmetic, so the block
+fitter must reproduce this loop bit for bit, and its stacked start
+(``fitter._guesses``) must give ``initial_guess``'s starts and refusals.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import wofz
 
-from dopplerkb.errors import FitError
+from dopplerkb.errors import DataError, FitError
 from dopplerkb.fitter import (
     COST_TOL,
     DAMPING_DOWN,
@@ -20,11 +21,74 @@ from dopplerkb.fitter import (
     DAMPING_UP,
     GRAD_TOL,
     FitModel,
-    initial_guess,
 )
 
 _COND_LIMIT = 1e14
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def initial_guess(spectrum, model=FitModel.EXP_GAUSSIAN):
+    """Direct parameter estimates from the raw samples, keyed by
+    ``model.param_names``; raises ``DataError`` for a spectrum that cannot
+    start.
+
+    Center from the grid position of minimum transmission (which must lie
+    strictly inside the scan), baseline from the outer 10% of samples on each
+    side, depth from the log of the baseline-to-minimum ratio, width from the
+    half-width of the region where the optical depth exceeds 1/e of its peak,
+    slope from the difference of the two edge means, and the Voigt's
+    homogeneous width from 1/100 of the width.
+    """
+    x = spectrum.freq_offset_mhz
+    t = spectrum.transmission
+    n = x.size
+    if n <= len(model.param_names):
+        raise DataError("spectrum has fewer points than fit parameters")
+    if n < 16:
+        raise DataError(f"spectrum too short for a fit ({n} points, need >= 16)")
+
+    i_min = int(np.argmin(t))
+    if i_min == 0 or i_min == n - 1:
+        raise DataError("line not in scan window")
+
+    k = max(2, n // 10)
+    left = float(t[:k].sum()) / k
+    right = float(t[-k:].sum()) / k
+    level = 0.5 * (left + right)
+    t_min = float(t[i_min])
+    if not (t_min > 0.0) or t_min >= level:
+        raise DataError("line not in scan window")
+    depth = math.log(level / t_min)
+
+    # Region where transmission < level * exp(-depth/e), i.e. optical depth
+    # above 1/e of its peak; its half-width estimates the 1/e half-width.
+    threshold = level * math.exp(-depth / math.e)
+    outside = np.flatnonzero(t >= threshold)
+    j = int(np.searchsorted(outside, i_min))
+    lo = int(outside[j - 1]) + 1 if j > 0 else 0
+    hi = int(outside[j]) - 1 if j < outside.size else n - 1
+    if lo == 0 or hi == n - 1:
+        raise DataError("line not in scan window")
+    delta = 0.5 * (x[hi] - x[lo])
+    if delta <= 0:
+        delta = x[i_min + 1] - x[i_min]  # a one-sample dip: the grid spacing
+
+    x_left = float(x[:k].sum()) / k
+    x_right = float(x[-k:].sum()) / k
+    params = {
+        "nu0_mhz": float(x[i_min]),
+        "delta_mhz": float(delta),
+        "peak_depth": depth,
+        "baseline_level": level,
+        "baseline_slope": (right - left) / (x_right - x_left),
+    }
+    if model is FitModel.EXP_VOIGT:
+        params["gamma_mhz"] = params["delta_mhz"] / 100.0
+    if not all(math.isfinite(value) for value in params.values()):
+        raise DataError("initial guess contains non-finite parameters")
+    if params["delta_mhz"] <= 0 or params["baseline_level"] <= 0:
+        raise DataError("initial guess needs positive width and baseline level")
+    return params
 
 
 def _model_and_jacobian(x, p, model):
@@ -58,13 +122,11 @@ def _checked_hessian(js):
     return hess
 
 
-def loop_fit(spectrum, model=FitModel.EXP_GAUSSIAN, init=None, max_iter=200):
+def loop_fit(spectrum, model=FitModel.EXP_GAUSSIAN, max_iter=200):
     """(params, sigmas, covariance, n_iter, converged) of one spectrum."""
     names = model.param_names
     x, y = spectrum.freq_offset_mhz, spectrum.transmission
-    params = dict(init) if init is not None else initial_guess(spectrum)
-    if model is FitModel.EXP_VOIGT:
-        params.setdefault("gamma_mhz", params["delta_mhz"] / 100.0)
+    params = initial_guess(spectrum, model)
     theta = np.array([params[n] for n in names], dtype=float)
     span = float(x[-1] - x[0])
     scale = np.array([{"peak_depth": 1.0, "baseline_level": 1.0,
