@@ -65,7 +65,12 @@ def cli():
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--no-noise", is_flag=True, help="Disable detection noise.")
 def simulate(config_path, out_dir, seed, no_noise):
-    """Write a synthetic spectrum series (one file per pressure and replica)."""
+    """Write a synthetic spectrum series (one file per pressure and replica)
+    into a directory that holds no spectrum files yet."""
+    out = Path(out_dir)
+    held = len(list(out.glob("spectrum_*.txt")))
+    if held:  # a second campaign's files would mix with these under one manifest
+        raise DataError(f"--out: {out} already holds {held} spectrum files")
     cfg = load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
@@ -79,7 +84,6 @@ def simulate(config_path, out_dir, seed, no_noise):
         cfg.seed, hyperfine=cfg.hyperfine(), temperature_sigma_k=cfg.temperature_sigma_k,
         cell_length_m=cfg.cell_length_m,
     )
-    out = Path(out_dir)
     for i, (spectrum, _) in enumerate(pairs):
         pi, replica = divmod(i, cfg.replicas)
         write_spectrum(spectrum, out / f"spectrum_p{pi:02d}_r{replica:03d}.txt")

@@ -13,8 +13,8 @@ Parameters are scaled internally (frequencies by the scan span, the slope by
 its inverse) to keep the normal matrix well conditioned.
 
 Spectra are fitted in batches, after the design of Gpufit (Przybylski et
-al., Sci. Rep. 7, 15722, 2017): a workspace has ``16384 // points`` row
-slots, each holding one spectrum of the current frequency grid, and each
+al., Sci. Rep. 7, 15722, 2017): a workspace serves one frequency grid and
+has ``16384 // points`` row slots, each holding one spectrum, and each
 iteration advances every occupied row at once.  A slot is refilled as soon
 as its fit ends, converged or out of iterations, so the batch never waits
 for its slowest row: the iteration-level scheduling of Orca (Yu et al., OSDI
@@ -29,29 +29,32 @@ for the new rows and the accepted trials only, and an accepted step keeps
 its trial's; the conditioning test runs on the whole stack of them, and the
 damped steps come from one stacked ``np.linalg.solve``.  A fit that ends
 keeps its parameters, normal matrix, cost, iteration count and convergence.
-When the number of points changes and when the input ends, one stacked
-``np.linalg.inv`` gives the covariances of all the fits that ended, and a
-``fit_spectrum`` call per spectrum assembles its result.  Each row keeps its
-own damping factor, iteration count and convergence state.  Every operation
-is row-wise, so a spectrum gets the same bits whether it is fitted alone or
+When the grid changes and when the input ends, one stacked ``np.linalg.inv``
+gives the covariances of all the fits that ended, and a ``fit_spectrum``
+call per spectrum assembles its result.  Each row keeps its own damping
+factor, iteration count and convergence state.  Every operation is
+row-wise, so a spectrum gets the same bits whether it is fitted alone or
 among others, in whichever slot.  ``fit_spectrum`` is ``fit_series`` of a
-batch of one.  A spectrum on another grid waits until every slot is free,
-and the slots then start again on its grid.
+batch of one.  A spectrum on another grid, even one of the same number of
+points, drains the workspace: every fit on the current grid runs to its
+end and has its result assembled, and a new workspace for the new grid
+takes its place.  A failure is raised where it is found: a degenerate
+normal matrix in the iteration, and a refused start when its stack is
+admitted, after the spectra before it have been fitted.
 
 The iteration allocates no real array of the slots' size; only the Voigt's
 complex intermediates (``scipy.special.wofz``) are allocated per call.
-``fit_series`` allocates a workspace once per grid (again only when the
-number of points changes): the data and residual rows, a spare plane, the
-samples of the stack read ahead, the kernel's intermediates (offsets,
-attenuation, P and its derivatives), each a ``(rows, points)`` buffer, and
-the ``(rows, points, params)`` Jacobian, all carved from one array.  An
-evaluation of ``n`` rows uses the ``[:n]`` views of these buffers, and
-``jacobian``, ``lineshape.profile`` and the residuals write every
-intermediate into them through the ufuncs' ``out=``, with the same
-operations in the same order as the expressions they replace, so the bits
-are unchanged.  When a trial is rejected, the Jacobian and residual rows
-that are kept are gathered into the kernel's planes, spent by then, and the
-spare plane.
+``fit_series`` allocates a workspace once per grid: the data and residual
+rows, a spare plane, the samples of the stack read ahead, the kernel's
+intermediates (offsets, attenuation, P and its derivatives), each a
+``(rows, points)`` buffer, and the ``(rows, points, params)`` Jacobian,
+all carved from one array.  An evaluation of ``n`` rows uses the ``[:n]``
+views of these buffers, and ``jacobian``, ``lineshape.profile`` and the
+residuals write every intermediate into them through the ufuncs' ``out=``,
+with the same operations in the same order as the expressions they
+replace, so the bits are unchanged.  When a trial is rejected, the Jacobian
+and residual rows that are kept are gathered into the kernel's planes,
+spent by then, and the spare plane.
 Temporaries allocated per iteration would be freed to the top of glibc's
 heap, which malloc hands back to the OS, so the next iteration would fault
 the pages in again: about 28k minor faults per 400-spectrum W1 fit, a fifth
@@ -93,6 +96,7 @@ DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
 _COND_LIMIT = 1e14
 _BLOCK_ELEMENTS = 16384  # row slots = this // points; 128 KiB per (rows, points)
+_SINGULAR = "degenerate fit: singular normal matrix"
 
 
 class FitModel(enum.Enum):
@@ -317,20 +321,11 @@ def _row_costs(resid: np.ndarray) -> np.ndarray:
     return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
 
 
-class _Degenerate(FitError):
-    """A degenerate normal matrix; ``rows`` are the positions of the
-    degenerate ones among the kept rows."""
-
-    def __init__(self, rows: np.ndarray):
-        super().__init__("degenerate fit: singular normal matrix")
-        self.rows = rows
-
-
 def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray,
                       workspace: _Workspace | None = None) -> tuple:
-    """J^T r and J^T J of the rows where ``keep`` is true; raises
-    ``_Degenerate``, a ``FitError`` that tells which, if one of their J^T J
-    is degenerate.
+    """J^T r and J^T J of the rows where ``keep`` is true, and the positions
+    among those rows of the ones whose J^T J is degenerate (condition number
+    above ``_COND_LIMIT``, or not finite).
 
     Only the kept rows are multiplied, so the normal equations of a
     rejected trial are never formed.  When a row is not kept, the others
@@ -362,9 +357,7 @@ def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray,
         unclear, bad = np.flatnonzero(finite), np.flatnonzero(~finite)
     if unclear.size:
         bad = np.union1d(bad, unclear[np.linalg.cond(hess[unclear]) > _COND_LIMIT])
-    if bad.size:
-        raise _Degenerate(bad)
-    return grads, hess
+    return grads, hess, bad
 
 
 def _gram(js: np.ndarray, resid: np.ndarray) -> tuple:
@@ -380,17 +373,18 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _Slots:
-    """The rows of a workspace, each holding one spectrum of the current grid
+    """The rows of a workspace for the grid ``x``, each holding one spectrum
     from its admission until its fit ends, and the fits that ended until
-    their results are assembled (see the module docstring).
+    their results are assembled (see the module docstring).  The grid and
+    its parameter scale are fixed at construction.
 
     Row ``s`` of the workspace's data and of ``theta``, ``cost``, ``grads``,
     ``hessians``, ``lam`` and ``n_iter`` is the state of the spectrum in slot
     ``s``; ``owners[s]`` is its (result index, spectrum, source id).
     """
 
-    def __init__(self, points: int, model: FitModel, max_iter: int):
-        rows = max(1, _BLOCK_ELEMENTS // points)
+    def __init__(self, x: np.ndarray, model: FitModel, max_iter: int):
+        rows = max(1, _BLOCK_ELEMENTS // x.size)
         names = model.param_names
         n = len(names)
         self.model, self.max_iter = model, max_iter
@@ -398,7 +392,8 @@ class _Slots:
         self.i_delta = names.index("delta_mhz")
         self.i_level = names.index("baseline_level")
         self.i_gamma = names.index("gamma_mhz") if "gamma_mhz" in names else None
-        self.workspace = _Workspace.allocate(rows, points, model)
+        self.x, self.scale = x, _scales(names, float(x[-1] - x[0]))
+        self.workspace = _Workspace.allocate(rows, x.size, model)
         self.theta = np.empty((rows, n))
         self.cost = np.empty(rows)
         self.grads = np.empty((rows, n))
@@ -410,40 +405,31 @@ class _Slots:
         self.active = np.empty(0, dtype=int)  # slots being iterated
         self.new = []                         # slots admitted since the last step
         self.ended = []                       # fits set aside by ``_finish``
-        self.x = self.scale = None
 
     @property
     def busy(self) -> bool:
         return len(self.free) < len(self.owners)
 
-    def admit(self, rows: list, results: list):
-        """Admit ``rows`` (spectrum, source id), all on one grid and of the
-        workspace's number of points, no more than it has slots, in input
-        order up to the first that ``_guesses`` refuses; return that one's
-        error (a ``DataError`` prefixed by its source id), or None.
+    def admit(self, rows: list, results: list) -> None:
+        """Admit ``rows`` (spectrum, source id), all on the workspace's grid,
+        no more than it has slots, in input order up to the first that
+        ``_guesses`` refuses.  The starts come from one ``_guesses`` call,
+        and the rows take slots as they free up.
 
-        The starts come from one ``_guesses`` call.  The rows then take
-        slots as they free up, after the fits on another grid have ended."""
-        x = rows[0][0].freq_offset_mhz
+        A refused row raises ``DataError`` with its message, prefixed by its
+        source id, once the rows before it have been fitted (``drain``), so
+        that a ``FitError`` of an earlier row comes first."""
         t = np.stack([spectrum.transmission for spectrum, _ in rows],
                      out=self.workspace.ahead[:len(rows)])
-        starts, refusals = _guesses(x, t, self.model)
-        error = None
-        for i, message in enumerate(refusals):
-            if message is not None:  # raised once the rows before it are fitted
-                source_id = rows[i][1]
-                error = DataError(f"{source_id}: {message}" if source_id else message)
-                rows = rows[:i]
-                break
+        starts, refusals = _guesses(self.x, t, self.model)
+        refused = next((i for i, message in enumerate(refusals) if message is not None),
+                       len(rows))
         i = 0
-        while i < len(rows):
-            if not self.free or (self.busy and not _same_grid(x, self.x)):
+        while i < refused:
+            if not self.free:
                 self.step()
                 continue
-            if not self.busy:
-                self.x = x
-                self.scale = _scales(self.model.param_names, float(x[-1] - x[0]))
-            taken = rows[i:i + len(self.free)]
+            taken = rows[i:min(refused, i + len(self.free))]
             slots = [self.free.pop() for _ in taken]
             self.workspace.data[slots] = t[i:i + len(taken)]
             self.theta[slots] = starts[i:i + len(taken)]
@@ -454,15 +440,20 @@ class _Slots:
                 results.append(None)
             self.new += slots
             i += len(taken)
-        return error
+        if refused < len(rows):
+            self.drain(results)
+            source_id, message = rows[refused][1], refusals[refused]
+            raise DataError(f"{source_id}: {message}" if source_id else message)
 
     def step(self) -> None:
         """One iteration: a damped step for every active row, the start of
         every new row, and the fits that end set aside.  A new row is
         evaluated at its start parameters in the same ``jacobian`` call as
         the active rows' trials, and its first step comes in the next
-        iteration.  A degenerate normal matrix raises ``FitError`` naming the
-        first of its spectra in input order."""
+        iteration.  A degenerate normal matrix (``_normal_equations`` gives
+        the positions of such rows) raises ``FitError`` naming the first of
+        its spectra in input order, before any state of the iteration is
+        stored."""
         diag = self.diag
         active, new = self.active, np.array(self.new, dtype=int)
         self.new.clear()
@@ -478,7 +469,7 @@ class _Slots:
         try:
             step = np.linalg.solve(damped, grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            raise FitError("degenerate fit: singular normal matrix") from None
+            raise FitError(_SINGULAR) from None
         candidate = self.theta[active] + step * self.scale
         if self.i_gamma is not None:
             candidate[:, self.i_gamma] = np.abs(candidate[:, self.i_gamma])
@@ -508,12 +499,11 @@ class _Slots:
         keep = np.concatenate((np.ones(new.size, dtype=bool), kept))
         evaluated = rows[keep]  # the new rows, then the accepted ones
         self.cost[evaluated] = costs[keep]
-        try:
-            self.grads[evaluated], self.hessians[evaluated] = _normal_equations(
-                js, resid, keep, self.workspace)
-        except _Degenerate as exc:  # named by its first spectrum in input order
-            _, _, source_id = min(self.owners[s] for s in evaluated[exc.rows].tolist())
-            raise FitError(f"{source_id}: {exc}" if source_id else str(exc)) from None
+        grads, hessians, bad = _normal_equations(js, resid, keep, self.workspace)
+        if bad.size:  # named by its first spectrum in input order
+            _, _, source_id = min(self.owners[s] for s in evaluated[bad].tolist())
+            raise FitError(f"{source_id}: {_SINGULAR}" if source_id else _SINGULAR)
+        self.grads[evaluated], self.hessians[evaluated] = grads, hessians
         self.lam[accepted] = np.maximum(self.lam[accepted] * DAMPING_DOWN, 1e-15)
         self.lam[active[~done & ~better]] *= DAMPING_UP
 
@@ -531,7 +521,7 @@ class _Slots:
         self.ended.append(([self.owners[s] for s in slots.tolist()], self.theta[slots],
                            self.hessians[slots],
                            self.cost[slots] / (self.x.size - len(self.model.param_names)),
-                           self.scale, self.n_iter[slots], converged))
+                           self.n_iter[slots], converged))
         for slot in slots.tolist():
             self.owners[slot] = None
             self.free.append(slot)
@@ -539,18 +529,17 @@ class _Slots:
     def drain(self, results: list) -> None:
         """Step until every fit has ended, then put the results of the fits
         set aside into ``results``: one stacked ``inv`` gives every
-        covariance, each scaled by its own grid's span, and a
+        covariance, scaled by the grid's parameter scale, and a
         ``fit_spectrum`` call per spectrum assembles its result."""
         while self.busy:
             self.step()
         if not self.ended:
             return
-        owners, theta, hessians, var, scale, n_iter, converged = zip(*self.ended)
+        owners, theta, hessians, var, n_iter, converged = zip(*self.ended)
         self.ended = []
-        scale = np.repeat(np.array(scale), [len(o) for o in owners], axis=0)
         var = np.concatenate(var)
         cov = (var[:, None, None] * np.linalg.inv(np.concatenate(hessians))
-               * (scale[:, :, None] * scale[:, None, :]))
+               * (self.scale[:, None] * self.scale))
         solved = zip(np.concatenate(theta).tolist(), cov, var.tolist(),
                      np.concatenate(n_iter).tolist(), np.concatenate(converged).tolist())
         for (index, spectrum, source_id), row in zip(itertools.chain.from_iterable(owners),
@@ -562,9 +551,10 @@ class _Slots:
 def _inputs(spectra, source_ids):
     """The (spectrum, source id) rows of ``fit_series``'s input, then the
     exception that ended it: ``StopIteration`` at its end, else the error of
-    the spectrum that could not be read."""
-    ids = iter(source_ids) if source_ids is not None else itertools.repeat("")
-    rows = zip(spectra, ids)
+    the spectrum that could not be read, or the ``ValueError`` of a spectrum
+    and a source id out of step."""
+    rows = (zip(spectra, source_ids, strict=True) if source_ids is not None
+            else zip(spectra, itertools.repeat("")))
     while True:
         try:
             yield next(rows)
@@ -581,8 +571,13 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
     stacks: a spectrum, the spectra after it on its grid up to as many as
     the workspace has slots, and the one after those, which begins the next
     stack.  Every start comes from the samples, in one array pass per stack
-    (``_guesses``), and a stack's spectra take slots as they free up.
-    ``source_ids`` is an optional iterable of labels in step with it.
+    (``_guesses``), and a stack's spectra take slots as they free up.  A
+    spectrum on another grid than the one before it first lets every fit on
+    that grid end, and then gets a workspace of its own grid.
+    ``source_ids`` is an optional iterable of labels in step with it, one
+    per spectrum: a spectrum without an id, or an id left over when the
+    spectra end, raises ``ValueError`` where it is met, like a spectrum
+    that cannot be read.
 
     A fit that runs out of iterations comes back flagged
     (``converged=False``).  A degenerate problem (singular normal matrix,
@@ -604,20 +599,18 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
     results = []
     slots = None
     while not isinstance(row, Exception):
-        spectrum = row[0]
-        if slots is None or spectrum.n_points != slots.workspace.data.shape[1]:
+        x = row[0].freq_offset_mhz
+        if slots is None or not _same_grid(x, slots.x):
             if slots is not None:
                 slots.drain(results)
-            slots = _Slots(spectrum.n_points, model, max_iter)
+            slots = _Slots(x, model, max_iter)
         stack = [row]
         for row in inputs:
             if (isinstance(row, Exception) or len(stack) == len(slots.owners)
-                    or not _same_grid(row[0].freq_offset_mhz, spectrum.freq_offset_mhz)):
+                    or not _same_grid(row[0].freq_offset_mhz, x)):
                 break
             stack.append(row)
-        error = slots.admit(stack, results)
-        if error is not None:
-            row = error
+        slots.admit(stack, results)
     if slots is not None:
         slots.drain(results)  # a FitError of an earlier spectrum comes first
     if not isinstance(row, StopIteration):

@@ -79,6 +79,20 @@ class TestSimulate:
         f1, f2 = next(out1.glob("*.txt")), next(out2.glob("*.txt"))
         assert f1.read_text() != f2.read_text()
 
+    def test_a_directory_that_holds_spectra_exits_2_and_is_left_as_it_was(self, tmp_path,
+                                                                           capsys):
+        # a second campaign written into the first's directory would be
+        # fitted with it, under the second's manifest alone
+        out = tmp_path / "sp"
+        assert run("simulate", "--config", write_config(tmp_path, replicas=3), "--out", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        cfg = write_config(tmp_path, replicas=1, seed=5)
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: data: --out: {out} already holds 24 spectrum files\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_no_noise_flag(self, tmp_path):
         cfg = write_config(tmp_path, pressures_pa=[1.0])
         out = tmp_path / "clean"

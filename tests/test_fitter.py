@@ -771,6 +771,49 @@ class TestReadAhead:
             results = fit_series(spectra, source_ids=ids, max_iter=max_iter)
             assert sorted(calls) == sorted(ids) and [r.source_id for r in results] == ids
 
+    def test_errors_on_two_grids_of_one_size_come_in_input_order(self):
+        # Two 501-point grids with other offsets: the fits on the first end
+        # before a spectrum of the second is started, so a degenerate fit on
+        # the first comes before a refused start on the second, and a
+        # refused start on the first before a degenerate fit on the second.
+        first = w1_spectra(50, replicas=1)[:2]
+        second = [s for s, _ in synth_series(NH3, [2.0, 4.0], GasConditions(pressure_pa=1.0),
+                                             make_scan(snr=1000.0, span=200.0, step=0.4),
+                                             KB, 9)]
+        assert first[0].n_points == second[0].n_points
+        assert not np.array_equal(first[0].freq_offset_mhz, second[0].freq_offset_mhz)
+        degenerate = low_pressure_spectrum(3)  # on the default scan, the first grid's
+        flat_second = second[0].with_transmission(np.ones(second[0].n_points))
+        ids = [f"s{i}.txt" for i in range(6)]
+        inputs = [first[0], degenerate, first[1], second[0], flat_second, second[1]]
+        with pytest.raises(FitError, match=r"^s1\.txt: degenerate fit: singular normal matrix$"):
+            fit_series(iter(inputs), source_ids=ids)
+        inputs = [second[0], flat_second, second[1], first[0], degenerate, first[1]]
+        with pytest.raises(DataError, match=r"^s1\.txt: line not in scan window$"):
+            fit_series(iter(inputs), source_ids=ids)
+
+    @pytest.mark.parametrize("n_ids, message", [(1, "shorter"), (4, "longer")])
+    def test_source_ids_out_of_step_raise_after_the_spectra_before_are_fitted(
+            self, n_ids, message, monkeypatch):
+        # a spectrum without an id, or an id without a spectrum, is met like
+        # a spectrum that cannot be read
+        spectra = w1_spectra(49, replicas=1)[:3]
+        ids = [f"s{i}" for i in range(n_ids)]
+        assembled = []
+        assemble = fitter.fit_spectrum
+
+        def counting(spectrum, *args, **kwargs):
+            assembled.append(kwargs["source_id"])
+            return assemble(spectrum, *args, **kwargs)
+
+        monkeypatch.setattr(fitter, "fit_spectrum", counting)
+        with pytest.raises(ValueError, match=message):
+            fit_series((s for s in spectra), source_ids=ids)
+        assert sorted(assembled) == ids[:3]
+        # the error of an earlier fit still comes first
+        with pytest.raises(FitError, match=r"^s0: degenerate fit"):
+            fit_series((s for s in [low_pressure_spectrum(3)] + spectra[1:]), source_ids=ids)
+
 
 class TestKeptRowsOnly:
     @pytest.mark.parametrize("model,replicas", [(FitModel.EXP_GAUSSIAN, 50),
@@ -834,26 +877,25 @@ def normal_matrix_stacks(seed):
 
 
 class TestConditionScreen:
-    def test_raises_exactly_when_a_condition_number_exceeds_the_limit(self):
-        # every row kept, then a random part of them: the rows left out never
-        # raise, and the kept ones get the bits they get alone
+    def test_flags_exactly_the_rows_whose_condition_number_exceeds_the_limit(self):
+        # every row kept, then a random part of them: the positions of the
+        # degenerate kept rows come back, the rows left out are never
+        # flagged, and the kept ones get the bits they get alone
         rng = np.random.default_rng(5)
-        raised = spared = 0
+        flagged = spared = 0
         for js in normal_matrix_stacks(12):
             resid = rng.standard_normal(js.shape[:2])
             degenerate = np.linalg.cond(js.transpose(0, 2, 1) @ js) > fitter._COND_LIMIT
             for keep in (np.ones(len(js), dtype=bool), rng.random(len(js)) < 0.5):
-                if np.any(degenerate[keep]):
-                    raised += 1
-                    with pytest.raises(FitError, match="degenerate"):
-                        fitter._normal_equations(js, resid, keep)
-                    continue
-                spared += bool(np.any(degenerate))
-                grads, hess = fitter._normal_equations(js, resid, keep)
+                grads, hess, bad = fitter._normal_equations(js, resid, keep)
+                np.testing.assert_array_equal(bad, np.flatnonzero(degenerate[keep]))
+                flagged += bool(bad.size)
+                spared += bool(not bad.size and np.any(degenerate))
                 alone = fitter._normal_equations(js[keep], resid[keep],
                                                  np.ones(keep.sum(), dtype=bool))
-                assert (grads.tobytes(), hess.tobytes()) == tuple(a.tobytes() for a in alone)
-        assert raised > 50 and spared > 20
+                assert (grads.tobytes(), hess.tobytes(), bad.tobytes()) == \
+                    tuple(a.tobytes() for a in alone)
+        assert flagged > 50 and spared > 20
 
     def test_no_w1_normal_matrix_reaches_the_svd(self, monkeypatch):
         pressures = [p for p in GOLDEN_PRESSURES for _ in range(50)]
