@@ -251,6 +251,10 @@ def _collect_spectrum_paths(args) -> list:
             paths.append(p)
     if not paths:
         raise DataError("no spectrum files found")
+    first = {}  # a spectrum's file name is its source id, so two of one name are refused
+    for path in paths:
+        if first.setdefault(path.name, path) is not path:
+            raise DataError(f"{first[path.name]} and {path}: two spectra named {path.name}")
     return paths
 
 

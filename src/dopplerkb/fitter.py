@@ -24,11 +24,13 @@ start, comes from one pass over a stack's samples (``_guesses``), and its
 spectra take slots as they free up.  An iteration makes one kernel call:
 ``jacobian`` gives the model and its Jacobian for the start parameters of
 the rows just admitted together with the trial parameters of the active
-rows.  The gradient and normal matrix are formed with stacked ``matmul``
-for the new rows and the accepted trials only, and an accepted step keeps
-its trial's; the conditioning test runs on the whole stack of them, and the
-damped steps come from one stacked ``np.linalg.solve``.  A fit that ends
-keeps its parameters, normal matrix, cost, iteration count and convergence.
+rows.  The gradient and normal matrix of every row evaluated are formed
+with stacked ``matmul``, and those of the new rows and the accepted trials
+are kept: an accepted step keeps its trial's, and a rejected trial's are
+dropped unscreened.  The conditioning test runs on the whole stack of the
+kept ones, and the damped steps come from one stacked ``np.linalg.solve``.
+A fit that ends keeps its parameters, normal matrix, cost, iteration count
+and convergence.
 When the grid changes and when the input ends, one stacked ``np.linalg.inv``
 gives the covariances of all the fits that ended, and a ``fit_spectrum``
 call per spectrum assembles its result.  Each row keeps its own damping
@@ -45,28 +47,25 @@ admitted, after the spectra before it have been fitted.
 The iteration allocates no real array of the slots' size; only the Voigt's
 complex intermediates (``scipy.special.wofz``) are allocated per call.
 ``fit_series`` allocates a workspace once per grid: the data and residual
-rows, a spare plane, the samples of the stack read ahead, the kernel's
-intermediates (offsets, attenuation, P and its derivatives), each a
-``(rows, points)`` buffer, and the ``(rows, points, params)`` Jacobian,
-all carved from one array.  An evaluation of ``n`` rows uses the ``[:n]``
-views of these buffers, and ``jacobian``, ``lineshape.profile`` and the
-residuals write every intermediate into them through the ufuncs' ``out=``,
-with the same operations in the same order as the expressions they
-replace, so the bits are unchanged.  When a trial is rejected, the Jacobian
-and residual rows that are kept are gathered into the kernel's planes,
-spent by then, and the spare plane.
-Temporaries allocated per iteration would be freed to the top of glibc's
-heap, which malloc hands back to the OS, so the next iteration would fault
-the pages in again: about 28k minor faults per 400-spectrum W1 fit, a fifth
-of its time spent in the OS.  The single allocation matters too: glibc keeps
-a freed chunk that size in the heap, for the next ``fit_series`` call.  A
-workspace holds ``_BLOCK_ELEMENTS = 16384`` samples, so a ``(rows, points)``
-buffer is 128 KiB and a Gaussian workspace (14 of them) 1.75 MiB, which stays
+rows and the kernel's intermediates (offsets, attenuation, P and its
+derivatives), each a ``(rows, points)`` buffer, and the ``(rows, points,
+params)`` Jacobian, all carved from one array.  An evaluation of ``n`` rows
+uses the ``[:n]`` views of these buffers, and ``jacobian``,
+``lineshape.profile`` and the residuals write every intermediate into them
+through the ufuncs' ``out=``, with the same operations in the same order as
+the expressions they replace, so the bits are unchanged.  Temporaries
+allocated per iteration would be freed to the top of glibc's heap, which
+malloc hands back to the OS, so the next iteration would fault the pages in
+again: about 28k minor faults per 400-spectrum W1 fit, a fifth of its time
+spent in the OS.  The single allocation matters too: glibc keeps a freed
+chunk that size in the heap, for the next ``fit_series`` call.  A workspace
+holds ``_BLOCK_ELEMENTS = 16384`` samples, so a ``(rows, points)``
+buffer is 128 KiB and a Gaussian workspace (12 of them) 1.5 MiB, which stays
 in a core's L2 cache through the chain of ufuncs.  More slots spread the
-per-iteration Python overhead over more rows: on a 2-vCPU x86-64 host,
-32768 and 65536 samples fitted a W2 campaign 1.37x and 1.40x as fast, but
-raised the benchmark's peak RSS (about 62 MB, with a 10% bound) by 2.1 and
-5.3 MB on W2 and by 3.3 and 6.7 MB on W3.
+per-iteration Python overhead over more rows: on a 2-vCPU x86-64 host, with
+14-plane Gaussian workspaces, 32768 and 65536 samples fitted a W2 campaign
+1.37x and 1.40x as fast, but raised the benchmark's peak RSS (about 62 MB,
+with a 10% bound) by 2.1 and 5.3 MB on W2 and by 3.3 and 6.7 MB on W3.
 
 In the Gaussian variant the homogeneous width is fixed at zero: pressure
 broadening is deliberately absorbed into the fitted width, and the
@@ -159,29 +158,22 @@ def _columns(theta, model: FitModel) -> dict:
 
 class _Workspace(NamedTuple):
     """Buffers for up to ``rows`` spectra of ``points`` samples at once:
-    the data rows, the residual rows, a spare plane, the samples read
-    ahead, the kernel's and ``jacobian``'s intermediates and the Jacobian
-    (see the module docstring)."""
+    the data rows, the residual rows, the kernel's and ``jacobian``'s
+    intermediates and the Jacobian (see the module docstring)."""
 
     data: np.ndarray     # (rows, points)
     resid: np.ndarray    # (rows, points)
-    spare: np.ndarray    # (rows, points)
-    ahead: np.ndarray    # (rows, points)
     kernel: np.ndarray   # (k, rows, points)
     jac: np.ndarray      # (rows, points, params)
-    kept: np.ndarray     # (rows, points, params), the memory of ``kernel``
 
     @classmethod
     def allocate(cls, rows: int, points: int, model: FitModel) -> "_Workspace":
-        # the offsets, the attenuation, and P, dP/du, dP/ddelta (and dP/dgamma):
-        # as many planes as there are parameters, so ``kept`` fits in them
+        # the offsets, the attenuation, and P, dP/du, dP/ddelta (and dP/dgamma)
         k = 6 if model is FitModel.EXP_VOIGT else 5
         n_params = len(model.param_names)
-        planes = np.empty((4 + k + n_params, rows, points))
+        planes = np.empty((2 + k + n_params, rows, points))
         # the memory of the last n_params planes holds the Jacobian
-        return cls(*planes[:4], planes[4:4 + k],
-                   planes[4 + k:].reshape(rows, points, n_params),
-                   planes[4:4 + k].reshape(rows, points, n_params))
+        return cls(*planes[:2], planes[2:2 + k], planes[2 + k:].reshape(rows, points, n_params))
 
 
 def jacobian(offsets_mhz, theta, model: FitModel, scale=None, workspace=None) -> tuple:
@@ -321,17 +313,15 @@ def _row_costs(resid: np.ndarray) -> np.ndarray:
     return (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
 
 
-def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray,
-                      workspace: _Workspace | None = None) -> tuple:
+def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray) -> tuple:
     """J^T r and J^T J of the rows where ``keep`` is true, and the positions
     among those rows of the ones whose J^T J is degenerate (condition number
     above ``_COND_LIMIT``, or not finite).
 
-    Only the kept rows are multiplied, so the normal equations of a
-    rejected trial are never formed.  When a row is not kept, the others
-    are first gathered into the workspace's ``kept`` and ``spare`` buffers
-    (the kernel's intermediates are spent by then), or into new arrays
-    without a workspace; each row's product is the same either way.
+    Every row is multiplied, in one stacked product per array, and the kept
+    rows' products are taken from it; each row's product is the same bits
+    alone or in any stack.  A row that is not kept never reaches the screen
+    below, so a rejected trial is never flagged.
 
     For a positive semi-definite H of order n, cond(H) <= trace(H)^n /
     det(H), so a row with ``det(H) * _COND_LIMIT / 10 > trace(H)^n`` is well
@@ -340,14 +330,8 @@ def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray,
     screen leaves over go through the SVD of ``np.linalg.cond``, so the
     decision is the SVD's.
     """
-    if not keep.all():
-        rows = np.flatnonzero(keep)
-        if workspace is None:
-            js, resid = js[rows], resid[rows]
-        else:  # the indices are in range, and "clip" takes rows without a copy of ``out``
-            js = np.take(js, rows, axis=0, out=workspace.kept[:rows.size], mode="clip")
-            resid = np.take(resid, rows, axis=0, out=workspace.spare[:rows.size], mode="clip")
-    grads, hess = _gram(js, resid)
+    jt = js.transpose(0, 2, 1)
+    grads, hess = (jt @ resid[:, :, None])[keep, :, 0], (jt @ js)[keep]
     if np.all(np.isfinite(hess)):
         unclear = np.flatnonzero(np.linalg.det(hess) * (_COND_LIMIT / 10)
                                  <= np.trace(hess, axis1=1, axis2=2) ** hess.shape[-1])
@@ -358,12 +342,6 @@ def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray,
     if unclear.size:
         bad = np.union1d(bad, unclear[np.linalg.cond(hess[unclear]) > _COND_LIMIT])
     return grads, hess, bad
-
-
-def _gram(js: np.ndarray, resid: np.ndarray) -> tuple:
-    """J^T r and J^T J of every row: the products of ``_normal_equations``."""
-    jt = js.transpose(0, 2, 1)
-    return (jt @ resid[:, :, None])[:, :, 0], jt @ js
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
@@ -413,14 +391,14 @@ class _Slots:
     def admit(self, rows: list, results: list) -> None:
         """Admit ``rows`` (spectrum, source id), all on the workspace's grid,
         no more than it has slots, in input order up to the first that
-        ``_guesses`` refuses.  The starts come from one ``_guesses`` call,
-        and the rows take slots as they free up.
+        ``_guesses`` refuses.  The starts come from one ``_guesses`` call
+        on the rows' samples, stacked into a new array, and the rows take
+        slots as they free up.
 
         A refused row raises ``DataError`` with its message, prefixed by its
         source id, once the rows before it have been fitted (``drain``), so
         that a ``FitError`` of an earlier row comes first."""
-        t = np.stack([spectrum.transmission for spectrum, _ in rows],
-                     out=self.workspace.ahead[:len(rows)])
+        t = np.stack([spectrum.transmission for spectrum, _ in rows])
         starts, refusals = _guesses(self.x, t, self.model)
         refused = next((i for i, message in enumerate(refusals) if message is not None),
                        len(rows))
@@ -499,7 +477,7 @@ class _Slots:
         keep = np.concatenate((np.ones(new.size, dtype=bool), kept))
         evaluated = rows[keep]  # the new rows, then the accepted ones
         self.cost[evaluated] = costs[keep]
-        grads, hessians, bad = _normal_equations(js, resid, keep, self.workspace)
+        grads, hessians, bad = _normal_equations(js, resid, keep)
         if bad.size:  # named by its first spectrum in input order
             _, _, source_id = min(self.owners[s] for s in evaluated[bad].tolist())
             raise FitError(f"{source_id}: {_SINGULAR}" if source_id else _SINGULAR)
@@ -551,16 +529,22 @@ class _Slots:
 def _inputs(spectra, source_ids):
     """The (spectrum, source id) rows of ``fit_series``'s input, then the
     exception that ended it: ``StopIteration`` at its end, else the error of
-    the spectrum that could not be read, or the ``ValueError`` of a spectrum
-    and a source id out of step."""
-    rows = (zip(spectra, source_ids, strict=True) if source_ids is not None
-            else zip(spectra, itertools.repeat("")))
-    while True:
-        try:
-            yield next(rows)
-        except Exception as exc:
-            yield exc
-            return
+    the spectrum that could not be read, or a ``ValueError`` naming
+    ``source_ids`` when it is out of step with the spectra: the index of the
+    first spectrum without an id, or the number of spectra when ids are left
+    over."""
+    ids = itertools.repeat("") if source_ids is None else iter(source_ids)
+    n, end = 0, object()
+    try:
+        for n, spectrum in enumerate(spectra, 1):
+            if (source_id := next(ids, end)) is end:
+                raise ValueError(f"source_ids is shorter than the spectra: no id at index {n - 1}")
+            yield spectrum, source_id
+        if source_ids is not None and next(ids, end) is not end:
+            raise ValueError(f"source_ids is longer than the {n} spectra")
+        raise StopIteration  # the end of the input, yielded below like an error
+    except Exception as exc:
+        yield exc
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,

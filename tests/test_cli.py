@@ -446,6 +446,27 @@ class TestFitSeriesKb:
             f"error: data: {unreadable}: cannot read ({os.strerror(errno.EISDIR)})\n")
         assert not (tmp_path / "f.jsonl").exists()
 
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_a_spectrum_file_name_met_twice_exits_2_naming_both_paths(
+            self, tmp_path, spectra_dir, capsys, monkeypatch, copy):
+        # A spectrum's file name is its source id: the same directory given
+        # twice, or a file and a copy of it elsewhere, would be fitted twice
+        # and counted twice by ``series``.  Nothing is read.
+        first = sorted(spectra_dir.glob("spectrum_*.txt"))[0]
+        second = spectra_dir
+        if copy:
+            (tmp_path / "copy").mkdir()
+            second = tmp_path / "copy" / first.name
+            second.write_bytes(first.read_bytes())
+        read = []
+        monkeypatch.setattr(dopplerkb.cli, "read_spectrum", read.append)
+        fits = tmp_path / "fits.jsonl"
+        assert run("fit", spectra_dir, second, "--out", fits) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert f"{first} and {second if copy else first}: " in err
+        assert not read and not fits.exists()
+
     def test_degenerate_fit_before_a_bad_file_exits_3(self, tmp_path, capsys):
         # errors surface in file order: the degenerate fit of the first file
         # is reported, not the unreadable second file

@@ -434,8 +434,8 @@ class TestBlockFitting:
 
     def test_reused_buffers_leak_nothing_between_blocks(self):
         # One call: a full 32-row block, a 5-row block on the same grid, a
-        # second 501-point grid (same buffers, other offsets), then the first
-        # grid again with a row that runs out of iterations.
+        # second 501-point grid (other offsets, so a workspace of its own),
+        # then the first grid again with a row that runs out of iterations.
         cond = GasConditions(pressure_pa=1.0)
         pressures = [p for p in GOLDEN_PRESSURES for _ in range(5)][:37]
         first = [s for s, _ in synth_series(NH3, pressures, cond, make_scan(snr=1000.0), KB, 5)]
@@ -792,11 +792,14 @@ class TestReadAhead:
         with pytest.raises(DataError, match=r"^s1\.txt: line not in scan window$"):
             fit_series(iter(inputs), source_ids=ids)
 
-    @pytest.mark.parametrize("n_ids, message", [(1, "shorter"), (4, "longer")])
+    @pytest.mark.parametrize("n_ids, message", [
+        (1, r"^source_ids is shorter than the spectra: no id at index 1$"),
+        (4, r"^source_ids is longer than the 3 spectra$")])
     def test_source_ids_out_of_step_raise_after_the_spectra_before_are_fitted(
             self, n_ids, message, monkeypatch):
         # a spectrum without an id, or an id without a spectrum, is met like
-        # a spectrum that cannot be read
+        # a spectrum that cannot be read; the message gives the index of the
+        # first spectrum without an id, or the number of spectra
         spectra = w1_spectra(49, replicas=1)[:3]
         ids = [f"s{i}" for i in range(n_ids)]
         assembled = []
@@ -818,10 +821,11 @@ class TestReadAhead:
 class TestKeptRowsOnly:
     @pytest.mark.parametrize("model,replicas", [(FitModel.EXP_GAUSSIAN, 50),
                                                 (FitModel.EXP_VOIGT, 5)])
-    def test_no_rejected_trial_reaches_the_normal_equations(self, model, replicas,
-                                                            monkeypatch):
-        # The loop lowers its damping by DAMPING_DOWN exactly when it accepts
-        # a step: a float that counts its multiplications counts them.
+    def test_no_rejected_trial_reaches_the_screen(self, model, replicas, monkeypatch):
+        # Every row the kernel evaluated is multiplied, and only the starts
+        # and the accepted steps reach the det/trace screen.  The loop lowers
+        # its damping by DAMPING_DOWN exactly when it accepts a step: a float
+        # that counts its multiplications counts them.
         spectra = w1_spectra(48, replicas)
         accepted = []
 
@@ -834,23 +838,31 @@ class TestKeptRowsOnly:
             patch.setattr(_loop_fitter, "DAMPING_DOWN", Counted(fitter.DAMPING_DOWN))
             for spectrum in spectra:
                 loop_fit(spectrum, model)
-        multiplied, kept, evaluated = [], [], []
-        gram, normal = fitter._gram, fitter._normal_equations
+        multiplied, screened, evaluated = [], [], []
+        normal, det = fitter._normal_equations, np.linalg.det
 
-        def products(js, resid):
-            multiplied.append(len(js))
-            return gram(js, resid)
+        class Multiplied(np.ndarray):
+            """A Jacobian stack that records the rows of each ``matmul`` of it."""
 
-        def screening(js, resid, keep, *args):
-            kept.append(int(keep.sum()))
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                if ufunc is np.matmul:
+                    multiplied[-1].append(len(args[0]))
+                return getattr(ufunc, method)(*(np.asarray(a) for a in args), **kwargs)
+
+        def recording(js, resid, keep):
             evaluated.append(len(keep))
-            return normal(js, resid, keep, *args)
+            multiplied.append([])
+            return normal(js.view(Multiplied), resid, keep)
 
-        monkeypatch.setattr(fitter, "_gram", products)
-        monkeypatch.setattr(fitter, "_normal_equations", screening)
+        def screening(hess):
+            screened.append(len(hess))
+            return det(hess)
+
+        monkeypatch.setattr(fitter, "_normal_equations", recording)
+        monkeypatch.setattr(np.linalg, "det", screening)
         fit_series(spectra, model)
-        assert multiplied == kept
-        assert sum(multiplied) == len(spectra) + len(accepted) < sum(evaluated)
+        assert all(rows and set(rows) == {n} for rows, n in zip(multiplied, evaluated))
+        assert sum(screened) == len(spectra) + len(accepted) < sum(evaluated)
 
 
 def normal_matrix_stacks(seed):
