@@ -6,7 +6,8 @@ writes a manifest (config hash, seed, package and library versions, constants
 snapshot) sufficient to reproduce it bit-identically.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a bad file, config value
-or option value), 3 non-convergence, 4 internal error.
+or option value), 3 a fit that did not converge (its record is written),
+4 internal error.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def simulate(config_path, out_dir, seed, no_noise):
 @click.option("--max-iter", type=int, default=MAX_ITER_DEFAULT, show_default=True,
               help="Iteration budget per spectrum.")
 def fit_command(spectra, out_path, model, max_iter):
-    """Fit every spectrum file and write one record per spectrum."""
+    """Fit every spectrum file and write one record per spectrum, whether or
+    not its fit converged."""
     if max_iter < 1:
         raise DataError(f"--max-iter: must be >= 1, got {max_iter}")
     paths = _collect_spectrum_paths(spectra)
@@ -112,10 +114,15 @@ def fit_command(spectra, out_path, model, max_iter):
     write_manifest(Path(out_path).with_suffix(".manifest.json"), "fit",
                    {"spectra": [p.name for p in paths], "model": fit_model.value,
                     "max_iter": max_iter}, None)
-    n_bad = sum(1 for r in results if not r.converged)
+    unconverged = {}  # the source ids of the fits that did not converge, by reason
+    for r in results:
+        if not r.converged:
+            unconverged.setdefault(r.failure or "out of iterations", []).append(r.source_id)
+    n_bad = sum(map(len, unconverged.values()))
     click.echo(f"fit: {len(results)} spectra -> {out_path} ({n_bad} unconverged)")
     if n_bad:
-        raise FitError(f"{n_bad} of {len(results)} fits did not converge")
+        raise FitError(f"{n_bad} of {len(results)} fits did not converge: " + "; ".join(
+            f"{reason} ({len(ids)}, first {ids[0]})" for reason, ids in unconverged.items()))
 
 
 @cli.command()
@@ -127,7 +134,8 @@ def fit_command(spectra, out_path, model, max_iter):
 @click.option("--threshold-slope", type=float, default=None,
               help="Slope filter threshold per MHz (default: 3x median slope sigma).")
 def series(fits_path, out_summary, out_table, threshold_slope):
-    """Filter fitted spectra by baseline slope and extrapolate to zero pressure."""
+    """Filter fitted spectra by baseline slope and extrapolate to zero pressure;
+    fits that did not converge, failed ones included, are left out."""
     if threshold_slope is not None and not 0.0 < threshold_slope < math.inf:
         raise DataError(f"--threshold-slope: must be positive and finite, got {threshold_slope}")
     results = read_fit_records(fits_path)
@@ -146,7 +154,8 @@ def series(fits_path, out_summary, out_table, threshold_slope):
     click.echo(
         f"series: delta_d = {outcome.delta_d_mhz:.6f} +/- {outcome.delta_d_sigma_mhz:.6f} MHz "
         f"(chi2_red {outcome.chi2_reduced:.3f}, used {outcome.n_used}, "
-        f"rejected {outcome.n_rejected}, unconverged {outcome.n_unconverged})"
+        f"rejected {outcome.n_rejected}, unconverged {outcome.n_unconverged} of which "
+        f"{sum(1 for r in results if r.failure)} failed)"
     )
 
 

@@ -2,7 +2,11 @@
 that turns an unreadable or undecodable file into a ``DataError``.
 
 The CLI maps these onto exit codes: usage errors exit 1, ``DataError`` exits
-2, ``FitError`` (degenerate or unconverged fits) exits 3.
+2, ``FitError`` exits 3.  A fit that fails (a degenerate normal matrix, or a
+start refused by the samples) is not raised: it comes back as that
+spectrum's result, with the reason in ``FitResult.failure``, and ``fit``
+raises one ``FitError`` for all the fits that did not converge, after it
+has written every record.
 """
 
 from pathlib import Path
@@ -17,7 +21,8 @@ class DataError(DopplerKBError):
 
 
 class FitError(DopplerKBError):
-    """Degenerate or non-converged least-squares problems."""
+    """Fits that did not converge, reported once their records are written,
+    or a fault of the fitter's own linear algebra."""
 
 
 def read_text(path) -> str:

@@ -13,11 +13,16 @@ the spectrum header is the fields of ``SpectrumMeta`` (``_HEADER_FIELDS``),
 a fit record is the ordered key table ``_FIT_RECORD`` of ``FitResult``'s
 fields, and a regression summary is the fields of ``ExtrapolationResult``
 followed by the slope threshold used.
+
+Fit records, regression summaries and k_B records begin with the key
+``schema``, the version of their layout (``STAGE_SCHEMA``).  A file written
+before that key existed is version 1; a reader refuses any other version.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -42,6 +47,10 @@ _READABLE_VERSIONS = ("v1", f"v{SCHEMA_VERSION}")
 
 # The type of every SpectrumMeta field, by name, in field order.
 _HEADER_FIELDS = get_type_hints(SpectrumMeta)
+
+# Version 2 added "failure" to fit records; version 1 has no "schema" key.
+STAGE_SCHEMA = 2
+_READABLE_SCHEMAS = (1, STAGE_SCHEMA)
 
 
 def _fmt(x: float) -> str:
@@ -216,18 +225,32 @@ _FIT_RECORD = (
     ("chi2_reduced", json_number),
     ("params", _numbers),
     ("covariance", _square_matrix),
+    ("failure", json_text),
 )
+
+
+def _check_schema(record: dict, where: str) -> None:
+    """Refuse a record of a version this reader cannot take, naming it."""
+    version = record.get("schema", 1)
+    if type(version) is not int or version not in _READABLE_SCHEMAS:
+        raise DataError(f"{where}: unsupported schema version {version!r} "
+                        f"(this reader takes {' and '.join(map(str, _READABLE_SCHEMAS))})")
 
 
 def write_fit_records(results: Sequence[FitResult], path) -> None:
     """One JSON record per line: parameters, covariance and diagnostics."""
-    lines = [json.dumps({key: getattr(r, key) for key, _ in _FIT_RECORD},
+    lines = [json.dumps({"schema": STAGE_SCHEMA}
+                        | {key: getattr(r, key) for key, _ in _FIT_RECORD},
                         default=_json_default, allow_nan=False) for r in results]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_fit_records(path) -> list:
+    """The fit records of ``path``, in file order.  A record is refused,
+    naming its line, for a bad value, an unknown schema version, or a
+    source id that an earlier record holds (naming both lines)."""
     results = []
+    first_line = {}  # of each source id
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -238,6 +261,7 @@ def read_fit_records(path) -> list:
             raise DataError(f"{where}: bad fit record ({exc})") from None
         if not isinstance(rec, dict):
             raise DataError(f"{where}: bad fit record (expected a JSON object)")
+        _check_schema(rec, where)
         fields = {}
         for key, read in _FIT_RECORD:
             if key in rec:
@@ -258,6 +282,10 @@ def read_fit_records(path) -> list:
             results.append(FitResult(**fields))
         except TypeError as exc:
             raise DataError(f"{where}: bad fit record ({exc})") from None
+        source_id = results[-1].source_id
+        if source_id and first_line.setdefault(source_id, lineno) != lineno:
+            raise DataError(f"{path}: lines {first_line[source_id]} and {lineno}: source id "
+                            f"{source_id!r} given twice")
     if not results:
         raise DataError(f"{path}: no fit records found")
     return results
@@ -265,7 +293,8 @@ def read_fit_records(path) -> list:
 
 def write_regression_summary(result: ExtrapolationResult, threshold: Optional[float],
                              path) -> None:
-    record = dataclasses.asdict(result) | {"slope_threshold_per_mhz": threshold}
+    record = ({"schema": STAGE_SCHEMA} | dataclasses.asdict(result)
+              | {"slope_threshold_per_mhz": threshold})
     atomic_write_text(path, json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
@@ -281,6 +310,7 @@ def read_regression_summary(path) -> dict:
         raise DataError(f"{path}: bad regression summary ({exc})") from None
     if not isinstance(record, dict):
         raise DataError(f"{path}: bad regression summary (expected a JSON object)")
+    _check_schema(record, str(path))
     for key, bound, accepts in _SUMMARY_INPUTS:
         if key not in record:
             raise DataError(f"{path}: missing field {key!r}")
@@ -313,10 +343,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@functools.cache
+def _installed_versions() -> dict:
+    """The scipy and click versions, looked up once per process: a lookup
+    scans the installed distributions."""
+    from importlib.metadata import version
+
+    return {"scipy": version("scipy"), "click": version("click")}
+
+
 def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> None:
     """Record everything needed to re-run a pipeline stage bit-identically."""
-    from importlib.metadata import version as pkg_version
-
     from . import __version__
 
     manifest = {
@@ -324,12 +361,8 @@ def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> Non
         "seed": seed,
         "config": config,
         "config_sha256": config_hash(config),
-        "versions": {
-            "dopplerkb": __version__,
-            "numpy": np.__version__,
-            "scipy": pkg_version("scipy"),
-            "click": pkg_version("click"),
-        },
+        "versions": {"dopplerkb": __version__, "numpy": np.__version__,
+                     **_installed_versions()},
         "constants": constants.as_dict(),
     }
     atomic_write_text(path, json.dumps(manifest, indent=2, default=_json_default,
@@ -338,6 +371,7 @@ def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> Non
 
 def write_boltzmann_record(result, path) -> None:
     record = {
+        "schema": STAGE_SCHEMA,
         "kb_j_per_k": result.kb,
         "sigma_kb_j_per_k": result.sigma_kb,
         "combined_relative": result.combined_relative,

@@ -29,8 +29,8 @@ with stacked ``matmul``, and those of the new rows and the accepted trials
 are kept: an accepted step keeps its trial's, and a rejected trial's are
 dropped unscreened.  The conditioning test runs on the whole stack of the
 kept ones, and the damped steps come from one stacked ``np.linalg.solve``.
-A fit that ends keeps its parameters, normal matrix, cost, iteration count
-and convergence.
+A fit that ends keeps its parameters, normal matrix, cost, iteration count,
+convergence and failure.
 When the grid changes and when the input ends, one stacked ``np.linalg.inv``
 gives the covariances of all the fits that ended, and a ``fit_spectrum``
 call per spectrum assembles its result.  Each row keeps its own damping
@@ -40,9 +40,16 @@ among others, in whichever slot.  ``fit_spectrum`` is ``fit_series`` of a
 batch of one.  A spectrum on another grid, even one of the same number of
 points, drains the workspace: every fit on the current grid runs to its
 end and has its result assembled, and a new workspace for the new grid
-takes its place.  A failure is raised where it is found: a degenerate
-normal matrix in the iteration, and a refused start when its stack is
-admitted, after the spectra before it have been fitted.
+takes its place.
+
+Every spectrum gets a result, and a fit ends in one of four ways, after
+Gpufit's fit states: converged; out of iterations; degenerate, when the
+normal matrix of its current parameters fails the conditioning test; or
+unstartable, when ``_guesses`` refuses its start.  A degenerate or
+unstartable fit carries its message in ``FitResult.failure`` and has no
+covariance, so one bad spectrum costs only its own row.  A spectrum that
+cannot be read is not a row's outcome: its error is raised where it is
+met.
 
 The iteration allocates no real array of the slots' size; only the Voigt's
 complex intermediates (``scipy.special.wofz``) are allocated per call.
@@ -129,6 +136,14 @@ class FitResult:
     stored: ``sigmas`` derives them from the covariance diagonal.  Results
     are equal when every field is, the covariance compared element by
     element.
+
+    ``failure`` is empty for a fit that converged or ran out of iterations.
+    Otherwise the fit did not converge, and ``failure`` says why:
+    ``degenerate fit: singular normal matrix``, or the message with which
+    ``_guesses`` refused the start.  A failed fit's covariance is zero; a
+    degenerate one keeps the parameters and ``chi2_reduced`` at which its
+    normal matrix failed, and an unstartable one has zero parameters,
+    ``chi2_reduced`` and ``n_iter``.
     """
 
     model: FitModel
@@ -139,6 +154,7 @@ class FitResult:
     converged: bool
     n_points: int
     source_id: str = ""
+    failure: str = ""
 
     __eq__ = fields_equal
 
@@ -384,30 +400,21 @@ class _Slots:
         self.new = []                         # slots admitted since the last step
         self.ended = []                       # fits set aside by ``_finish``
 
-    @property
-    def busy(self) -> bool:
-        return len(self.free) < len(self.owners)
-
     def admit(self, rows: list, results: list) -> None:
         """Admit ``rows`` (spectrum, source id), all on the workspace's grid,
-        no more than it has slots, in input order up to the first that
-        ``_guesses`` refuses.  The starts come from one ``_guesses`` call
-        on the rows' samples, stacked into a new array, and the rows take
-        slots as they free up.
-
-        A refused row raises ``DataError`` with its message, prefixed by its
-        source id, once the rows before it have been fitted (``drain``), so
-        that a ``FitError`` of an earlier row comes first."""
+        no more than it has slots, in input order.  The starts come from one
+        ``_guesses`` call on the rows' samples, stacked into a new array,
+        and the rows take slots as they free up.  A row that ``_guesses``
+        refuses ends at once, with zero parameters and cost and the refusal
+        as its failure."""
         t = np.stack([spectrum.transmission for spectrum, _ in rows])
         starts, refusals = _guesses(self.x, t, self.model)
-        refused = next((i for i, message in enumerate(refusals) if message is not None),
-                       len(rows))
         i = 0
-        while i < refused:
+        while i < len(rows):
             if not self.free:
                 self.step()
                 continue
-            taken = rows[i:min(refused, i + len(self.free))]
+            taken = rows[i:i + len(self.free)]
             slots = [self.free.pop() for _ in taken]
             self.workspace.data[slots] = t[i:i + len(taken)]
             self.theta[slots] = starts[i:i + len(taken)]
@@ -416,22 +423,25 @@ class _Slots:
             for slot, (spectrum, source_id) in zip(slots, taken):
                 self.owners[slot] = (len(results), spectrum, source_id)
                 results.append(None)
-            self.new += slots
+            failures = refusals[i:i + len(taken)]
+            self.new += [slot for slot, failure in zip(slots, failures) if failure is None]
+            if any(failures):
+                refused = np.array([slot for slot, failure in zip(slots, failures) if failure])
+                self.theta[refused] = self.cost[refused] = 0.0
+                self._finish(refused, np.zeros(refused.size, dtype=bool),
+                             [failure for failure in failures if failure])
             i += len(taken)
-        if refused < len(rows):
-            self.drain(results)
-            source_id, message = rows[refused][1], refusals[refused]
-            raise DataError(f"{source_id}: {message}" if source_id else message)
 
     def step(self) -> None:
         """One iteration: a damped step for every active row, the start of
         every new row, and the fits that end set aside.  A new row is
         evaluated at its start parameters in the same ``jacobian`` call as
         the active rows' trials, and its first step comes in the next
-        iteration.  A degenerate normal matrix (``_normal_equations`` gives
-        the positions of such rows) raises ``FitError`` naming the first of
-        its spectra in input order, before any state of the iteration is
-        stored."""
+        iteration.  A row whose new normal matrix is degenerate
+        (``_normal_equations`` gives their positions) ends unconverged, with
+        ``_SINGULAR`` as its failure.  Every normal matrix that reaches the
+        stacked solve has passed that test, so a ``LinAlgError`` there is a
+        fault of the fitter, raised as ``FitError``."""
         diag = self.diag
         active, new = self.active, np.array(self.new, dtype=int)
         self.new.clear()
@@ -478,9 +488,6 @@ class _Slots:
         evaluated = rows[keep]  # the new rows, then the accepted ones
         self.cost[evaluated] = costs[keep]
         grads, hessians, bad = _normal_equations(js, resid, keep)
-        if bad.size:  # named by its first spectrum in input order
-            _, _, source_id = min(self.owners[s] for s in evaluated[bad].tolist())
-            raise FitError(f"{source_id}: {_SINGULAR}" if source_id else _SINGULAR)
         self.grads[evaluated], self.hessians[evaluated] = grads, hessians
         self.lam[accepted] = np.maximum(self.lam[accepted] * DAMPING_DOWN, 1e-15)
         self.lam[active[~done & ~better]] *= DAMPING_UP
@@ -490,36 +497,47 @@ class _Slots:
                                            | (drop < COST_TOL * self.cost[accepted]))
         live = np.concatenate((active, new))
         ended = converged | (self.n_iter[live] >= self.max_iter)
+        if bad.size:
+            failed = np.isin(live, evaluated[bad])
+            converged &= ~failed
+            ended |= failed
         self.active = live[~ended]
         if ended.any():
-            self._finish(live[ended], converged[ended])
+            self._finish(live[ended], converged[ended],
+                         np.where(failed[ended], _SINGULAR, "").tolist() if bad.size else None)
 
-    def _finish(self, slots: np.ndarray, converged: np.ndarray) -> None:
-        """Set the fits that ended in ``slots`` aside and free the slots."""
+    def _finish(self, slots: np.ndarray, converged: np.ndarray, failures=None) -> None:
+        """Set the fits that ended in ``slots`` aside, with their failure
+        messages (none by default), and free the slots.  A spectrum with no
+        more points than parameters is refused at its start, so only its
+        zero cost meets a divisor below 1, and is divided by 1."""
         self.ended.append(([self.owners[s] for s in slots.tolist()], self.theta[slots],
                            self.hessians[slots],
-                           self.cost[slots] / (self.x.size - len(self.model.param_names)),
-                           self.n_iter[slots], converged))
+                           self.cost[slots] / max(self.x.size - len(self.diag), 1),
+                           self.n_iter[slots], converged, failures or [""] * slots.size))
         for slot in slots.tolist():
             self.owners[slot] = None
             self.free.append(slot)
 
     def drain(self, results: list) -> None:
         """Step until every fit has ended, then put the results of the fits
-        set aside into ``results``: one stacked ``inv`` gives every
-        covariance, scaled by the grid's parameter scale, and a
-        ``fit_spectrum`` call per spectrum assembles its result."""
-        while self.busy:
+        set aside into ``results``: one stacked ``inv`` gives the covariance
+        of every fit that did not fail, scaled by the grid's parameter
+        scale, a failed fit's covariance is zero, and a ``fit_spectrum``
+        call per spectrum assembles its result."""
+        while len(self.free) < len(self.owners):
             self.step()
-        if not self.ended:
-            return
-        owners, theta, hessians, var, n_iter, converged = zip(*self.ended)
+        owners, theta, hessians, var, n_iter, converged, failures = zip(*self.ended)
         self.ended = []
-        var = np.concatenate(var)
-        cov = (var[:, None, None] * np.linalg.inv(np.concatenate(hessians))
-               * (self.scale[:, None] * self.scale))
+        var, hessians = np.concatenate(var), np.concatenate(hessians)
+        failures = list(itertools.chain.from_iterable(failures))
+        sound = [i for i, failure in enumerate(failures) if not failure]
+        cov = np.zeros_like(hessians)
+        cov[sound] = (var[sound][:, None, None] * np.linalg.inv(hessians[sound])
+                      * (self.scale[:, None] * self.scale))
         solved = zip(np.concatenate(theta).tolist(), cov, var.tolist(),
-                     np.concatenate(n_iter).tolist(), np.concatenate(converged).tolist())
+                     np.concatenate(n_iter).tolist(), np.concatenate(converged).tolist(),
+                     failures)
         for (index, spectrum, source_id), row in zip(itertools.chain.from_iterable(owners),
                                                      solved):
             results[index] = fit_spectrum(spectrum, self.model, max_iter=self.max_iter,
@@ -527,29 +545,24 @@ class _Slots:
 
 
 def _inputs(spectra, source_ids):
-    """The (spectrum, source id) rows of ``fit_series``'s input, then the
-    exception that ended it: ``StopIteration`` at its end, else the error of
-    the spectrum that could not be read, or a ``ValueError`` naming
-    ``source_ids`` when it is out of step with the spectra: the index of the
-    first spectrum without an id, or the number of spectra when ids are left
-    over."""
+    """The (spectrum, source id) rows of ``fit_series``'s input.  A
+    ``source_ids`` out of step with the spectra raises ``ValueError`` naming
+    the index of the first spectrum without an id, or the number of spectra
+    when ids are left over."""
     ids = itertools.repeat("") if source_ids is None else iter(source_ids)
     n, end = 0, object()
-    try:
-        for n, spectrum in enumerate(spectra, 1):
-            if (source_id := next(ids, end)) is end:
-                raise ValueError(f"source_ids is shorter than the spectra: no id at index {n - 1}")
-            yield spectrum, source_id
-        if source_ids is not None and next(ids, end) is not end:
-            raise ValueError(f"source_ids is longer than the {n} spectra")
-        raise StopIteration  # the end of the input, yielded below like an error
-    except Exception as exc:
-        yield exc
+    for n, spectrum in enumerate(spectra, 1):
+        if (source_id := next(ids, end)) is end:
+            raise ValueError(f"source_ids is shorter than the spectra: no id at index {n - 1}")
+        yield spectrum, source_id
+    if source_ids is not None and next(ids, end) is not end:
+        raise ValueError(f"source_ids is longer than the {n} spectra")
 
 
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
                max_iter: int = MAX_ITER_DEFAULT, source_ids=None) -> list:
-    """Fit spectra in input order; each result is independent of the others.
+    """Fit spectra in input order, one result per spectrum; each result is
+    independent of the others.
 
     ``spectra`` may be any iterable, a generator included.  It is read in
     stacks: a spectrum, the spectra after it on its grid up to as many as
@@ -559,30 +572,26 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
     spectrum on another grid than the one before it first lets every fit on
     that grid end, and then gets a workspace of its own grid.
     ``source_ids`` is an optional iterable of labels in step with it, one
-    per spectrum: a spectrum without an id, or an id left over when the
-    spectra end, raises ``ValueError`` where it is met, like a spectrum
-    that cannot be read.
+    per spectrum.
 
-    A fit that runs out of iterations comes back flagged
-    (``converged=False``).  A degenerate problem (singular normal matrix,
-    e.g. vanishing depth) raises ``FitError``.  A spectrum that cannot be
-    read raises its own error, and one that ``_guesses`` refuses raises
-    ``DataError`` with its message, once the spectra before it are fitted,
-    so errors surface in input order: the spectra of its stack before an
-    unstartable one are fitted, and those after it are dropped unfitted, as
-    is a spectrum read after it.  The error of a spectrum that cannot be
-    started or fitted is prefixed by its source id, the first in input order
-    among the degenerate fits of an iteration.
+    A fit that runs out of iterations comes back with ``converged=False``.
+    One whose normal matrix is degenerate (e.g. a vanishing depth) or whose
+    start ``_guesses`` refuses comes back unconverged too, with the reason
+    in ``failure`` (see ``FitResult``); the other spectra are fitted as if
+    it were not there.  A spectrum that cannot be read raises its own error,
+    and a spectrum without an id, or an id left over when the spectra end,
+    raises ``ValueError``, where it is met: the fits of the spectra before
+    it are dropped.
 
     Each result is assembled by a ``fit_spectrum`` call, once per spectrum,
     because the traced benchmark (``perfbench/tracing.py``) counts fits,
     iterations and convergence by ``fit_spectrum`` calls.
     """
     inputs = _inputs(spectra, source_ids)
-    row = next(inputs)
+    row = next(inputs, None)
     results = []
     slots = None
-    while not isinstance(row, Exception):
+    while row is not None:
         x = row[0].freq_offset_mhz
         if slots is None or not _same_grid(x, slots.x):
             if slots is not None:
@@ -590,15 +599,14 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
             slots = _Slots(x, model, max_iter)
         stack = [row]
         for row in inputs:
-            if (isinstance(row, Exception) or len(stack) == len(slots.owners)
-                    or not _same_grid(row[0].freq_offset_mhz, x)):
+            if len(stack) == len(slots.owners) or not _same_grid(row[0].freq_offset_mhz, x):
                 break
             stack.append(row)
+        else:
+            row = None
         slots.admit(stack, results)
     if slots is not None:
-        slots.drain(results)  # a FitError of an earlier spectrum comes first
-    if not isinstance(row, StopIteration):
-        raise row
+        slots.drain(results)
     return results
 
 
@@ -611,15 +619,18 @@ def fit_spectrum(
     _solved: tuple | None = None,
 ) -> FitResult:
     """Least-squares fit of one spectrum: ``fit_series`` of a batch of one,
-    started and refused as there (see ``_guesses``).
+    started as there (see ``_guesses``).  A degenerate or unstartable fit is
+    returned, unconverged, with its reason in ``failure``; nothing is
+    raised for it.
 
     ``_solved`` is the (parameter list, covariance, residual variance,
-    iteration count, converged) of a fit that ended in ``fit_series``; it
-    is passed only by ``fit_series``, to assemble that fit's result.
+    iteration count, converged, failure) of a fit that ended in
+    ``fit_series``; it is passed only by ``fit_series``, to assemble that
+    fit's result.
     """
     if _solved is None:
         return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id])[0]
-    theta, covariance, var, n_iter, converged = _solved
+    theta, covariance, var, n_iter, converged, failure = _solved
     params = dict(zip(model.param_names, theta))
     noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
     return FitResult(
@@ -631,4 +642,5 @@ def fit_spectrum(
         converged=converged,
         n_points=spectrum.n_points,
         source_id=source_id,
+        failure=failure,
     )

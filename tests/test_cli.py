@@ -249,9 +249,13 @@ class TestFitSeriesKb:
         assert all(not r.converged for r in records)
 
     def test_series_counts_unconverged_fits(self, tmp_path, spectra_dir, capsys):
+        # the unconverged records are of the same spectra under other ids,
+        # since series refuses a source id met twice
         good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
         assert run("fit", spectra_dir, "--out", good) == 0
         assert run("fit", spectra_dir, "--out", bad, "--max-iter", 1) == 3
+        self.edit_records(bad, lambda record: record.update(source_id="late_" +
+                                                            record["source_id"]))
         fits = tmp_path / "fits.jsonl"
         fits.write_text(good.read_text() + bad.read_text())
         summary = tmp_path / "summary.json"
@@ -261,7 +265,59 @@ class TestFitSeriesKb:
         rec = read_regression_summary(summary)
         assert rec["n_unconverged"] == 8
         assert rec["n_used"] + rec["n_rejected"] == 8
-        assert "unconverged 8)" in capsys.readouterr().out
+        assert "unconverged 8 of which 0 failed)" in capsys.readouterr().out
+
+    def test_series_refuses_a_source_id_met_twice_naming_both_lines(self, tmp_path,
+                                                                     spectra_dir, capsys):
+        # two fits of one spectrum would count it twice and shrink sigma(delta_D)
+        fits, summary = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+        fits.write_text(fits.read_text() * 2)
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 2
+        assert capsys.readouterr().err == (f"error: data: {fits}: lines 1 and 9: source id "
+                                           "'spectrum_p00_r000.txt' given twice\n")
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("version", [3, 0, "2", 2.0, True, None])
+    def test_a_stage_file_of_an_unknown_schema_version_exits_2_naming_it(
+            self, tmp_path, spectra_dir, capsys, version):
+        fits, summary = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 0
+        self.edit_records(fits, lambda record: record.update(schema=version), [1])
+        record = json.loads(summary.read_text())
+        summary.write_text(json.dumps(record | {"schema": version}))
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", tmp_path / "s.json",
+                   "--out-table", tmp_path / "t.txt") == 2
+        assert run("kb", "--summary", summary, "--out", tmp_path / "kb.json") == 2
+        taken = "(this reader takes 1 and 2)\n"
+        assert capsys.readouterr().err == (
+            f"error: data: {fits}: line 2: unsupported schema version {version!r} {taken}"
+            f"error: data: {summary}: unsupported schema version {version!r} {taken}")
+
+    def test_stage_files_are_schema_2_and_unversioned_ones_read_as_1(self, tmp_path,
+                                                                      spectra_dir):
+        fits, summary, kb_out = (tmp_path / name for name in
+                                 ("fits.jsonl", "summary.json", "kb.json"))
+        assert run("fit", spectra_dir, "--out", fits) == 0
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 0
+        assert run("kb", "--summary", summary, "--out", kb_out) == 0
+        records = [json.loads(line) for line in fits.read_text().splitlines()]
+        for record in records + [json.loads(summary.read_text()), json.loads(kb_out.read_text())]:
+            assert next(iter(record.items())) == ("schema", 2)
+        # today's layout without the added keys is version 1
+        results = read_fit_records(fits)
+        self.edit_records(fits, lambda record: [record.pop(key) for key in ("schema", "failure")])
+        assert read_fit_records(fits) == results
+        record = json.loads(summary.read_text())
+        del record["schema"]
+        summary.write_text(json.dumps(record))
+        assert run("kb", "--summary", summary, "--out", tmp_path / "kb1.json") == 0
 
     @pytest.mark.parametrize("stage, option, value", [
         ("fit", "--max-iter", 0),
@@ -467,16 +523,18 @@ class TestFitSeriesKb:
         assert f"{first} and {second if copy else first}: " in err
         assert not read and not fits.exists()
 
-    def test_degenerate_fit_before_a_bad_file_exits_3(self, tmp_path, capsys):
-        # errors surface in file order: the degenerate fit of the first file
-        # is reported, not the unreadable second file
+    def test_a_bad_file_after_a_degenerate_fit_exits_2_naming_it(self, tmp_path, capsys):
+        # a file that cannot be read is raised where it is met: the degenerate
+        # fit of the first file is no error, and no record is written
         scan = ScanConfig(snr=1000.0)
         spectrum, _ = synth_spectrum(NH3, GasConditions(pressure_pa=0.01), scan,
                                      constants.KB_CODATA_2002, 1)
         write_spectrum(spectrum, tmp_path / "spectrum_000.txt")
         (tmp_path / "spectrum_001.txt").write_text("garbage\n")
-        assert run("fit", tmp_path, "--out", tmp_path / "f.jsonl") == 3
-        assert "degenerate" in capsys.readouterr().err
+        assert run("fit", tmp_path, "--out", tmp_path / "f.jsonl") == 2
+        assert capsys.readouterr().err == (f"error: data: {tmp_path / 'spectrum_001.txt'}: "
+                                           "line 1: not a dopplerkb spectrum file\n")
+        assert not (tmp_path / "f.jsonl").exists()
 
     @staticmethod
     def spectra_with(tmp_path, odd):
@@ -489,7 +547,21 @@ class TestFitSeriesKb:
             write_spectrum(spectrum, tmp_path / f"spectrum_{i:03d}.txt")
         return tmp_path
 
-    def test_a_spectrum_whose_line_is_outside_the_scan_exits_2_naming_it(self, tmp_path,
+    @staticmethod
+    def assert_record_failed_alone(spectra, fits, tmp_path, failure):
+        """``fits`` holds a record of each of the three files of ``spectra``:
+        the second failed with ``failure``, and the other two are, byte for
+        byte, the records that ``fit`` writes without it."""
+        lines = fits.read_text().splitlines()
+        record = json.loads(lines[1])
+        assert (record["source_id"], record["failure"], record["converged"]) == \
+            ("spectrum_001.txt", failure, False)
+        alone = tmp_path / "alone.jsonl"
+        assert run("fit", spectra / "spectrum_000.txt", spectra / "spectrum_002.txt",
+                   "--out", alone) == 0
+        assert alone.read_text().splitlines() == [lines[0], lines[2]]
+
+    def test_a_spectrum_whose_line_is_outside_the_scan_exits_3_naming_it(self, tmp_path,
                                                                           capsys):
         # the line moved off the scan: its minimum sits on the last sample
         def off_scan(spectrum):
@@ -497,10 +569,11 @@ class TestFitSeriesKb:
             return spectrum.with_transmission(1.0 - 1e-3 * (x - x[0]))
 
         spectra = self.spectra_with(tmp_path / "sp", off_scan)
-        assert run("fit", spectra, "--out", tmp_path / "f.jsonl") == 2
-        assert capsys.readouterr().err == \
-            "error: data: spectrum_001.txt: line not in scan window\n"
-        assert not (tmp_path / "f.jsonl").exists()
+        assert run("fit", spectra, "--out", tmp_path / "f.jsonl") == 3
+        assert capsys.readouterr().err == ("error: fit: 1 of 3 fits did not converge: "
+                                           "line not in scan window (1, first spectrum_001.txt)\n")
+        self.assert_record_failed_alone(spectra, tmp_path / "f.jsonl", tmp_path,
+                                        "line not in scan window")
 
     def test_a_degenerate_fit_exits_3_naming_its_spectrum(self, tmp_path, capsys):
         def degenerate(spectrum):
@@ -510,9 +583,48 @@ class TestFitSeriesKb:
 
         spectra = self.spectra_with(tmp_path / "sp", degenerate)
         assert run("fit", spectra, "--out", tmp_path / "f.jsonl") == 3
-        assert capsys.readouterr().err == \
-            "error: fit: spectrum_001.txt: degenerate fit: singular normal matrix\n"
-        assert not (tmp_path / "f.jsonl").exists()
+        assert capsys.readouterr().err == (
+            "error: fit: 1 of 3 fits did not converge: "
+            "degenerate fit: singular normal matrix (1, first spectrum_001.txt)\n")
+        self.assert_record_failed_alone(spectra, tmp_path / "f.jsonl", tmp_path,
+                                        "degenerate fit: singular normal matrix")
+
+    def test_one_bad_spectrum_among_forty_is_written_and_left_out_by_series(self, tmp_path,
+                                                                            capsys):
+        # 40 W1 spectra and the 0.01 Pa spectrum whose fit is degenerate
+        cfg = write_config(tmp_path, replicas=5, seed=9)
+        spectra = tmp_path / "spectra"
+        assert run("simulate", "--config", cfg, "--out", spectra) == 0
+        (low, _), = synth_series(NH3, [0.01], GasConditions(pressure_pa=1.0),
+                                 ScanConfig(snr=1000.0), constants.KB_CODATA_2002, 3)
+        write_spectrum(low, spectra / "spectrum_p99_r000.txt")
+        fits, summary = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        capsys.readouterr()
+        assert run("fit", spectra, "--out", fits) == 3
+        out, err = capsys.readouterr()
+        assert out == f"fit: 41 spectra -> {fits} (1 unconverged)\n"
+        assert err == ("error: fit: 1 of 41 fits did not converge: degenerate fit: singular "
+                       "normal matrix (1, first spectrum_p99_r000.txt)\n")
+        records = read_fit_records(fits)
+        assert [(r.source_id, r.failure) for r in records if not r.converged] == \
+            [("spectrum_p99_r000.txt", "degenerate fit: singular normal matrix")]
+        assert len(records) == 41
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 0
+        assert read_regression_summary(summary)["n_unconverged"] == 1
+        assert "used 40, rejected 0, unconverged 1 of which 1 failed)" in capsys.readouterr().out
+
+    def test_the_fit_message_counts_each_reason_and_names_its_first_spectrum(
+            self, tmp_path, spectra_dir, capsys):
+        x = read_spectrum(spectra_dir / "spectrum_p00_r000.txt")
+        for name in ("spectrum_p03_r001.txt", "spectrum_p99_r000.txt"):
+            write_spectrum(x.with_transmission(np.ones(x.n_points)), spectra_dir / name)
+        fits = tmp_path / "fits.jsonl"
+        assert run("fit", spectra_dir, "--out", fits, "--max-iter", 2) == 3
+        assert capsys.readouterr().err == (
+            "error: fit: 10 of 10 fits did not converge: out of iterations (8, first "
+            "spectrum_p00_r000.txt); line not in scan window (2, first spectrum_p03_r001.txt)\n")
+        assert len(read_fit_records(fits)) == 10
 
 
 class TestConfigKeys:

@@ -18,11 +18,14 @@ from dopplerkb import (
     Transition,
     WidthPoint,
     constants,
+    fit_series,
     fit_spectrum,
     synth_spectrum,
     uncertainty_budget,
     zero_pressure_width,
 )
+import dopplerkb
+from dopplerkb import fileio
 from dopplerkb.boltzmann import TemperatureReading
 from dopplerkb.config import CampaignConfig, config_from_dict, load_config
 from dopplerkb.errors import DataError
@@ -385,14 +388,30 @@ class TestFitRecords:
 
 def test_record_keys_are_the_fields(tmp_path):
     # a fit record holds each FitResult field once, and a regression summary
-    # each ExtrapolationResult field in order, then the slope threshold
+    # each ExtrapolationResult field in order, then the slope threshold; both
+    # begin with the schema version
     assert sorted(key for key, _ in _FIT_RECORD) == \
         sorted(f.name for f in dataclasses.fields(FitResult))
     points = [WidthPoint(a, 49.9 + 0.2 * a, 1e-3, 0.0) for a in (0.2, 0.8, 1.6)]
     path = tmp_path / "summary.json"
     write_regression_summary(zero_pressure_width(points), 1.5e-6, path)
-    assert list(json.loads(path.read_text())) == \
+    assert list(json.loads(path.read_text())) == ["schema"] + \
         [f.name for f in dataclasses.fields(ExtrapolationResult)] + ["slope_threshold_per_mhz"]
+
+
+def test_failed_fits_round_trip_as_strict_json(tmp_path, noisy_spectrum):
+    # an unstartable and a degenerate fit hold no NaN and read back equal
+    flat = noisy_spectrum.with_transmission(np.ones(noisy_spectrum.n_points))
+    low, _ = synth_spectrum(NH3, GasConditions(pressure_pa=0.01), ScanConfig(snr=1000.0),
+                            KB, 1)
+    results = fit_series([flat, low], source_ids=["flat", "low"])
+    assert [r.failure for r in results] == ["line not in scan window",
+                                            "degenerate fit: singular normal matrix"]
+    path = tmp_path / "fits.jsonl"
+    write_fit_records(results, path)
+    for line in path.read_text().splitlines():
+        json.loads(line, parse_constant=lambda name: pytest.fail(f"{name} in a record"))
+    assert read_fit_records(path) == results
 
 
 class TestSummaryAndTables:
@@ -462,6 +481,27 @@ class TestManifest:
         names = [name for name in vars(constants) if re.fullmatch(r"[A-Z][A-Z0-9_]*", name)]
         assert "N14_MASS_U" in names and "H1_MASS_U" in names
         assert recorded == {name.lower(): getattr(constants, name) for name in names}
+
+    def test_a_second_manifest_looks_up_no_version(self, tmp_path, monkeypatch):
+        # a lookup scans the installed distributions, so it is made once per process
+        import importlib.metadata
+
+        looked_up = []
+        version = importlib.metadata.version
+
+        def counting(name):
+            looked_up.append(name)
+            return version(name)
+
+        fileio._installed_versions.cache_clear()
+        monkeypatch.setattr(importlib.metadata, "version", counting)
+        write_manifest(tmp_path / "a.json", "fit", {}, None)
+        assert looked_up == ["scipy", "click"]
+        write_manifest(tmp_path / "b.json", "series", {}, None)
+        assert looked_up == ["scipy", "click"]
+        versions = json.loads((tmp_path / "b.json").read_text())["versions"]
+        assert versions == {"dopplerkb": dopplerkb.__version__, "numpy": np.__version__,
+                            "scipy": version("scipy"), "click": version("click")}
 
     def test_hash_is_canonical(self):
         a = {"x": 1, "y": [1, 2]}

@@ -252,10 +252,12 @@ class TestFitSpectrum:
         result = fit_spectrum(spectrum)
         assert 0.8 <= result.chi2_reduced <= 1.2
 
-    def test_degenerate_fit_raises(self):
+    def test_a_degenerate_fit_comes_back_failed(self):
         for seed in (3, 4):
-            with pytest.raises(FitError, match="degenerate"):
-                fit_spectrum(low_pressure_spectrum(seed))
+            result = fit_spectrum(low_pressure_spectrum(seed), source_id="low.txt")
+            assert (result.source_id, result.failure, result.converged) == \
+                ("low.txt", SINGULAR, False)
+            assert not result.covariance.any() and result.n_iter > 0
 
     def test_low_pressure_spectra_end_as_documented(self):
         outcomes = [fit_spectrum(low_pressure_spectrum(seed)) for seed in (9, 0, 5)]
@@ -355,6 +357,18 @@ def golden_spectra(model):
     return [spectrum for spectrum, _ in pairs]
 
 
+SINGULAR = "degenerate fit: singular normal matrix"
+
+
+def assert_spare_their_neighbours(results, spectra, ids, failed, model=FitModel.EXP_GAUSSIAN):
+    """The results of every spectrum but those at the positions ``failed``
+    equal, bit for bit, the results of those spectra fitted without them."""
+    sound = [i for i in range(len(spectra)) if i not in failed]
+    alone = fit_series([spectra[i] for i in sound], model, source_ids=[ids[i] for i in sound])
+    assert [results[i] for i in sound] == alone
+    assert all(not results[i].converged and results[i].failure for i in failed)
+
+
 def assert_same_fit(a, b):
     assert a.params == b.params and a.sigmas == b.sigmas
     np.testing.assert_array_equal(a.covariance, b.covariance)
@@ -401,13 +415,49 @@ class TestBlockFitting:
         for spectrum, sid, result in zip(mixed, ids, results):
             assert_same_fit(fit_spectrum(spectrum, source_id=sid), result)
 
-    def test_degenerate_spectrum_inside_a_block_raises(self):
+    def test_a_degenerate_spectrum_inside_a_block_fails_alone(self):
         spectra = [s for s, _ in synth_series(NH3, [3.1] * 6, GasConditions(pressure_pa=1.0),
                                               make_scan(snr=1000.0), KB, 4)]
         spectra[2] = low_pressure_spectrum(3)
-        with pytest.raises(FitError, match="degenerate"):
-            fit_series(spectra)
-        assert all(r.converged for r in fit_series(spectra[:2] + spectra[3:]))
+        ids = [f"s{i}" for i in range(6)]
+        results = fit_series(spectra, source_ids=ids)
+        assert [(r.source_id, r.failure) for r in results] == \
+            [(sid, SINGULAR if sid == "s2" else "") for sid in ids]
+        assert not results[2].converged
+        assert_spare_their_neighbours(results, spectra, ids, [2])
+
+    def test_a_fit_degenerate_where_it_converges_ends_unconverged(self, monkeypatch):
+        # the normal matrix of the step that converges is flagged degenerate
+        spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=3)
+        n_iter = fit_spectrum(spectrum).n_iter
+        calls = []
+        normal_equations = fitter._normal_equations
+
+        def flagging(js, resid, keep):
+            grads, hessians, bad = normal_equations(js, resid, keep)
+            calls.append(keep.sum())
+            if len(calls) == n_iter + 1:  # the start, then one call per iteration
+                bad = np.arange(keep.sum())
+            return grads, hessians, bad
+
+        monkeypatch.setattr(fitter, "_normal_equations", flagging)
+        result = fit_spectrum(spectrum, source_id="s")
+        assert calls[-1] == 1  # the step was accepted
+        assert (result.converged, result.failure, result.n_iter) == (False, SINGULAR, n_iter)
+
+    def test_one_bad_spectrum_among_a_w1_campaign_costs_only_its_row(self):
+        # 400 W1 spectra, the degenerate one in the middle and a flat one at
+        # the end: 402 results, the 400 good ones as when fitted alone
+        spectra = w1_spectra(23)
+        spectra = spectra[:200] + [low_pressure_spectrum(3)] + spectra[200:]
+        spectra.append(refused_spectra()[0])
+        ids = [f"s{i}" for i in range(len(spectra))]
+        results = fit_series(spectra, source_ids=ids)
+        assert len(results) == 402
+        assert {r.source_id: r.failure for r in results if r.failure} == \
+            {"s200": SINGULAR, "s401": NOT_IN_WINDOW}
+        assert sum(r.converged for r in results) == 400
+        assert_spare_their_neighbours(results, spectra, ids, [200, 401])
 
     @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
     def test_no_parameter_row_is_evaluated_twice(self, model, monkeypatch):
@@ -510,27 +560,35 @@ class TestBlockFitting:
         assert sorted(rows) == in_batch
         assert batch == alone
 
-    def test_an_error_of_an_earlier_row_comes_before_a_later_unstartable_one(self):
+    def test_a_degenerate_and_a_later_unstartable_row_each_fail_alone(self):
+        # 41 spectra: the degenerate one in the first block of 32 slots, the
+        # flat one in the second
         spectra = [s for s, _ in synth_series(NH3, [3.1] * 41, GasConditions(pressure_pa=1.0),
                                               make_scan(snr=1000.0), KB, 4)]
         meta = spectra[40].meta
         spectra[40] = spectra[40].with_transmission(np.ones(spectra[40].n_points), meta)
         with_degenerate = spectra[:3] + [low_pressure_spectrum(3)] + spectra[4:]
-        with pytest.raises(FitError, match="degenerate"):
-            fit_series(with_degenerate)
-        with pytest.raises(DataError, match="line not in scan window"):
-            fit_series(spectra)
+        ids = [f"s{i}" for i in range(41)]
+        results = fit_series(with_degenerate, source_ids=ids)
+        assert {r.source_id: r.failure for r in results if r.failure} == \
+            {"s3": SINGULAR, "s40": NOT_IN_WINDOW}
+        assert_spare_their_neighbours(results, with_degenerate, ids, [3, 40])
+        results = fit_series(spectra, source_ids=ids)
+        assert {r.source_id: r.failure for r in results if r.failure} == {"s40": NOT_IN_WINDOW}
+        assert_spare_their_neighbours(results, spectra, ids, [40])
 
-    def test_a_degenerate_fit_names_the_first_degenerate_spectrum_in_input_order(self):
+    def test_two_degenerate_fits_of_one_iteration_each_carry_their_own_id(self):
         # the same degenerate spectrum twice, so both fail in one iteration
         spectra = [s for s, _ in synth_series(NH3, [3.1] * 8, GasConditions(pressure_pa=1.0),
                                               make_scan(snr=1000.0), KB, 4)]
         spectra[3] = spectra[5] = low_pressure_spectrum(3)
         ids = [f"s{i}.txt" for i in range(8)]
-        with pytest.raises(FitError, match=r"^s3\.txt: degenerate fit: singular normal matrix$"):
-            fit_series(spectra, source_ids=ids)
-        with pytest.raises(FitError, match=r"^degenerate fit: singular normal matrix$"):
-            fit_series(spectra)
+        results = fit_series(spectra, source_ids=ids)
+        assert [(r.source_id, r.failure) for r in results] == \
+            [(sid, SINGULAR if sid in ("s3.txt", "s5.txt") else "") for sid in ids]
+        assert results[3] == dataclasses.replace(results[5], source_id="s3.txt")
+        assert_spare_their_neighbours(results, spectra, ids, [3, 5])
+        assert [r.failure for r in fit_series(spectra)] == [r.failure for r in results]
 
     def test_the_slot_of_a_row_out_of_iterations_is_refilled(self, monkeypatch):
         # Two slots: A runs out of iterations; B converges and C, which also
@@ -672,18 +730,20 @@ class TestStackedStarts:
         assert [start_error(s, model) for s in refused] == messages
 
     @pytest.mark.parametrize("model", [FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT])
-    def test_each_refusal_gives_todays_error_named_by_its_source(self, model):
-        # inside a series, the first refused spectrum of a stack is named
+    def test_each_refusal_is_the_failure_of_its_row(self, model):
+        # inside a series, each refused spectrum of a stack gets its own message
         good = w1_spectra(44, replicas=1)[0]
         flat = refused_spectra()[0]
+        ids = ["a.txt", "b.txt", "c.txt"]
         for bad in refused_spectra() + [short_spectrum(11)]:
             message = start_error(bad, model)
-            with pytest.raises(DataError) as alone:
-                fit_series([bad], model)
-            assert str(alone.value) == message
-            with pytest.raises(DataError) as named:
-                fit_series([good, bad, flat], model, source_ids=["a.txt", "b.txt", "c.txt"])
-            assert str(named.value) == f"b.txt: {message}"
+            alone, = fit_series([bad], model)
+            assert (alone.failure, alone.converged, alone.n_iter) == (message, False, 0)
+            assert not alone.covariance.any() and not any(alone.params.values())
+            named = fit_series([good, bad, flat], model, source_ids=ids)
+            assert [(r.source_id, r.failure) for r in named] == \
+                [("a.txt", ""), ("b.txt", message), ("c.txt", NOT_IN_WINDOW)]
+            assert_spare_their_neighbours(named, [good, bad, flat], ids, [1, 2], model)
 
     @pytest.mark.parametrize("model,n,message", [
         (FitModel.EXP_GAUSSIAN, 5, FEWER),
@@ -697,17 +757,16 @@ class TestStackedStarts:
         # fewer points than parameters comes first, then the 16-point minimum
         short = short_spectrum(n)
         assert start_error(short, model) == message
-        with pytest.raises(DataError) as alone:
-            fit_spectrum(short, model)
-        assert str(alone.value) == message
+        alone = fit_spectrum(short, model)
+        assert (alone.failure, alone.chi2_reduced, alone.n_points) == (message, 0.0, n)
         good = w1_spectra(44, replicas=1)[0]
-        with pytest.raises(DataError) as named:
-            fit_series([good, short], model, source_ids=["a.txt", "b.txt"])
-        assert str(named.value) == f"b.txt: {message}"
+        named = fit_series([good, short], model, source_ids=["a.txt", "b.txt"])
+        assert [(r.source_id, r.failure) for r in named] == [("a.txt", ""), ("b.txt", message)]
+        assert_spare_their_neighbours(named, [good, short], ["a.txt", "b.txt"], [1], model)
 
 
 class TestReadAhead:
-    def test_an_unstartable_spectrum_comes_before_a_later_read_error(self):
+    def test_a_read_error_is_raised_where_met_and_a_failed_row_is_its_own(self, monkeypatch):
         spectra = w1_spectra(45, replicas=1)[:4]
         flat = refused_spectra()[0]
 
@@ -718,15 +777,28 @@ class TestReadAhead:
                 yield item
 
         ids = [f"spectrum_{i}.txt" for i in range(6)]
-        inputs = [spectra[0], spectra[1], flat, spectra[2], spectra[3], None]
-        with pytest.raises(DataError, match=r"^spectrum_2\.txt: line not in scan window$"):
-            fit_series(reading(inputs), source_ids=ids)
-        inputs = [spectra[0], spectra[1], None, spectra[2], spectra[3], flat]
-        with pytest.raises(DataError, match=r"^spectrum_2\.txt: cannot read$"):
-            fit_series(reading(inputs), source_ids=ids)
-        # a degenerate fit read after the unstartable spectrum is never fitted
-        with pytest.raises(DataError, match=r"^spectrum_1\.txt: line not in scan window$"):
-            fit_series([spectra[0], flat, low_pressure_spectrum(3)], source_ids=ids)
+        assembled = []
+        assemble = fitter.fit_spectrum
+
+        def counting(spectrum, *args, **kwargs):
+            assembled.append(kwargs["source_id"])
+            return assemble(spectrum, *args, **kwargs)
+
+        monkeypatch.setattr(fitter, "fit_spectrum", counting)
+        for inputs in ([spectra[0], spectra[1], flat, spectra[2], spectra[3], None],
+                       [spectra[0], spectra[1], None, spectra[2], spectra[3], flat]):
+            bad = inputs.index(None)
+            with pytest.raises(DataError, match=rf"^spectrum_{bad}\.txt: cannot read$"):
+                fit_series(reading(inputs), source_ids=ids)
+            assert assembled == []  # raised as read, before any fit ends
+        monkeypatch.undo()
+        # the unstartable spectrum and the degenerate one after it both fail
+        inputs = [spectra[0], flat, low_pressure_spectrum(3), spectra[1]]
+        results = fit_series(reading(inputs), source_ids=ids[:4])
+        assert [(r.source_id, r.failure) for r in results] == \
+            [("spectrum_0.txt", ""), ("spectrum_1.txt", NOT_IN_WINDOW),
+             ("spectrum_2.txt", SINGULAR), ("spectrum_3.txt", "")]
+        assert_spare_their_neighbours(results, inputs, ids, [1, 2])
 
     def test_reads_as_many_spectra_as_slots_and_one_more(self, monkeypatch):
         spectra = w1_spectra(46, replicas=2)
@@ -771,11 +843,10 @@ class TestReadAhead:
             results = fit_series(spectra, source_ids=ids, max_iter=max_iter)
             assert sorted(calls) == sorted(ids) and [r.source_id for r in results] == ids
 
-    def test_errors_on_two_grids_of_one_size_come_in_input_order(self):
+    def test_failures_on_two_grids_of_one_size_stay_in_their_rows(self):
         # Two 501-point grids with other offsets: the fits on the first end
-        # before a spectrum of the second is started, so a degenerate fit on
-        # the first comes before a refused start on the second, and a
-        # refused start on the first before a degenerate fit on the second.
+        # before a spectrum of the second is started, and a degenerate fit
+        # and a refused start, on either grid, each end only their own row.
         first = w1_spectra(50, replicas=1)[:2]
         second = [s for s, _ in synth_series(NH3, [2.0, 4.0], GasConditions(pressure_pa=1.0),
                                              make_scan(snr=1000.0, span=200.0, step=0.4),
@@ -785,21 +856,24 @@ class TestReadAhead:
         degenerate = low_pressure_spectrum(3)  # on the default scan, the first grid's
         flat_second = second[0].with_transmission(np.ones(second[0].n_points))
         ids = [f"s{i}.txt" for i in range(6)]
-        inputs = [first[0], degenerate, first[1], second[0], flat_second, second[1]]
-        with pytest.raises(FitError, match=r"^s1\.txt: degenerate fit: singular normal matrix$"):
-            fit_series(iter(inputs), source_ids=ids)
-        inputs = [second[0], flat_second, second[1], first[0], degenerate, first[1]]
-        with pytest.raises(DataError, match=r"^s1\.txt: line not in scan window$"):
-            fit_series(iter(inputs), source_ids=ids)
+        for inputs, failed in (
+                ([first[0], degenerate, first[1], second[0], flat_second, second[1]],
+                 {"s1.txt": SINGULAR, "s4.txt": NOT_IN_WINDOW}),
+                ([second[0], flat_second, second[1], first[0], degenerate, first[1]],
+                 {"s1.txt": NOT_IN_WINDOW, "s4.txt": SINGULAR})):
+            results = fit_series(iter(inputs), source_ids=ids)
+            assert [r.source_id for r in results] == ids
+            assert {r.source_id: r.failure for r in results if r.failure} == failed
+            assert_spare_their_neighbours(results, inputs, ids, [1, 4])
 
     @pytest.mark.parametrize("n_ids, message", [
         (1, r"^source_ids is shorter than the spectra: no id at index 1$"),
         (4, r"^source_ids is longer than the 3 spectra$")])
-    def test_source_ids_out_of_step_raise_after_the_spectra_before_are_fitted(
-            self, n_ids, message, monkeypatch):
+    def test_source_ids_out_of_step_raise_where_met(self, n_ids, message, monkeypatch):
         # a spectrum without an id, or an id without a spectrum, is met like
-        # a spectrum that cannot be read; the message gives the index of the
-        # first spectrum without an id, or the number of spectra
+        # a spectrum that cannot be read, before any fit ends; the message
+        # gives the index of the first spectrum without an id, or the number
+        # of spectra
         spectra = w1_spectra(49, replicas=1)[:3]
         ids = [f"s{i}" for i in range(n_ids)]
         assembled = []
@@ -812,9 +886,9 @@ class TestReadAhead:
         monkeypatch.setattr(fitter, "fit_spectrum", counting)
         with pytest.raises(ValueError, match=message):
             fit_series((s for s in spectra), source_ids=ids)
-        assert sorted(assembled) == ids[:3]
-        # the error of an earlier fit still comes first
-        with pytest.raises(FitError, match=r"^s0: degenerate fit"):
+        assert assembled == []
+        # a degenerate spectrum among them is no error
+        with pytest.raises(ValueError, match=message):
             fit_series((s for s in [low_pressure_spectrum(3)] + spectra[1:]), source_ids=ids)
 
 
@@ -948,18 +1022,24 @@ class TestAgainstPerSpectrumLoop:
             assert_equals_loop(result, spectrum, FitModel.EXP_VOIGT)
 
     def test_failures_at_the_lowest_pressure_match_the_loop(self):
-        # at 0.01 Pa and S/N 1000 some fits are degenerate or unconverged
+        # At 0.01 Pa and S/N 1000 some fits are degenerate or unconverged.
+        # Where the loop oracle raises, the series gives that row a failed
+        # result with the oracle's message, alone and among the others.
+        spectra = [make_spectrum(pressure=0.01, snr=1000.0, seed=seed)[0] for seed in range(50)]
+        ids = [f"s{seed}" for seed in range(50)]
+        series = fit_series(spectra, source_ids=ids)
         outcomes = set()
-        for seed in range(50):
-            spectrum, _ = make_spectrum(pressure=0.01, snr=1000.0, seed=seed)
+        for spectrum, sid, result in zip(spectra, ids, series):
+            assert result == fit_spectrum(spectrum, source_id=sid)
             try:
-                want = loop_fit(spectrum)
+                loop_fit(spectrum)
             except (DataError, FitError) as exc:
-                with pytest.raises(type(exc)):
-                    fit_spectrum(spectrum)
+                assert (result.source_id, result.failure, result.converged) == \
+                    (sid, str(exc), False)
+                assert not result.covariance.any()
                 outcomes.add(type(exc).__name__)
                 continue
-            result = fit_spectrum(spectrum)
             assert_equals_loop(result, spectrum, FitModel.EXP_GAUSSIAN)
+            assert result.failure == ""
             outcomes.add(result.converged)
         assert outcomes >= {"FitError", True, False}

@@ -3,15 +3,18 @@ that a change leaves every bit the same.
 
 Run as ``python tools/same_bits.py``; it fits with whichever ``dopplerkb``
 is importable, so ``PYTHONPATH=<other checkout>/src python
-tools/same_bits.py`` checks another version.  It prints two sha256 lines:
+tools/same_bits.py`` checks another version.  It prints three sha256 lines:
 
 1. ``fits``: θ, covariance, ``chi2_reduced``, ``n_iter``, ``converged`` and
    ``source_id`` of every fit of four W2 campaigns (seeds 100-103), three
    W3 campaigns (exp-Voigt, seeds 200-202) and a series on three grids
    (501, 401 and another 501 points, interleaved) for both models at
-   ``max_iter`` 3 and 200, then the error of two failing series whose
-   failures sit on two grids of the same size.
-2. ``cli``: the spectra, ``fits.jsonl``, ``summary.json``, ``widths.txt`` and
+   ``max_iter`` 3 and 200.
+2. ``failures``: the outcome of two series that each hold a degenerate and
+   an unstartable spectrum, on two grids of the same size: every result
+   with those fields and its ``failure``, or the error raised when a
+   version of ``fit_series`` raises for a failed spectrum.
+3. ``cli``: the spectra, ``fits.jsonl``, ``summary.json``, ``widths.txt`` and
    ``kb.json`` of the W1 campaign ``{"replicas": 50}`` at ``--seed 9``
    through ``simulate``, ``fit``, ``series`` and ``kb``.  Manifests are left
    out: they record paths.
@@ -45,23 +48,29 @@ GAUSSIAN, VOIGT = FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT
 KB = constants.KB_CODATA_2002
 
 
+def add_result(digest, r):
+    theta = list(r.params.values())
+    digest.update(struct.pack(f"{len(theta)}d", *theta))
+    digest.update(r.covariance.tobytes())
+    digest.update(struct.pack("d?q", r.chi2_reduced, r.converged, r.n_iter))
+    digest.update(r.source_id.encode() + b"\0")
+
+
 def add_fits(digest, label, spectra, model, max_iter=200):
     ids = [f"{label}-{i}" for i in range(len(spectra))]
     for r in fit_series(spectra, model, max_iter=max_iter, source_ids=ids):
-        theta = list(r.params.values())
-        digest.update(struct.pack(f"{len(theta)}d", *theta))
-        digest.update(r.covariance.tobytes())
-        digest.update(struct.pack("d?q", r.chi2_reduced, r.converged, r.n_iter))
-        digest.update(r.source_id.encode() + b"\0")
+        add_result(digest, r)
 
 
-def add_error(digest, label, spectra):
+def add_outcomes(digest, label, spectra):
     try:
-        fit_series(spectra, source_ids=[f"{label}-{i}" for i in range(len(spectra))])
+        results = fit_series(spectra, source_ids=[f"{label}-{i}" for i in range(len(spectra))])
     except DopplerKBError as exc:
         digest.update(f"{type(exc).__name__}: {exc}\0".encode())
-    else:
-        sys.exit(f"same_bits: the series {label} did not fail")
+        return
+    for r in results:
+        add_result(digest, r)
+        digest.update(getattr(r, "failure", "").encode() + b"\0")
 
 
 def campaign(seed, replicas, comb=False):
@@ -99,13 +108,20 @@ def fits_digest() -> str:
     for model in (GAUSSIAN, VOIGT):
         for max_iter in (3, 200):
             add_fits(digest, f"grids-{model.value}-{max_iter}", mixed, model, max_iter)
+    return digest.hexdigest()
 
+
+def failures_digest() -> str:
+    digest = hashlib.sha256()
+    wide = on_scan([0.6, 2.0, 3.2], 300)                        # 501 points
+    shifted = on_scan([0.6, 2.0], 302, span=200.0, step=0.4)    # 501 other offsets
     # a singular normal matrix at S/N 1000, and flat spectra, whose start is refused
     degenerate, = on_scan([0.01], 3)
     flat_wide, flat_shifted = (s.with_transmission([1.0] * s.n_points)
                                for s in (wide[0], shifted[0]))
-    add_error(digest, "degenerate-first", wide[:3] + [degenerate] + shifted[:2] + [flat_shifted])
-    add_error(digest, "refused-first", wide[:2] + [flat_wide] + shifted[:2] + [degenerate])
+    add_outcomes(digest, "degenerate-first",
+                 wide[:3] + [degenerate] + shifted[:2] + [flat_shifted])
+    add_outcomes(digest, "refused-first", wide[:2] + [flat_wide] + shifted[:2] + [degenerate])
     return digest.hexdigest()
 
 
@@ -138,6 +154,8 @@ def cli_digest() -> str:
 
 if __name__ == "__main__":
     fits = fits_digest()
+    failures = failures_digest()
     cli = cli_digest()
     print(f"{fits}  fits")
+    print(f"{failures}  failures")
     print(f"{cli}  cli")
