@@ -35,7 +35,6 @@ from .simulator import (
     GasConditions,
     GroundTruth,
     ScanConfig,
-    synth_series,
     synth_spectrum,
 )
 from .spectra import Spectrum, SpectrumMeta
@@ -66,7 +65,6 @@ __all__ = [
     "jacobian",
     "kb_from_width",
     "points_from_fit_results",
-    "synth_series",
     "synth_spectrum",
     "transmission",
     "uncertainty_budget",

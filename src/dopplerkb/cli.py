@@ -1,9 +1,12 @@
 """Command-line pipeline: simulate -> fit -> series -> kb, plus a standalone
 budget calculator and a reproduction of the published determination.
 
-Stages talk to each other through files only.  Every file-writing run also
-writes a manifest (config hash, seed, package and library versions, constants
-snapshot) sufficient to reproduce it bit-identically.
+Stages talk to each other through files only, and each reads its input,
+makes one library call and writes its output: ``CampaignConfig.synthesize``,
+``fit_series``, ``extrapolate`` and ``CampaignConfig.budget``.  Every
+file-writing run also writes a manifest (config hash, seed, package and
+library versions, constants snapshot) sufficient to reproduce it
+bit-identically.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a bad file, config value
 or option value), 3 a fit that did not converge (its record is written),
@@ -23,12 +26,7 @@ from . import constants
 from .boltzmann import TemperatureReading, format_budget_table, uncertainty_budget
 from .config import CampaignConfig, load_config
 from .errors import DataError, FitError
-from .extrapolation import (
-    default_slope_threshold,
-    filter_by_slope,
-    points_from_fit_results,
-    zero_pressure_width,
-)
+from .extrapolation import extrapolate
 from .fileio import (
     read_fit_records,
     read_regression_summary,
@@ -42,7 +40,6 @@ from .fileio import (
 )
 from .fitter import MAX_ITER_DEFAULT, FitModel, fit_series
 from .lineshape import Transition
-from .simulator import synth_series
 
 # Published values this pipeline is benchmarked against.
 PAPER_DELTA_D_MHZ = 49.8831
@@ -64,8 +61,7 @@ def cli():
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
               help="Output directory for spectrum files.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--no-noise", is_flag=True, help="Disable detection noise.")
-def simulate(config_path, out_dir, seed, no_noise):
+def simulate(config_path, out_dir, seed):
     """Write a synthetic spectrum series (one file per pressure and replica)
     into a directory that holds no spectrum files yet."""
     out = Path(out_dir)
@@ -75,16 +71,7 @@ def simulate(config_path, out_dir, seed, no_noise):
     cfg = load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    if no_noise:
-        cfg = dataclasses.replace(cfg, snr=math.inf)
-
-    # Pressure-major: every replica of the first pressure, then the next.
-    pressures = [p for p in cfg.pressures_pa for _ in range(cfg.replicas)]
-    pairs = synth_series(
-        cfg.transition(), pressures, cfg.conditions(pressures[0]), cfg.scan(), cfg.kb_true,
-        cfg.seed, hyperfine=cfg.hyperfine(), temperature_sigma_k=cfg.temperature_sigma_k,
-        cell_length_m=cfg.cell_length_m,
-    )
+    pairs = cfg.synthesize()
     for i, (spectrum, _) in enumerate(pairs):
         pi, replica = divmod(i, cfg.replicas)
         write_spectrum(spectrum, out / f"spectrum_p{pi:02d}_r{replica:03d}.txt")
@@ -139,14 +126,7 @@ def series(fits_path, out_summary, out_table, threshold_slope):
     if threshold_slope is not None and not 0.0 < threshold_slope < math.inf:
         raise DataError(f"--threshold-slope: must be positive and finite, got {threshold_slope}")
     results = read_fit_records(fits_path)
-    threshold = threshold_slope if threshold_slope is not None \
-        else default_slope_threshold(results)
-    points = points_from_fit_results(results)
-    if not points:
-        raise DataError("no converged fits to extrapolate")
-    kept, rejected = filter_by_slope(points, threshold)
-    outcome = zero_pressure_width(kept, n_rejected=len(rejected),
-                                  n_unconverged=len(results) - len(points))
+    outcome, threshold, kept, rejected = extrapolate(results, threshold_slope)
     write_regression_summary(outcome, threshold, out_summary)
     write_width_table(kept, rejected, out_table)
     write_manifest(Path(out_summary).with_suffix(".manifest.json"), "series",
@@ -169,14 +149,8 @@ def kb(summary_path, config_path, out_path):
     """Convert an extrapolated width into k_B with its uncertainty budget."""
     summary = read_regression_summary(summary_path)
     cfg = load_config(config_path) if config_path else CampaignConfig()
-    result = _refused_as(
-        summary_path, uncertainty_budget,
-        summary["delta_d_mhz"], summary["delta_d_sigma_mhz"],
-        cfg.transition(),
-        TemperatureReading(cfg.temperature_k, cfg.temperature_sigma_k),
-        mass_sigma_rel=cfg.mass_sigma_rel,
-        nu_sigma_rel=cfg.nu_sigma_rel,
-    )
+    result = _refused_as(summary_path, cfg.budget, summary["delta_d_mhz"],
+                         summary["delta_d_sigma_mhz"])
     click.echo(format_budget_table(result))
     if out_path:
         write_boltzmann_record(result, out_path)

@@ -16,6 +16,10 @@ Values are then checked by the objects the pipeline builds from them, listed
 in ``CampaignConfig.__post_init__``, so a config that loads is one those
 objects accept; the Doppler width they give must also lie between the scan's
 step and span, or the scan could not resolve the line.
+
+A config makes the campaign's spectra (``synthesize``) and the k_B budget of
+its extrapolated width (``budget``), which are the ``simulate`` and ``kb``
+stages' calls; ``budget`` is also the config's own budget check.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import constants
+from . import boltzmann, constants, simulator
 from .absorption import HyperfineStructure
-from .boltzmann import TemperatureReading, uncertainty_budget
+from .boltzmann import TemperatureReading
 from .errors import DataError, read_text
 from .lineshape import Transition, doppler_width
 from .simulator import (
@@ -77,9 +81,7 @@ class CampaignConfig:
 
         builds = {"transition": self.transition, "scan": self.scan, "temperature reading": reading,
                   "kb_true": width, "Doppler width": lambda: self._within_scan(width()),
-                  "uncertainty budget": lambda: uncertainty_budget(
-                      width(), 0.0, self.transition(), reading(),
-                      mass_sigma_rel=self.mass_sigma_rel, nu_sigma_rel=self.nu_sigma_rel),
+                  "uncertainty budget": lambda: self.budget(width(), 0.0),
                   "hyperfine_file": self.hyperfine,
                   "spectrum header": lambda: SpectrumMeta(
                       self.transition_label, self.transition_nu0_mhz, self.temperature_k,
@@ -123,6 +125,25 @@ class CampaignConfig:
             pressure_broadening_mhz_per_pa=self.pressure_broadening_mhz_per_pa,
             absorption_depth_per_pa=self.absorption_depth_per_pa,
         )
+
+    def synthesize(self) -> list:
+        """The campaign's (spectrum, ground truth) pairs from
+        ``simulator.synth_series`` at ``seed``: pressure-major, every replica
+        of the first pressure, then the next."""
+        pressures = [p for p in self.pressures_pa for _ in range(self.replicas)]
+        return simulator.synth_series(
+            self.transition(), pressures, self.conditions(pressures[0]), self.scan(),
+            self.kb_true, self.seed, hyperfine=self.hyperfine(),
+            temperature_sigma_k=self.temperature_sigma_k, cell_length_m=self.cell_length_m)
+
+    def budget(self, delta_d_mhz: float, delta_d_sigma_mhz: float) -> boltzmann.BoltzmannResult:
+        """``boltzmann.uncertainty_budget`` of a zero-pressure width with the
+        config's transition, temperature reading and mass and frequency
+        uncertainties."""
+        return boltzmann.uncertainty_budget(
+            delta_d_mhz, delta_d_sigma_mhz, self.transition(),
+            TemperatureReading(self.temperature_k, self.temperature_sigma_k),
+            mass_sigma_rel=self.mass_sigma_rel, nu_sigma_rel=self.nu_sigma_rel)
 
     def to_dict(self) -> dict:
         """JSON-ready dict in the layout of the file (None stands in for an

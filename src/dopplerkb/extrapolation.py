@@ -113,6 +113,24 @@ def filter_by_slope(points: Sequence[WidthPoint], threshold: float):
     return kept, rejected
 
 
+def extrapolate(results: Sequence[FitResult], threshold: Optional[float] = None) -> tuple:
+    """The zero-pressure width of a series of fits: the converged ones
+    (``points_from_fit_results``), filtered by baseline slope at
+    ``threshold`` per MHz (by default ``default_slope_threshold(results)``)
+    and extrapolated by ``zero_pressure_width``, which counts the points the
+    filter rejected and the fits left out as unconverged, failed ones
+    included.  Returns (result, threshold, kept points, rejected points)."""
+    if threshold is None:
+        threshold = default_slope_threshold(results)
+    points = points_from_fit_results(results)
+    if not points:
+        raise DataError("no converged fits to extrapolate")
+    kept, rejected = filter_by_slope(points, threshold)
+    result = zero_pressure_width(kept, n_rejected=len(rejected),
+                                 n_unconverged=len(results) - len(points))
+    return result, threshold, kept, rejected
+
+
 def _weighted_line(amp: np.ndarray, width: np.ndarray, weights: np.ndarray):
     """Weighted LS of width = a + b*amp; returns (a, b), covariance."""
     w_sum = weights.sum()
@@ -137,7 +155,10 @@ def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0,
     Weights are the inverse width variances.  When the reduced chi-square
     exceeds one, the parameter uncertainties are inflated by its square root
     (flagged in the result).  The intercept is invariant under rescaling all
-    amplitudes, so the pressure proxy may carry arbitrary units.
+    amplitudes, so the pressure proxy may carry arbitrary units.  A line
+    that is not finite, e.g. from a width variance so small that its weight
+    overflows, is a ``DataError`` naming the smallest width sigma and its
+    source id.
     """
     if len(points) < MIN_POINTS:
         raise DataError(
@@ -154,11 +175,11 @@ def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0,
             f"{MIN_AMPLITUDE_RATIO}x"
         )
 
-    weights = 1.0 / sigma**2
-    (a, b), cov = _weighted_line(amp, width, weights)
-
-    resid = width - (a + b * amp)
-    chi2 = float((weights * resid**2).sum())
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        weights = 1.0 / sigma**2
+        (a, b), cov = _weighted_line(amp, width, weights)
+        resid = width - (a + b * amp)
+        chi2 = float((weights * resid**2).sum())
     chi2_reduced = chi2 / (len(points) - 2)  # MIN_POINTS leaves at least one dof
 
     sigma_a = math.sqrt(cov[0, 0])
@@ -169,6 +190,10 @@ def zero_pressure_width(points: Sequence[WidthPoint], n_rejected: int = 0,
         sigma_a *= factor
         sigma_b *= factor
 
+    if not np.isfinite([a, b, sigma_a, sigma_b, chi2_reduced]).all():
+        i = int(np.argmin(sigma))
+        raise DataError(f"extrapolation overflows: the width sigma {points[i].width_sigma_mhz!r} "
+                        f"MHz of {points[i].source_id!r} weighs {weights[i]:.3g} per MHz^2")
     if a <= 0:
         raise DataError(f"extrapolation gave a non-positive intercept ({a:.4g} MHz)")
 

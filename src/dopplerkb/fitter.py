@@ -144,6 +144,12 @@ class FitResult:
     degenerate one keeps the parameters and ``chi2_reduced`` at which its
     normal matrix failed, and an unstartable one has zero parameters,
     ``chi2_reduced`` and ``n_iter``.
+
+    ``chi2_reduced`` is the residual variance over the squared noise scale
+    (the spectrum's 1/snr times the fitted baseline level), or the variance
+    itself for a noiseless spectrum.  Where that ratio is not finite, e.g.
+    when the residuals of a spectrum scaled to near 1e160 overflow, it is 0,
+    as for a fit that could not start.
     """
 
     model: FitModel
@@ -633,11 +639,15 @@ def fit_spectrum(
     theta, covariance, var, n_iter, converged, failure = _solved
     params = dict(zip(model.param_names, theta))
     noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
+    try:
+        chi2 = var / noise**2 if noise > 0 else var
+    except (OverflowError, ZeroDivisionError):  # noise**2 is outside the float range
+        chi2 = var / noise / noise
     return FitResult(
         model=model,
         params=params,
         covariance=covariance,
-        chi2_reduced=var / noise**2 if noise > 0 else var,
+        chi2_reduced=chi2 if math.isfinite(chi2) else 0.0,
         n_iter=n_iter,
         converged=converged,
         n_points=spectrum.n_points,

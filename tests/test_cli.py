@@ -17,17 +17,20 @@ from dopplerkb import (
     ScanConfig,
     Transition,
     constants,
-    synth_series,
+    fit_series,
     synth_spectrum,
 )
 from dopplerkb.cli import main
 from dopplerkb.config import CampaignConfig, load_config
+from dopplerkb.extrapolation import extrapolate
 from dopplerkb.fileio import (
     read_fit_records,
     read_regression_summary,
     read_spectrum,
+    write_boltzmann_record,
     write_spectrum,
 )
+from dopplerkb.simulator import synth_series
 
 NH3 = Transition.nh3()
 
@@ -93,12 +96,19 @@ class TestSimulate:
             f"error: data: --out: {out} already holds 24 spectrum files\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_no_noise_flag(self, tmp_path):
-        cfg = write_config(tmp_path, pressures_pa=[1.0])
+    def test_snr_null_is_the_noiseless_campaign_and_no_noise_is_no_option(self, tmp_path,
+                                                                            capsys):
+        # noiseless replicas of one pressure are the same samples
+        cfg = write_config(tmp_path, pressures_pa=[1.0], replicas=2, snr=None)
         out = tmp_path / "clean"
-        assert run("simulate", "--config", cfg, "--out", out, "--no-noise") == 0
-        spectrum = read_spectrum(next(out.glob("*.txt")))
-        assert math.isinf(spectrum.meta.snr)
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        first, second = (read_spectrum(path) for path in sorted(out.glob("*.txt")))
+        assert math.isinf(first.meta.snr) and math.isinf(second.meta.snr)
+        np.testing.assert_array_equal(first.transmission, second.transmission)
+        capsys.readouterr()
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "x", "--no-noise") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: No such option") and "--no-noise" in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -209,6 +219,23 @@ class TestFitSeriesKb:
         assert run("kb", "--summary", summary, "--config", cfg, "--out", kb_out) == 0
         record = json.loads(kb_out.read_text())
         assert record["kb_j_per_k"] == pytest.approx(constants.KB_CODATA_2002, rel=1e-6)
+
+    def test_kb_json_of_the_four_stages_is_the_in_process_chain_byte_for_byte(self, tmp_path):
+        cfg = write_config(tmp_path, pressures_pa=[0.5, 2.0, 8.0], replicas=3, seed=7)
+        spectra, fits = tmp_path / "spectra", tmp_path / "fits.jsonl"
+        summary, kb_out = tmp_path / "summary.json", tmp_path / "kb.json"
+        assert run("simulate", "--config", cfg, "--out", spectra) == 0
+        assert run("fit", spectra, "--out", fits) == 0
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 0
+        assert run("kb", "--summary", summary, "--config", cfg, "--out", kb_out) == 0
+
+        campaign = load_config(cfg)
+        width, _, _, _ = extrapolate(fit_series([s for s, _ in campaign.synthesize()]))
+        in_process = tmp_path / "in_process.kb.json"
+        write_boltzmann_record(campaign.budget(width.delta_d_mhz, width.delta_d_sigma_mhz),
+                               in_process)
+        assert in_process.read_bytes() == kb_out.read_bytes()
 
     def test_fit_writes_records(self, tmp_path, spectra_dir):
         fits = tmp_path / "fits.jsonl"
@@ -389,6 +416,23 @@ class TestFitSeriesKb:
         assert run("series", "--fits", fits, "--out-summary", out,
                    "--out-table", tmp_path / "t.txt") == 2
         assert capsys.readouterr().err.startswith(f"error: data: {message}")
+        assert not out.exists()
+
+    def test_series_refuses_a_width_variance_whose_weight_overflows(self, tmp_path,
+                                                                      spectra_dir, capsys):
+        fits, out = tmp_path / "fits.jsonl", tmp_path / "summary.json"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+
+        def tiny_width_variance(record):
+            record["covariance"][1][1] = 1e-320
+
+        self.edit_records(fits, tiny_width_variance, [2])
+        capsys.readouterr()
+        assert run("series", "--fits", fits, "--out-summary", out,
+                   "--out-table", tmp_path / "t.txt") == 2
+        assert capsys.readouterr().err == (
+            f"error: data: extrapolation overflows: the width sigma {math.sqrt(1e-320)!r} MHz "
+            "of 'spectrum_p02_r000.txt' weighs inf per MHz^2\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("change, key", [
@@ -587,6 +631,26 @@ class TestFitSeriesKb:
             "error: fit: 1 of 3 fits did not converge: "
             "degenerate fit: singular normal matrix (1, first spectrum_001.txt)\n")
         self.assert_record_failed_alone(spectra, tmp_path / "f.jsonl", tmp_path,
+                                        "degenerate fit: singular normal matrix")
+
+    def test_a_spectrum_scaled_by_1e160_is_a_strict_json_record_and_exits_3(self, tmp_path,
+                                                                              capsys):
+        # its residuals overflow: the record holds chi2_reduced 0, not inf
+        spectra = self.spectra_with(tmp_path / "sp",
+                                    lambda s: s.with_transmission(s.transmission * 1e160))
+        fits = tmp_path / "f.jsonl"
+        assert run("fit", spectra, "--out", fits) == 3
+        assert capsys.readouterr().err == (
+            "error: fit: 1 of 3 fits did not converge: "
+            "degenerate fit: singular normal matrix (1, first spectrum_001.txt)\n")
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        records = [json.loads(line, parse_constant=refuse)
+                   for line in fits.read_text().splitlines()]
+        assert records[1]["chi2_reduced"] == 0.0
+        self.assert_record_failed_alone(spectra, fits, tmp_path,
                                         "degenerate fit: singular normal matrix")
 
     def test_one_bad_spectrum_among_forty_is_written_and_left_out_by_series(self, tmp_path,

@@ -14,11 +14,11 @@ from dopplerkb import (
     filter_by_slope,
     fit_spectrum,
     points_from_fit_results,
-    synth_series,
     zero_pressure_width,
 )
 from dopplerkb.errors import DataError
-from dopplerkb.simulator import spawn_seeds
+from dopplerkb.extrapolation import extrapolate
+from dopplerkb.simulator import spawn_seeds, synth_series
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002
@@ -125,6 +125,13 @@ class TestZeroPressureWidth:
         with pytest.raises(DataError, match="intercept"):
             zero_pressure_width(make_points(amps, [w - 0.02 for w in widths]))
 
+    @pytest.mark.parametrize("sigmas", [[1e-160, 1e-3, 1e-3], [1e-154] * 3],
+                             ids=["a-weight-overflows", "the-weight-sum-overflows"])
+    def test_weights_that_overflow_are_a_data_error_naming_the_smallest_sigma(self, sigmas):
+        with pytest.raises(DataError, match=r"extrapolation overflows: the width sigma "
+                                            r"1e-1[56]\d MHz of 'p0' weighs"):
+            zero_pressure_width(make_points([0.5, 1.0, 2.0], [50.0, 50.1, 50.2], sigmas))
+
     def test_inflation_flag_when_chi2_large(self):
         rng = np.random.default_rng(8)
         amps = np.linspace(0.2, 2.0, 20)
@@ -172,6 +179,19 @@ class TestCampaignLevel:
         out = zero_pressure_width(points)
         assert out.delta_d_sigma_mhz / out.delta_d_mhz < 1e-3
         assert abs(out.delta_d_mhz - truth) < 4.0 * out.delta_d_sigma_mhz
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_extrapolate_chains_the_steps_and_counts_the_unconverged(self, given):
+        series = synth_series(NH3, [0.5, 2.0, 8.0] * 2, GasConditions(pressure_pa=1.0),
+                              ScanConfig(snr=1000.0), KB, 11)
+        fits = [fit_spectrum(s, source_id=f"s{i}") for i, (s, _) in enumerate(series)]
+        fits[4] = dataclasses.replace(fits[4], converged=False)
+        threshold = default_slope_threshold(fits) / (3 if given else 1)
+        kept, rejected = filter_by_slope(points_from_fit_results(fits), threshold)
+        assert len(kept) + len(rejected) == 5 and bool(rejected) == given
+        assert extrapolate(fits, threshold if given else None) == (
+            zero_pressure_width(kept, n_rejected=len(rejected), n_unconverged=1),
+            threshold, kept, rejected)
 
     def test_default_threshold_is_three_median_slope_sigmas(self):
         pressures = [0.5, 2.0, 8.0]

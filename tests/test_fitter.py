@@ -22,12 +22,11 @@ from dopplerkb import (
     fit_series,
     fit_spectrum,
     jacobian,
-    synth_series,
     synth_spectrum,
 )
 from dopplerkb import fitter
 from dopplerkb.errors import DataError, FitError
-from dopplerkb.simulator import spawn_seeds
+from dopplerkb.simulator import spawn_seeds, synth_series
 from dopplerkb.spectra import Spectrum, SpectrumMeta
 
 import _loop_fitter
@@ -426,6 +425,32 @@ class TestBlockFitting:
         assert not results[2].converged
         assert_spare_their_neighbours(results, spectra, ids, [2])
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_a_spectrum_scaled_out_of_float_range_fails_alone_with_chi2_0(self, scale,
+                                                                         monkeypatch):
+        # Scaled by 1e160 its residuals and normal matrix overflow; by
+        # 1e-160 its squared noise scale underflows to 0.  Either way the
+        # noise scale's square is outside the float range at assembly.
+        spectra = [s for s, _ in synth_series(NH3, [1.2, 3.2, 7.5], GasConditions(pressure_pa=1.0),
+                                              make_scan(snr=1000.0), KB, 7)]
+        spectra[1] = spectra[1].with_transmission(spectra[1].transmission * scale)
+        finite = []
+        normal_equations = fitter._normal_equations
+
+        def recording(js, resid, keep):
+            grads, hessians, bad = normal_equations(js, resid, keep)
+            finite.append(bool(np.isfinite(hessians).all()))
+            return grads, hessians, bad
+
+        monkeypatch.setattr(fitter, "_normal_equations", recording)
+        ids = ["s0", "s1", "s2"]
+        with np.errstate(all="ignore"):
+            results = fit_series(spectra, source_ids=ids)
+        assert (results[1].failure, results[1].chi2_reduced) == (SINGULAR, 0.0)
+        assert finite[0] == (scale < 1)  # at 1e160 the start meets a non-finite matrix
+        monkeypatch.undo()
+        assert_spare_their_neighbours(results, spectra, ids, [1])
+
     def test_a_fit_degenerate_where_it_converges_ends_unconverged(self, monkeypatch):
         # the normal matrix of the step that converges is flagged degenerate
         spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=3)
@@ -511,7 +536,8 @@ class TestBlockFitting:
         code = textwrap.dedent("""
             import resource
             from dopplerkb import GasConditions, ScanConfig, Transition, constants
-            from dopplerkb import fit_series, synth_series
+            from dopplerkb import fit_series
+            from dopplerkb.simulator import synth_series
 
             pressures = [p for p in (0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0)
                          for _ in range(50)]

@@ -12,12 +12,11 @@ from dopplerkb import (
     Transition,
     constants,
     fit_spectrum,
-    synth_series,
     synth_spectrum,
     voigt,
 )
 from dopplerkb.errors import DataError
-from dopplerkb.simulator import spawn_seeds
+from dopplerkb.simulator import spawn_seeds, synth_series
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002

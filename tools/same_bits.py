@@ -37,12 +37,12 @@ from dopplerkb import (
     ScanConfig,
     constants,
     fit_series,
-    synth_series,
 )
 from dopplerkb.cli import main
 from dopplerkb.config import CampaignConfig
 from dopplerkb.errors import DopplerKBError
 from dopplerkb.fitter import FitModel
+from dopplerkb.simulator import synth_series
 
 GAUSSIAN, VOIGT = FitModel.EXP_GAUSSIAN, FitModel.EXP_VOIGT
 KB = constants.KB_CODATA_2002
