@@ -132,15 +132,19 @@ class ModulationComb:
             raise ValueError(f"mod_freq_khz must be positive and finite, got {self.mod_freq_khz}")
         if not (0 <= self.depth_khz < math.inf):
             raise ValueError(f"depth_khz must be >= 0 and finite, got {self.depth_khz}")
-        from scipy.special import jv
-
-        total = jv(0, self.beta) ** 2
+        # Past order 2*beta + 90 no weight reaches 1e-38, and a beta above
+        # 1000 leaves about 3% of the weight past order 1000.
+        if self.beta > 1000:
+            raise ValueError("comb cutoff search failed to converge")
+        squares = (_bessel_j(np.arange(min(math.ceil(2.0 * self.beta) + 90, 1001) + 1),
+                             self.beta) ** 2).tolist()
+        total = squares[0]
         n = 0
         while 1.0 - total > _COMB_WEIGHT_TOL:
             n += 1
-            total += 2.0 * jv(n, self.beta) ** 2
             if n > 1000:
                 raise ValueError("comb cutoff search failed to converge")
+            total += 2.0 * squares[n]
         object.__setattr__(self, "order_cutoff", n)
 
     @property
@@ -157,14 +161,29 @@ class ModulationComb:
 
     @property
     def weights(self) -> np.ndarray:
-        from scipy.special import jv
-
-        return jv(self.orders, self.beta) ** 2
+        return _bessel_j(self.orders, self.beta) ** 2
 
     @classmethod
     def paper_default(cls) -> "ModulationComb":
         """8 kHz modulation with 38 kHz depth (beta = 4.75)."""
         return cls(8.0, 38.0)
+
+
+def _bessel_j(orders: np.ndarray, beta: float) -> np.ndarray:
+    """``J_n(beta)`` at the integer array ``orders``: the trapezoid rule on
+    ``(1/2pi) int_0^2pi exp(i (beta sin t - n t)) dt`` with ``K`` nodes, for
+    every order at once by one FFT (Trefethen & Weideman, SIAM Rev. 56, 385,
+    2014).  It gives ``J_n`` plus the aliases ``J_{n+jK}``, ``j != 0``, and
+    with ``K = 2 max|n| + 2 beta + 90`` every alias has an order of at least
+    ``2 beta + 90``, where ``|J| < 1e-19``."""
+    quarter = (2 * int(np.abs(orders).max()) + math.ceil(2.0 * beta) + 93) // 4
+    nodes = 4 * quarter
+    # sin at the nodes from its first quadrant, so that no node's sine
+    # carries the rounding of an angle near pi or 2 pi
+    rise = np.sin(np.arange(quarter + 1) * (2.0 * math.pi / nodes))
+    half = np.concatenate((rise, rise[-2:0:-1]))
+    samples = np.exp(1j * beta * np.concatenate((half, -half)))
+    return np.fft.fft(samples).real[orders % nodes] / nodes
 
 
 def transmission(offsets_mhz, delta_mhz: float, gamma_mhz: float, peak_depth: float,

@@ -345,11 +345,11 @@ def config_hash(config: dict) -> str:
 
 @functools.cache
 def _installed_versions() -> dict:
-    """The scipy and click versions, looked up once per process: a lookup
-    scans the installed distributions."""
+    """The click version, looked up once per process: a lookup scans the
+    installed distributions."""
     from importlib.metadata import version
 
-    return {"scipy": version("scipy"), "click": version("click")}
+    return {"click": version("click")}
 
 
 def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> None:

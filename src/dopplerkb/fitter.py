@@ -10,7 +10,14 @@ the simulator.  Minimization is a damped Gauss-Newton (Levenberg-Marquardt)
 iteration with an analytic Jacobian: the damping factor grows tenfold whenever
 a step raises the cost and shrinks tenfold on success, starting from 1e-3.
 Parameters are scaled internally (frequencies by the scan span, the slope by
-its inverse) to keep the normal matrix well conditioned.
+its inverse) to keep the normal matrix well conditioned.  A fit converges
+when its scaled gradient vanishes (``GRAD_TOL``), when an accepted step
+lowers the cost by less than ``COST_TOL`` of it, or, at the rounding floor,
+when a rejected step raised the cost by no more than ``COST_TOL`` of it and
+the undamped Gauss-Newton step predicts no larger decrease (``g^T H^-1 g``,
+the guard of MINPACK's ftol test; More, LNM 630, 1978): without this last
+test each trial at the minimum is rejected on rounding noise and only
+raises the damping.
 
 Spectra are fitted in batches, after the design of Gpufit (Przybylski et
 al., Sci. Rep. 7, 15722, 2017): a workspace serves one frequency grid and
@@ -51,8 +58,9 @@ covariance, so one bad spectrum costs only its own row.  A spectrum that
 cannot be read is not a row's outcome: its error is raised where it is
 met.
 
-The iteration allocates no real array of the slots' size; only the Voigt's
-complex intermediates (``scipy.special.wofz``) are allocated per call.
+The Gaussian iteration allocates no array of the slots' size; only the
+Voigt's intermediates in ``lineshape.profile`` (the Faddeeva function and
+its derivative, real and complex) are allocated per call.
 ``fit_series`` allocates a workspace once per grid: the data and residual
 rows and the kernel's intermediates (offsets, attenuation, P and its
 derivatives), each a ``(rows, points)`` buffer, and the ``(rows, points,
@@ -366,6 +374,16 @@ def _normal_equations(js: np.ndarray, resid: np.ndarray, keep: np.ndarray) -> tu
     return grads, hess, bad
 
 
+def _solve(hessians: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """``H^-1 g`` for each row of a stack.  Every normal matrix that reaches
+    a solve has passed the degeneracy test, so a ``LinAlgError`` is a fault
+    of the fitter, raised as ``FitError``."""
+    try:
+        return np.linalg.solve(hessians, grads[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise FitError(_SINGULAR) from None
+
+
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` are one frequency grid (replicas of a
     pressure share one grid array)."""
@@ -445,9 +463,8 @@ class _Slots:
         the active rows' trials, and its first step comes in the next
         iteration.  A row whose new normal matrix is degenerate
         (``_normal_equations`` gives their positions) ends unconverged, with
-        ``_SINGULAR`` as its failure.  Every normal matrix that reaches the
-        stacked solve has passed that test, so a ``LinAlgError`` there is a
-        fault of the fitter, raised as ``FitError``."""
+        ``_SINGULAR`` as its failure (see ``_solve`` for the one other
+        raise)."""
         diag = self.diag
         active, new = self.active, np.array(self.new, dtype=int)
         self.new.clear()
@@ -460,11 +477,7 @@ class _Slots:
         damped = self.hessians[active]  # fancy indexing copies
         damped[:, diag, diag] += self.lam[active, None] * np.maximum(damped[:, diag, diag],
                                                                      1e-300)
-        try:
-            step = np.linalg.solve(damped, grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise FitError(_SINGULAR) from None
-        candidate = self.theta[active] + step * self.scale
+        candidate = self.theta[active] + _solve(damped, grad) * self.scale
         if self.i_gamma is not None:
             candidate[:, self.i_gamma] = np.abs(candidate[:, self.i_gamma])
         # Steps to a non-positive width or level are rejected unevaluated.
@@ -487,6 +500,16 @@ class _Slots:
         kept = new_cost <= self.cost[tried]  # the accepted ones among the trial rows
         better = np.zeros_like(trial)
         better[trial] = kept
+        # A rejected trial whose cost rose by no more than COST_TOL of the
+        # cost is at the rounding floor; the row has converged if the
+        # undamped Gauss-Newton step, g^T H^-1 g, predicts no more decrease.
+        floor = np.zeros_like(trial)
+        floor[trial] = ~kept & (new_cost - self.cost[tried] <= COST_TOL * self.cost[tried])
+        if floor.any():
+            at = active[floor]
+            g = self.grads[at]
+            decrement = (g[:, None, :] @ _solve(self.hessians[at], g)[:, :, None])[:, 0, 0]
+            floor[floor] = decrement <= COST_TOL * self.cost[at]
         accepted = active[better]
         drop = self.cost[accepted] - new_cost[kept]
         self.theta[accepted] = candidate[better]
@@ -501,6 +524,7 @@ class _Slots:
         converged = np.concatenate((done, np.zeros(new.size, dtype=bool)))
         converged[:active.size][better] = ((self.cost[accepted] == 0.0)
                                            | (drop < COST_TOL * self.cost[accepted]))
+        converged[:active.size] |= floor
         live = np.concatenate((active, new))
         ended = converged | (self.n_iter[live] >= self.max_iter)
         if bad.size:
@@ -565,6 +589,7 @@ def _inputs(spectra, source_ids):
         raise ValueError(f"source_ids is longer than the {n} spectra")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
                max_iter: int = MAX_ITER_DEFAULT, source_ids=None) -> list:
     """Fit spectra in input order, one result per spectrum; each result is
@@ -587,7 +612,9 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
     it were not there.  A spectrum that cannot be read raises its own error,
     and a spectrum without an id, or an id left over when the spectra end,
     raises ``ValueError``, where it is met: the fits of the spectra before
-    it are dropped.
+    it are dropped.  A row whose residuals overflow ends degenerate, and
+    numpy's overflow and invalid-value warnings are off for the call, so
+    that it prints nothing.
 
     Each result is assembled by a ``fit_spectrum`` call, once per spectrum,
     because the traced benchmark (``perfbench/tracing.py``) counts fits,

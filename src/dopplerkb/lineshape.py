@@ -21,10 +21,33 @@ numpy array of offsets and is the unit-peak Gaussian at ``gamma == 0``.
 ``profile_derivatives`` gives the higher offset derivatives of the same
 profile, the terms of the Taylor expansion behind
 ``absorption.transmission``.
+
+``w`` is the Faddeeva function ``w(z) = exp(-z**2) erfc(-iz)`` for
+``Im z >= 0``, from numpy alone, in three regions of ``z = x + iy``:
+
+* ``|z| >= 8``: the Laplace continued fraction of ``w`` to 20 terms
+  (e.g. Gautschi, SIAM J. Numer. Anal. 7, 187, 1970), plus
+  ``exp(-z**2)`` where ``y < 1``, which the fraction misses near the real
+  axis;
+* ``|x| >= 2.5`` and ``y < 0.3`` within ``|z| < 8``: the five exponential
+  sums of Zaghloul & Ali's Algorithm 916 (ACM TOMS 38, 15, 2011), with
+  ``erfcx(y)`` from ``math.erfc``;
+* everywhere else: Weideman's rational approximation with N = 40
+  (SIAM J. Numer. Anal. 31, 1497, 1994), whose coefficients come from one
+  FFT on first use.
+
+Weideman's form is accurate to about 2e-15 absolute everywhere, but near
+the real axis ``Re w`` is only about ``y/|z|**2`` of ``|w|``, and there the
+other two forms keep the relative accuracy.  Against 40-digit values at
+21000 points of ``|x| <= 1e4``, ``0 <= y <= 100`` (denser near the region
+borders), ``w`` was within 1.4e-15 absolute, 2e-15 relative in ``Im w`` and
+1.1e-13 relative in ``Re w``; the largest of those are Weideman's, just
+inside ``|x| = 2.5`` near the axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +56,17 @@ import numpy as np
 from . import constants
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_WEIDEMAN_N = 40
+_WEIDEMAN_L = math.sqrt(_WEIDEMAN_N / math.sqrt(2.0))
+_CF_TERMS = 20
+# Algorithm 916's a = pi / sqrt(-ln(2**-53)) and c = 2a/pi, and the sum
+# index n = 1..28, past which exp(-(a*n - |x|)**2) < 4e-19 for |x| < 8.
+_Z_A = math.pi / math.sqrt(53.0 * math.log(2.0))
+_Z_C = 2.0 * _Z_A / math.pi
+_Z_AN = _Z_A * np.arange(1, 29)
+_Z_EXP = np.exp(-_Z_AN * _Z_AN)
+_Z_CHUNK = 2048  # points per pass of the sums' (points, 28) arrays
 
 
 @dataclass(frozen=True)
@@ -65,6 +99,109 @@ class Transition:
         return cls(constants.NH3_LINE_FREQ_MHZ, constants.NH3_MASS_U, constants.NH3_LINE_LABEL)
 
 
+def w(z) -> np.ndarray:
+    """The Faddeeva function ``exp(-z**2) erfc(-iz)`` of a complex array or
+    scalar with ``Im z >= 0``, elementwise: see the module docstring."""
+    z = np.asarray(z, dtype=complex)
+    return _faddeeva(z.real, z.imag)
+
+
+def _faddeeva(x, y) -> np.ndarray:
+    """``w(x + iy)`` for real arrays ``x`` and ``y >= 0`` that broadcast,
+    e.g. offsets and a column of widths."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    x, y = np.atleast_1d(x, y)
+    out = _weideman(x, y)
+    far = x * x + y * y >= 64.0
+    near = ~far & (y < 0.3) & (np.abs(x) >= 2.5)
+    x, y = np.broadcast_arrays(x, y)
+    if far.any():
+        out[far] = _continued_fraction(x[far] + 1j * y[far])
+    if near.any():
+        out[near] = _exponential_sums(x[near], y[near])
+    return out.reshape(shape)
+
+
+@functools.cache
+def _weideman_coefficients() -> tuple:
+    """Weideman's a_N, ..., a_1 for N = 40: the FFT of
+    ``exp(-t**2) * (L**2 + t**2)`` at ``t = L tan(theta/2)``."""
+    n, lw = _WEIDEMAN_N, _WEIDEMAN_L
+    t = lw * np.tan(np.arange(1 - 2 * n, 2 * n) * (math.pi / (4 * n)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (lw * lw + t * t)))
+    return tuple((np.fft.fft(np.fft.fftshift(f)).real / (4 * n))[n:0:-1].tolist())
+
+
+def _weideman(x, y) -> np.ndarray:
+    """``2 p(Z) / (L - iz)**2 + 1 / (sqrt(pi) (L - iz))`` with
+    ``Z = (L + iz) / (L - iz) = 2L / (L - iz) - 1`` and ``p`` the
+    polynomial of ``_weideman_coefficients``."""
+    a = _weideman_coefficients()
+    lw = _WEIDEMAN_L
+    shift = lw + y
+    norm = shift * shift + x * x
+    inv = np.empty(norm.shape, dtype=complex)
+    np.divide(shift, norm, out=inv.real)
+    np.divide(x, norm, out=inv.imag)  # 1 / (L - iz)
+    big_z = 2.0 * lw * inv
+    big_z -= 1.0
+    p = a[0] * big_z
+    p += a[1]
+    for coefficient in a[2:]:
+        p *= big_z
+        p += coefficient
+    p *= inv
+    p *= 2.0
+    p += _INV_SQRT_PI
+    p *= inv
+    return p
+
+
+def _continued_fraction(z) -> np.ndarray:
+    """``i/sqrt(pi) / (z - (1/2) / (z - 1 / (z - (3/2) / (z - ...))))`` to
+    ``_CF_TERMS`` terms, plus ``exp(-z**2)`` where ``Im z < 1``."""
+    r = np.zeros_like(z)
+    for k in range(_CF_TERMS, 0, -1):
+        r = (0.5 * k) / (z - r)
+    out = (1j * _INV_SQRT_PI) / (z - r)
+    low = z.imag < 1.0
+    out[low] += np.exp(-np.square(z[low]))
+    return out
+
+
+def _exponential_sums(x, y) -> np.ndarray:
+    """Algorithm 916 of Zaghloul & Ali at 1-d arrays ``x``, ``y >= 0`` with
+    ``|x| < 8``: ``w`` from ``exp(-x**2) erfcx(y)``, sines of ``xy`` and the
+    sums over ``n`` of ``exp(-a**2 n**2 - x**2)``, ``exp(-(a n -+ |x|)**2)``
+    and ``a n exp(-(a n -+ |x|)**2)``, each over ``a**2 n**2 + y**2``, at
+    ``|x|``, and conjugated where ``x < 0``."""
+    ax = np.abs(x)
+    ex2 = np.exp(-ax * ax)
+    levels, which = np.unique(y, return_inverse=True)
+    erfcx = np.array([math.exp(v * v) * math.erfc(v) for v in levels.tolist()])[which]
+    sums = np.empty((5, x.size))
+    for i in range(0, x.size, _Z_CHUNK):
+        part = slice(i, i + _Z_CHUNK)
+        g = 1.0 / (_Z_AN * _Z_AN + np.square(y[part])[:, None])
+        minus = np.exp(-np.square(_Z_AN + ax[part, None])) * g
+        plus = np.exp(-np.square(_Z_AN - ax[part, None])) * g
+        sums[:, part] = ((g * _Z_EXP).sum(axis=1), minus.sum(axis=1),
+                         plus.sum(axis=1), (minus * _Z_AN).sum(axis=1),
+                         (plus * _Z_AN).sum(axis=1))
+    s1, s2, s3, s4, s5 = sums
+    xy = ax * y
+    sin_xy, sin_2xy = np.sin(xy), np.sin(2.0 * xy)
+    sinc_xy = np.divide(sin_xy, xy, out=np.ones_like(xy), where=xy != 0.0)
+    sinc_2xy = np.divide(sin_2xy, 2.0 * xy, out=np.ones_like(xy), where=xy != 0.0)
+    first = ex2 * erfcx - _Z_C * y * ex2 * s1
+    second = _Z_C * ax * ex2
+    out = np.empty(x.shape, dtype=complex)
+    out.real = (first * np.cos(2.0 * xy) + second * sin_xy * sinc_xy
+                + 0.5 * _Z_C * y * (s2 + s3))
+    out.imag = second * sinc_2xy - first * sin_2xy + 0.5 * _Z_C * (s5 - s4)
+    return np.where(x < 0.0, out.conj(), out)
+
+
 def profile(u, delta, gamma=None, derivs: bool = False, out=None):
     """Unit-peak Gaussian (``gamma is None``) or Voigt profile at offsets
     ``u``, with its derivatives on request: see the module docstring.
@@ -78,7 +215,8 @@ def profile(u, delta, gamma=None, derivs: bool = False, out=None):
     dP/dgamma.  The values are written into them and the same arrays are
     returned; without ``out`` they are new arrays.  The operations are the
     same either way, so are the bits.  The Gaussian needs no other array of
-    that shape; the Voigt's complex intermediates are allocated on each call.
+    that shape; the Voigt's intermediates, real and complex, are allocated
+    on each call.
     """
     if out is None:
         out = (None,) * 4
@@ -104,17 +242,16 @@ def profile(u, delta, gamma=None, derivs: bool = False, out=None):
         np.divide(dp_ddelta, np.array([d**3 for d in widths])[:, None], out=dp_ddelta)
         np.multiply(p, dp_ddelta, out=dp_ddelta)  # p * (2.0*u**2 / delta**3)
         return p, dp_du, dp_ddelta, None
-    from scipy.special import wofz
-
-    z = (u + 1j * np.abs(gamma)) / delta
-    w = wofz(z)
-    p = w.real
+    x, y = np.divide(u, delta), np.abs(gamma) / delta
+    wz = _faddeeva(x, y)
+    p = wz.real
     if out[0] is not None:
         p = out[0]
-        np.copyto(p, w.real)
+        np.copyto(p, wz.real)
     if not derivs:
         return p, None, None, None
-    wprime = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
+    z = x + 1j * y
+    wprime = -2.0 * z * wz + 1j * _TWO_OVER_SQRT_PI
     dp_du = np.divide(wprime.real, delta, out=out[1])
     dp_ddelta = np.negative((z * wprime).real, out=out[2])
     np.divide(dp_ddelta, delta, out=dp_ddelta)
@@ -129,19 +266,18 @@ def profile_derivatives(u, delta, gamma, order: int) -> np.ndarray:
     into an array of shape ``(order,) + u.shape``; at ``gamma == 0`` ``V`` is
     the unit-peak Gaussian.
 
-    One ``wofz`` call gives them all, through the recurrence
+    One ``w`` call gives them all, through the recurrence
     ``w^(n+1) = -2*z*w^(n) - 2*n*w^(n-1)`` from
     ``w' = -2*z*w + 2i/sqrt(pi)``.  Validates nothing, like ``profile``.
     """
-    from scipy.special import wofz
-
-    z = (u + 1j * abs(gamma)) / delta
-    w = wofz(z)
-    dw = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
+    x, y = np.divide(u, delta), abs(gamma) / delta
+    z = x + 1j * y
+    wn = _faddeeva(x, y)
+    dw = -2.0 * z * wn + 1j * _TWO_OVER_SQRT_PI
     out = np.empty((order,) + np.shape(u))
     for n in range(1, order + 1):
         out[n - 1] = dw.real
-        w, dw = dw, -2.0 * z * dw - 2.0 * n * w
+        wn, dw = dw, -2.0 * z * dw - 2.0 * n * wn
     return out
 
 

@@ -6,12 +6,13 @@ package started and fitted spectra before it advanced them in blocks.
 Every block operation is row-wise with the same arithmetic, so the block
 fitter must reproduce this loop bit for bit, and its stacked start
 (``fitter._guesses``) must give ``initial_guess``'s starts and refusals.
+The Voigt takes the package's Faddeeva function ``lineshape.w``, as the
+kernel does, so that the two agree to the bit.
 """
 
 import math
 
 import numpy as np
-from scipy.special import wofz
 
 from dopplerkb.errors import DataError, FitError
 from dopplerkb.fitter import (
@@ -22,6 +23,7 @@ from dopplerkb.fitter import (
     GRAD_TOL,
     FitModel,
 )
+from dopplerkb.lineshape import w
 
 _COND_LIMIT = 1e14
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -100,10 +102,10 @@ def _model_and_jacobian(x, p, model):
         dp_ddelta = prof * (2.0 * u**2 / delta**3)
     else:
         gamma = p["gamma_mhz"]
-        z = (u + 1j * abs(gamma)) / delta
-        w = wofz(z)
-        wprime = -2.0 * z * w + 1j * _TWO_OVER_SQRT_PI
-        prof = w.real
+        z = u / delta + 1j * (abs(gamma) / delta)
+        wz = w(z)
+        wprime = -2.0 * z * wz + 1j * _TWO_OVER_SQRT_PI
+        prof = wz.real
         dp_du = wprime.real / delta
         dp_ddelta = (-(z * wprime).real) / delta
         dp_dgamma = (1j * wprime).real / delta * (-1.0 if gamma < 0 else 1.0)
@@ -162,6 +164,10 @@ def loop_fit(spectrum, model=FitModel.EXP_GAUSSIAN, max_iter=200):
             if cost == 0.0 or drop < COST_TOL * cost:
                 converged = True
                 break
+        elif (new_cost - cost <= COST_TOL * cost
+              and grad @ np.linalg.solve(hess, grad) <= COST_TOL * cost):
+            converged = True  # a rejected step at the rounding floor
+            break
         else:
             lam *= DAMPING_UP
 

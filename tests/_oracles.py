@@ -1,10 +1,12 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the package's own evaluation paths: the Voigt
-oracle integrates the convolution definition with adaptive quadrature.
+oracle integrates the convolution definition with adaptive quadrature, and
+the Bessel oracle sums the power series in exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 from scipy.integrate import quad
 
@@ -25,3 +27,18 @@ def voigt_quadrature(x: float, delta: float, gamma: float) -> float:
                   epsabs=1e-16, epsrel=1e-11, limit=400)
     return total + val
 
+
+
+def bessel_j_exact(n: int, beta: float) -> float:
+    """J_n(beta) from sum_k (-1)**k (beta/2)**(2k+|n|) / (k! (k+|n|)!), summed
+    exactly and rounded once, times (-1)**n for n < 0.  The terms are summed
+    past their peak (k > beta/2) until they fall below 2**-80."""
+    half = Fraction(beta) / 2
+    m = abs(n)
+    term = half**m / math.factorial(m)
+    total, k = Fraction(0), 0
+    while term != 0 and (k <= half or abs(term) > Fraction(1, 2**80)):
+        total += term
+        k += 1
+        term *= -half * half / (k * (k + m))
+    return float(total) * (-1 if n < 0 and m % 2 else 1)

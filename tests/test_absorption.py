@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dopplerkb import HyperfineStructure, ModulationComb, transmission, voigt
-from dopplerkb.absorption import _component_sum
+from dopplerkb.absorption import _bessel_j, _component_sum
 from dopplerkb.config import CampaignConfig
 from dopplerkb.errors import DataError
 from dopplerkb.lineshape import Transition, doppler_width
 from dopplerkb.simulator import ScanConfig
+
+from _oracles import bessel_j_exact
 
 DELTA = 49.883040330170026
 CENTER = np.array([0.0])
@@ -176,6 +178,36 @@ class TestModulationComb:
         from scipy.special import jv
 
         assert 1.0 - (jv(smaller, comb.beta) ** 2).sum() > 1e-10
+
+    def test_weights_are_squared_bessel_values_with_the_same_cutoff(self):
+        # scipy's jv is the oracle, with the cutoff search as it was written
+        # on it; beta steps by 1/4 (at beta = 99.2 jv's own J_83 is 7e-15 off
+        # 30-digit values, which moves its square by 1e-15)
+        from scipy.special import jv
+
+        for beta in np.arange(401) / 4.0:
+            comb = ModulationComb(1.0, beta)
+            total, n = jv(0, beta) ** 2, 0
+            while 1.0 - total > 1e-10:
+                n += 1
+                total += 2.0 * jv(n, beta) ** 2
+            assert comb.order_cutoff == n
+            np.testing.assert_allclose(comb.weights, jv(comb.orders, beta) ** 2,
+                                       rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.25, 4.75, 17.5, 63.25, 99.25])
+    def test_bessel_values_match_the_exact_power_series(self, beta):
+        # to 1e-15 absolute; node sines taken as sin(2 pi k / K), whose
+        # angles near pi and 2 pi carry their rounding, are 4e-15 off
+        orders = ModulationComb(1.0, beta).orders
+        np.testing.assert_allclose(_bessel_j(orders, beta),
+                                   [bessel_j_exact(int(n), beta) for n in orders],
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [999.0, 1000.5, 1e300])
+    def test_refuses_a_comb_wider_than_1000_orders(self, beta):
+        with pytest.raises(ValueError, match="cutoff search failed"):
+            ModulationComb(1.0, beta)
 
     @pytest.mark.parametrize("args, name", [
         ((8.0, math.nan), "depth_khz"),

@@ -52,6 +52,16 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def python_with_this_package(*args, **env):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's
+    ``dopplerkb``, with ``env`` added to the environment."""
+    src = str(Path(dopplerkb.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 class TestSimulate:
     def test_writes_series_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, pressures_pa=[0.5, 2.0, 8.0])
@@ -639,10 +649,14 @@ class TestFitSeriesKb:
         spectra = self.spectra_with(tmp_path / "sp",
                                     lambda s: s.with_transmission(s.transmission * 1e160))
         fits = tmp_path / "f.jsonl"
+        message = ("error: fit: 1 of 3 fits did not converge: "
+                   "degenerate fit: singular normal matrix (1, first spectrum_001.txt)\n")
         assert run("fit", spectra, "--out", fits) == 3
-        assert capsys.readouterr().err == (
-            "error: fit: 1 of 3 fits did not converge: "
-            "degenerate fit: singular normal matrix (1, first spectrum_001.txt)\n")
+        assert capsys.readouterr().err == message
+        # and no RuntimeWarning of the overflow reaches the process's stderr
+        proc = python_with_this_package("-m", "dopplerkb.cli", "fit", spectra,
+                                        "--out", tmp_path / "g.jsonl")
+        assert (proc.returncode, proc.stderr) == (3, message)
 
         def refuse(constant):
             raise ValueError(f"not strict JSON: {constant}")
@@ -809,21 +823,26 @@ class TestProcessContract:
 
     def test_non_ascii_label_is_written_as_utf8_under_an_ascii_locale(self, tmp_path):
         # the readers take UTF-8 only, so the writers must not use the locale's encoding
-        src = str(Path(dopplerkb.__file__).resolve().parents[1])
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         cfg = write_config(tmp_path, transition={"label": "NH3 \u00b5"}, pressures_pa=[1.0])
-        subprocess.run([sys.executable, "-m", "dopplerkb.cli", "simulate", "--config", str(cfg),
-                        "--out", str(tmp_path / "x")], env=env, capture_output=True, timeout=60,
-                       check=True)
+        python_with_this_package("-m", "dopplerkb.cli", "simulate", "--config", cfg,
+                                 "--out", tmp_path / "x", LC_ALL="C", PYTHONUTF8="0",
+                                 PYTHONCOERCECLOCALE="0").check_returncode()
         spectrum = read_spectrum(tmp_path / "x" / "spectrum_p00_r000.txt")
         assert spectrum.meta.transition_label == "NH3 \u00b5"
 
-    def test_import_does_not_load_scipy_special(self):
-        src = str(Path(dopplerkb.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        code = "import sys, dopplerkb.cli; print('scipy.special' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+    @pytest.mark.parametrize("work", [
+        "import dopplerkb.cli",
+        "from dopplerkb.cli import main; assert main(['simulate', '--config', CFG, '--out', "
+        "OUT]) == 0",
+        "from dopplerkb.cli import main; main(['simulate', '--config', CFG, '--out', OUT]); "
+        "assert main(['fit', OUT, '--model', 'exp-voigt', '--out', OUT + '.jsonl']) in (0, 3)",
+        "from dopplerkb import ModulationComb; ModulationComb.paper_default().weights",
+    ], ids=["import", "w1-simulate", "exp-voigt-fit", "paper-comb"])
+    def test_no_work_loads_scipy(self, tmp_path, work):
+        # the package needs numpy and click only: scipy is a test oracle (an
+        # exp-Voigt fit may run out of iterations, exit 3, and still counts)
+        cfg = write_config(tmp_path, pressures_pa=[5.0, 10.0], replicas=2)
+        code = (f"import sys\nCFG, OUT = {str(cfg)!r}, {str(tmp_path / 'sp')!r}\n{work}\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = python_with_this_package("-c", code)
+        assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, ["[]"]), proc.stderr

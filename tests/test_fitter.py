@@ -452,8 +452,10 @@ class TestBlockFitting:
         assert_spare_their_neighbours(results, spectra, ids, [1])
 
     def test_a_fit_degenerate_where_it_converges_ends_unconverged(self, monkeypatch):
-        # the normal matrix of the step that converges is flagged degenerate
-        spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=3)
+        # the normal matrix of the step that converges is flagged degenerate;
+        # seed 4's fit converges on an accepted step (seed 3's on a rejected
+        # trial at the rounding floor, which evaluates no normal matrix)
+        spectrum, _ = make_spectrum(pressure=3.1, snr=1000.0, seed=4)
         n_iter = fit_spectrum(spectrum).n_iter
         calls = []
         normal_equations = fitter._normal_equations

@@ -5,7 +5,7 @@ import pytest
 
 from dopplerkb import Transition, constants, doppler_width, kb_from_width, voigt
 from dopplerkb.boltzmann import TemperatureReading
-from dopplerkb.lineshape import profile, profile_derivatives
+from dopplerkb.lineshape import profile, profile_derivatives, w
 
 from _oracles import voigt_quadrature
 
@@ -63,6 +63,46 @@ class TestVoigt:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             voigt(0.0, 1.0, -0.1)
+
+
+class TestFaddeeva:
+    # scipy's wofz is the oracle; y = Im z over {0} and 1e-12..100
+    LEVELS = np.concatenate(([0.0], np.logspace(-12.0, 2.0, 57)))
+
+    @pytest.mark.parametrize("x", [np.linspace(-60.0, 60.0, 12001),
+                                   np.linspace(-1e4, 1e4, 2001)], ids=["dense", "far"])
+    def test_matches_wofz(self, x):
+        from scipy.special import wofz
+
+        for y in self.LEVELS:
+            z = x + 1j * y
+            got, want = w(z), wofz(z)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+            # wofz's own Im w is up to 3e-13 off 40-digit values for
+            # 5 <= y <= 6.1, |x| <= 0.23: see the next test for that strip
+            im_checked = ~((4.9 <= y <= 6.2) & (np.abs(x) <= 0.25))
+            for part, checked in ((np.real, True), (np.imag, im_checked)):
+                a, b = part(got)[checked], part(want)[checked]
+                nonzero = b != 0.0
+                np.testing.assert_allclose(a[nonzero], b[nonzero], rtol=2e-13, atol=0.0)
+
+    def test_imaginary_part_near_the_imaginary_axis(self):
+        # Im w(x + iy) = x (2/sqrt(pi) - 2 y erfcx(y)) + O(x**3 / y**2)
+        from scipy.special import erfcx
+
+        x = np.array([1e-10, 1e-9, 1e-8])
+        for y in np.linspace(0.3, 7.9, 39):
+            slope = 2.0 / math.sqrt(math.pi) - 2.0 * y * erfcx(y)
+            np.testing.assert_allclose(w(x + 1j * y).imag, x * slope, rtol=1e-13, atol=0.0)
+
+    def test_is_erfcx_on_the_imaginary_axis_and_keeps_the_shape(self):
+        from scipy.special import erfcx
+
+        y = np.array([[0.0, 0.1, 1.0], [7.9, 8.0, 100.0]])
+        got = w(1j * y)
+        assert got.shape == y.shape and np.all(got.imag == 0.0)
+        np.testing.assert_allclose(got.real, erfcx(y), rtol=1e-15)
+        assert w(3.0 + 0.1j).shape == ()
 
 
 class TestProfileOutputArrays:
