@@ -4,8 +4,8 @@ budget calculator and a reproduction of the published determination.
 Stages talk to each other through files only, and each reads its input,
 makes one library call and writes its output: ``CampaignConfig.synthesize``,
 ``fit_series``, ``extrapolate`` and ``CampaignConfig.budget``.  Every
-file-writing run also writes a manifest (config hash, seed, package and
-library versions, constants snapshot) sufficient to reproduce it
+file-writing run also writes a manifest (config hash, seed, dopplerkb and
+numpy versions, constants snapshot) sufficient to reproduce it
 bit-identically.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a bad file, config value
@@ -71,12 +71,13 @@ def simulate(config_path, out_dir, seed):
     cfg = load_config(config_path)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    pairs = cfg.synthesize()
-    for i, (spectrum, _) in enumerate(pairs):
-        pi, replica = divmod(i, cfg.replicas)
+    # Each spectrum is written as it is made, and let go.
+    n = 0
+    for n, (spectrum, _) in enumerate(cfg.synthesize(), 1):
+        pi, replica = divmod(n - 1, cfg.replicas)
         write_spectrum(spectrum, out / f"spectrum_p{pi:02d}_r{replica:03d}.txt")
     write_manifest(out / "manifest.json", "simulate", cfg.to_dict(), cfg.seed)
-    click.echo(f"simulate: wrote {len(pairs)} spectra to {out}")
+    click.echo(f"simulate: wrote {n} spectra to {out}")
 
 
 @cli.command("fit")
@@ -94,7 +95,9 @@ def fit_command(spectra, out_path, model, max_iter):
         raise DataError(f"--max-iter: must be >= 1, got {max_iter}")
     paths = _collect_spectrum_paths(spectra)
     fit_model = FitModel.from_name(model)
-    # Files are read as the fitter consumes them, one as each row slot frees up.
+    # Files are read as the fitter consumes them, a stack of up to one
+    # workspace's slots at a time, and a spectrum is let go when its fit
+    # ends: the stage holds at most 2 * slots + 1 spectra, however many files.
     results = fit_series((read_spectrum(path) for path in paths), fit_model,
                          max_iter=max_iter, source_ids=[path.name for path in paths])
     write_fit_records(results, out_path)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -126,12 +126,14 @@ class CampaignConfig:
             absorption_depth_per_pa=self.absorption_depth_per_pa,
         )
 
-    def synthesize(self) -> list:
+    def synthesize(self) -> Iterator:
         """The campaign's (spectrum, ground truth) pairs from
-        ``simulator.synth_series`` at ``seed``: pressure-major, every replica
-        of the first pressure, then the next."""
+        ``simulator.iter_series`` at ``seed``, made one at a time as they are
+        read: pressure-major, every replica of the first pressure, then the
+        next.  An optically black pressure is refused by this call, before
+        any pair is made."""
         pressures = [p for p in self.pressures_pa for _ in range(self.replicas)]
-        return simulator.synth_series(
+        return simulator.iter_series(
             self.transition(), pressures, self.conditions(pressures[0]), self.scan(),
             self.kb_true, self.seed, hyperfine=self.hyperfine(),
             temperature_sigma_k=self.temperature_sigma_k, cell_length_m=self.cell_length_m)

@@ -22,7 +22,6 @@ before that key existed is version 1; a reader refuses any other version.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -343,17 +342,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@functools.cache
-def _installed_versions() -> dict:
-    """The click version, looked up once per process: a lookup scans the
-    installed distributions."""
-    from importlib.metadata import version
-
-    return {"click": version("click")}
-
-
 def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> None:
-    """Record everything needed to re-run a pipeline stage bit-identically."""
+    """Record everything needed to re-run a pipeline stage bit-identically.
+
+    ``versions`` names dopplerkb and numpy, the two packages whose code
+    makes the bits; click only parses the command line."""
     from . import __version__
 
     manifest = {
@@ -361,8 +354,7 @@ def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> Non
         "seed": seed,
         "config": config,
         "config_sha256": config_hash(config),
-        "versions": {"dopplerkb": __version__, "numpy": np.__version__,
-                     **_installed_versions()},
+        "versions": {"dopplerkb": __version__, "numpy": np.__version__},
         "constants": constants.as_dict(),
     }
     atomic_write_text(path, json.dumps(manifest, indent=2, default=_json_default,

@@ -37,7 +37,11 @@ are kept: an accepted step keeps its trial's, and a rejected trial's are
 dropped unscreened.  The conditioning test runs on the whole stack of the
 kept ones, and the damped steps come from one stacked ``np.linalg.solve``.
 A fit that ends keeps its parameters, normal matrix, cost, iteration count,
-convergence and failure.
+convergence and failure, and of its spectrum only what the result reads:
+the noise scale, the number of points and the source id.  The spectrum
+itself is let go, so ``fit_series`` holds at most ``2 * slots + 1``
+spectra, whatever the length of its input: those in the slots, those of
+the stack being admitted and the one read after that stack.
 When the grid changes and when the input ends, one stacked ``np.linalg.inv``
 gives the covariances of all the fits that ended, and a ``fit_spectrum``
 call per spectrum assembles its result.  Each row keeps its own damping
@@ -398,7 +402,9 @@ class _Slots:
 
     Row ``s`` of the workspace's data and of ``theta``, ``cost``, ``grads``,
     ``hessians``, ``lam`` and ``n_iter`` is the state of the spectrum in slot
-    ``s``; ``owners[s]`` is its (result index, spectrum, source id).
+    ``s``; ``owners[s]`` is its (result index, spectrum, source id).  An
+    ended fit in ``ended`` keeps its result index, source id and the
+    spectrum's ``noise_sigma_estimate()``, not the spectrum.
     """
 
     def __init__(self, x: np.ndarray, model: FitModel, max_iter: int):
@@ -538,11 +544,14 @@ class _Slots:
 
     def _finish(self, slots: np.ndarray, converged: np.ndarray, failures=None) -> None:
         """Set the fits that ended in ``slots`` aside, with their failure
-        messages (none by default), and free the slots.  A spectrum with no
-        more points than parameters is refused at its start, so only its
-        zero cost meets a divisor below 1, and is divided by 1."""
-        self.ended.append(([self.owners[s] for s in slots.tolist()], self.theta[slots],
-                           self.hessians[slots],
+        messages (none by default), let go of their spectra and free the
+        slots.  A spectrum with no more points than parameters is refused at
+        its start, so only its zero cost meets a divisor below 1, and is
+        divided by 1."""
+        owners = [self.owners[s] for s in slots.tolist()]
+        self.ended.append(([(index, source_id) for index, _, source_id in owners],
+                           [spectrum.noise_sigma_estimate() for _, spectrum, _ in owners],
+                           self.theta[slots], self.hessians[slots],
                            self.cost[slots] / max(self.x.size - len(self.diag), 1),
                            self.n_iter[slots], converged, failures or [""] * slots.size))
         for slot in slots.tolist():
@@ -557,7 +566,7 @@ class _Slots:
         call per spectrum assembles its result."""
         while len(self.free) < len(self.owners):
             self.step()
-        owners, theta, hessians, var, n_iter, converged, failures = zip(*self.ended)
+        owners, noise, theta, hessians, var, n_iter, converged, failures = zip(*self.ended)
         self.ended = []
         var, hessians = np.concatenate(var), np.concatenate(hessians)
         failures = list(itertools.chain.from_iterable(failures))
@@ -567,10 +576,10 @@ class _Slots:
                       * (self.scale[:, None] * self.scale))
         solved = zip(np.concatenate(theta).tolist(), cov, var.tolist(),
                      np.concatenate(n_iter).tolist(), np.concatenate(converged).tolist(),
-                     failures)
-        for (index, spectrum, source_id), row in zip(itertools.chain.from_iterable(owners),
-                                                     solved):
-            results[index] = fit_spectrum(spectrum, self.model, max_iter=self.max_iter,
+                     failures, itertools.chain.from_iterable(noise),
+                     itertools.repeat(self.x.size))
+        for (index, source_id), row in zip(itertools.chain.from_iterable(owners), solved):
+            results[index] = fit_spectrum(None, self.model, max_iter=self.max_iter,
                                           source_id=source_id, _solved=row)
 
 
@@ -644,7 +653,7 @@ def fit_series(spectra, model: FitModel = FitModel.EXP_GAUSSIAN, *,
 
 
 def fit_spectrum(
-    spectrum: Spectrum,
+    spectrum: Spectrum | None,
     model: FitModel = FitModel.EXP_GAUSSIAN,
     *,
     max_iter: int = MAX_ITER_DEFAULT,
@@ -657,15 +666,16 @@ def fit_spectrum(
     raised for it.
 
     ``_solved`` is the (parameter list, covariance, residual variance,
-    iteration count, converged, failure) of a fit that ended in
-    ``fit_series``; it is passed only by ``fit_series``, to assemble that
-    fit's result.
+    iteration count, converged, failure, the spectrum's
+    ``noise_sigma_estimate()``, its number of points) of a fit that ended
+    in ``fit_series``; it is passed only by ``fit_series``, with no
+    spectrum, to assemble that fit's result.
     """
     if _solved is None:
         return fit_series([spectrum], model, max_iter=max_iter, source_ids=[source_id])[0]
-    theta, covariance, var, n_iter, converged, failure = _solved
+    theta, covariance, var, n_iter, converged, failure, noise_sigma, n_points = _solved
     params = dict(zip(model.param_names, theta))
-    noise = spectrum.noise_sigma_estimate() * params["baseline_level"]
+    noise = noise_sigma * params["baseline_level"]
     try:
         chi2 = var / noise**2 if noise > 0 else var
     except (OverflowError, ZeroDivisionError):  # noise**2 is outside the float range
@@ -677,7 +687,7 @@ def fit_spectrum(
         chi2_reduced=chi2 if math.isfinite(chi2) else 0.0,
         n_iter=n_iter,
         converged=converged,
-        n_points=spectrum.n_points,
+        n_points=n_points,
         source_id=source_id,
         failure=failure,
     )

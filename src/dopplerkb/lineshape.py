@@ -65,7 +65,8 @@ _CF_TERMS = 20
 _Z_A = math.pi / math.sqrt(53.0 * math.log(2.0))
 _Z_C = 2.0 * _Z_A / math.pi
 _Z_AN = _Z_A * np.arange(1, 29)
-_Z_EXP = np.exp(-_Z_AN * _Z_AN)
+_Z_AN2 = _Z_AN * _Z_AN
+_Z_EXP = np.exp(-_Z_AN2)
 _Z_CHUNK = 2048  # points per pass of the sums' (points, 28) arrays
 
 
@@ -112,13 +113,18 @@ def _faddeeva(x, y) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     x, y = np.atleast_1d(x, y)
     out = _weideman(x, y)
-    far = x * x + y * y >= 64.0
-    near = ~far & (y < 0.3) & (np.abs(x) >= 2.5)
-    x, y = np.broadcast_arrays(x, y)
-    if far.any():
-        out[far] = _continued_fraction(x[far] + 1j * y[far])
-    if near.any():
-        out[near] = _exponential_sums(x[near], y[near])
+    # Only these points can lie in the other two regions: a point of
+    # |z| >= 8 with |x| < 2.5 has y*y > 64 - 2.5**2.  The region tests run on
+    # them alone.
+    at = np.nonzero((np.abs(x) >= 2.5) | (y * y >= 64.0 - 2.5**2))
+    if at[0].size:
+        x, y = (np.broadcast_to(v, out.shape)[at] for v in (x, y))
+        far = x * x + y * y >= 64.0
+        near = ~far & (y < 0.3) & (np.abs(x) >= 2.5)
+        if far.any():
+            out[tuple(i[far] for i in at)] = _continued_fraction(x[far] + 1j * y[far])
+        if near.any():
+            out[tuple(i[near] for i in at)] = _exponential_sums(x[near], y[near])
     return out.reshape(shape)
 
 
@@ -177,12 +183,11 @@ def _exponential_sums(x, y) -> np.ndarray:
     ``|x|``, and conjugated where ``x < 0``."""
     ax = np.abs(x)
     ex2 = np.exp(-ax * ax)
-    levels, which = np.unique(y, return_inverse=True)
-    erfcx = np.array([math.exp(v * v) * math.erfc(v) for v in levels.tolist()])[which]
+    erfcx = np.array([math.exp(v * v) * math.erfc(v) for v in y.tolist()])
     sums = np.empty((5, x.size))
     for i in range(0, x.size, _Z_CHUNK):
         part = slice(i, i + _Z_CHUNK)
-        g = 1.0 / (_Z_AN * _Z_AN + np.square(y[part])[:, None])
+        g = 1.0 / (_Z_AN2 + np.square(y[part])[:, None])
         minus = np.exp(-np.square(_Z_AN + ax[part, None])) * g
         plus = np.exp(-np.square(_Z_AN - ax[part, None])) * g
         sums[:, part] = ((g * _Z_EXP).sum(axis=1), minus.sum(axis=1),
@@ -199,7 +204,8 @@ def _exponential_sums(x, y) -> np.ndarray:
     out.real = (first * np.cos(2.0 * xy) + second * sin_xy * sinc_xy
                 + 0.5 * _Z_C * y * (s2 + s3))
     out.imag = second * sinc_2xy - first * sin_2xy + 0.5 * _Z_C * (s5 - s4)
-    return np.where(x < 0.0, out.conj(), out)
+    np.negative(out.imag, out=out.imag, where=x < 0.0)  # the conjugate where x < 0
+    return out
 
 
 def profile(u, delta, gamma=None, derivs: bool = False, out=None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,7 +157,7 @@ def spawn_seeds(master_seed: int, n: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def synth_series(
+def iter_series(
     transition: Transition,
     pressures_pa: Sequence[float],
     conditions: GasConditions,
@@ -169,27 +169,33 @@ def synth_series(
     comb: Optional[ModulationComb] = None,
     temperature_sigma_k: float = 0.0,
     cell_length_m: float = DEFAULT_CELL_LENGTH_M,
-) -> list[tuple[Spectrum, GroundTruth]]:
-    """One spectrum per pressure, each with its own derived noise stream.
+) -> Iterator[tuple[Spectrum, GroundTruth]]:
+    """One spectrum per pressure, each with its own derived noise stream,
+    made one at a time as the iterator is read.
 
     ``conditions`` supplies the temperature and proportionality coefficients;
     its pressure field is replaced per entry.  Entry ``i`` equals
     ``synth_spectrum`` with the ``i``-th of ``spawn_seeds(seed, n)``.  Each
-    distinct pressure is synthesized once, as a noiseless ``synth_spectrum``
-    (which also refuses an optically black line), and every replica of that
-    pressure adds its own noise stream to those samples.
+    distinct pressure is synthesized once, as a noiseless ``synth_spectrum``,
+    before this call returns, so an optically black line is refused before
+    any spectrum is made; every replica of that pressure adds its own noise
+    stream to those samples when it is read.
     """
     if len(pressures_pa) == 0:
         raise ValueError("pressure list must not be empty")
+    pressures = [float(p) for p in pressures_pa]
+    seeds = spawn_seeds(seed, len(pressures))
     noiseless = {}
-    out = []
-    for p, child in zip(pressures_pa, spawn_seeds(seed, len(pressures_pa))):
-        pressure = float(p)
+    for pressure, child in zip(pressures, seeds):
         if pressure not in noiseless:
             noiseless[pressure] = synth_spectrum(
                 transition, replace(conditions, pressure_pa=pressure), scan.without_noise(),
                 kb_true, child, hyperfine=hyperfine, comb=comb,
                 temperature_sigma_k=temperature_sigma_k, cell_length_m=cell_length_m)
-        out.append(_replica(noiseless[pressure], child, scan.snr))
-    return out
+    return (_replica(noiseless[pressure], child, scan.snr)
+            for pressure, child in zip(pressures, seeds))
 
+
+def synth_series(*args, **kwargs) -> list[tuple[Spectrum, GroundTruth]]:
+    """The whole series of ``iter_series`` (same arguments) as a list."""
+    return list(iter_series(*args, **kwargs))

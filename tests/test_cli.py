@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,32 @@ class TestSimulate:
             assert manifest["config"]["hyperfine_file"] == recorded
         name = "spectrum_p00_r000.txt"
         assert (outer / name).read_bytes() == (inner / name).read_bytes()
+
+    def test_an_optically_black_last_pressure_exits_2_and_writes_no_spectrum(self, tmp_path,
+                                                                            capsys):
+        # every pressure's noiseless spectrum is made before the first file
+        cfg = write_config(tmp_path, pressures_pa=[0.2, 1.0, 10.0], replicas=2,
+                           absorption_depth_per_pa=1.0)
+        out = tmp_path / "sp"
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: optically black:") and err.endswith(" at 10.0 Pa\n")
+        assert list(out.glob("spectrum_*.txt")) == []
+
+    def test_each_spectrum_is_let_go_once_written(self, tmp_path, monkeypatch):
+        # simulate writes each spectrum as it is made, however many there are
+        written, alive = [], []
+        write = dopplerkb.cli.write_spectrum
+
+        def recording(spectrum, path):
+            written.append(weakref.ref(spectrum))
+            alive.append(sum(ref() is not None for ref in written))
+            write(spectrum, path)
+
+        monkeypatch.setattr(dopplerkb.cli, "write_spectrum", recording)
+        cfg = write_config(tmp_path, replicas=5)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "sp") == 0
+        assert len(written) == 40 and max(alive) <= 2
 
     def test_files_follow_the_library_seed_rule(self, tmp_path):
         # replica r of pressure i is entry i * replicas + r of synth_series
@@ -829,6 +856,24 @@ class TestProcessContract:
                                  PYTHONCOERCECLOCALE="0").check_returncode()
         spectrum = read_spectrum(tmp_path / "x" / "spectrum_p00_r000.txt")
         assert spectrum.meta.transition_label == "NH3 \u00b5"
+
+    def test_no_w1_stage_loads_importlib_metadata(self, tmp_path):
+        # a manifest's versions are module attributes: no stage scans the
+        # installed distributions
+        cfg = write_config(tmp_path, replicas=50)
+        spectra, fits = tmp_path / "sp", tmp_path / "fits.jsonl"
+        summary = tmp_path / "summary.json"
+        for stage in (["simulate", "--config", cfg, "--out", spectra],
+                      ["fit", spectra, "--out", fits],
+                      ["series", "--fits", fits, "--out-summary", summary,
+                       "--out-table", tmp_path / "table.txt"],
+                      ["kb", "--summary", summary, "--config", cfg,
+                       "--out", tmp_path / "kb.json"]):
+            code = ("import sys\nfrom dopplerkb.cli import main\n"
+                    f"status = main({[str(arg) for arg in stage]!r})\n"
+                    "print(status, 'importlib.metadata' in sys.modules)")
+            proc = python_with_this_package("-c", code)
+            assert proc.stdout.splitlines()[-1:] == ["0 False"], (stage[0], proc.stderr)
 
     @pytest.mark.parametrize("work", [
         "import dopplerkb.cli",

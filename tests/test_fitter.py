@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from dopplerkb import (
 )
 from dopplerkb import fitter
 from dopplerkb.errors import DataError, FitError
-from dopplerkb.simulator import spawn_seeds, synth_series
+from dopplerkb.simulator import iter_series, spawn_seeds, synth_series
 from dopplerkb.spectra import Spectrum, SpectrumMeta
 
 import _loop_fitter
@@ -850,6 +851,24 @@ class TestReadAhead:
         # a stack of three (the slots), read with the spectrum after it
         assert admitted == [(3, 4), (3, 7), (3, 10), (3, 13), (3, 16), (1, 16)]
         assert results == fit_series(spectra)
+
+    def test_a_spectrum_is_let_go_when_its_fit_ends(self):
+        # fit_series holds the spectra in the slots, those of the stack being
+        # admitted and the one read after it, however long its input
+        pressures = [p for p in GOLDEN_PRESSURES for _ in range(25)]
+        slots = fitter._BLOCK_ELEMENTS // make_scan().n_points
+        made, alive = [], []
+
+        def reading():
+            for spectrum, _ in iter_series(NH3, pressures, GasConditions(pressure_pa=1.0),
+                                           make_scan(snr=1000.0), KB, 52):
+                made.append(weakref.ref(spectrum))
+                alive.append(sum(ref() is not None for ref in made))
+                yield spectrum
+
+        results = fit_series(reading())
+        assert len(results) == len(made) == 200 and all(r.converged for r in results)
+        assert max(alive) <= 2 * slots + 1
 
     def test_each_fit_is_assembled_by_one_fit_spectrum_call(self, monkeypatch):
         # the traced benchmark counts fits by ``fit_spectrum`` calls

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dopplerkb import Transition, constants, doppler_width, kb_from_width, voigt
+from dopplerkb import Transition, constants, doppler_width, kb_from_width, lineshape, voigt
 from dopplerkb.boltzmann import TemperatureReading
 from dopplerkb.lineshape import profile, profile_derivatives, w
 
@@ -94,6 +94,17 @@ class TestFaddeeva:
         for y in np.linspace(0.3, 7.9, 39):
             slope = 2.0 / math.sqrt(math.pi) - 2.0 * y * erfcx(y)
             np.testing.assert_allclose(w(x + 1j * y).imag, x * slope, rtol=1e-13, atol=0.0)
+
+    def test_each_point_takes_the_form_of_its_region(self):
+        # points on either side of each border; the two of |z| >= 8 at
+        # |x| = 2.4999 lie outside the strip |x| >= 2.5
+        weideman = np.array([2.4999 + 7.599j, 7.9999j, 2.4999 + 0.3j, -2.4999 + 0.1j])
+        fraction = np.array([2.4999 + 7.5996j, -2.4999 + 7.5996j, 8j, -7.0 + 3.9j])
+        sums = np.array([2.5 + 0.2999j, -7.99 + 0j, 5.0 + 0.1j])
+        got = np.split(w(np.concatenate((weideman, fraction, sums))), [4, 8])
+        np.testing.assert_array_equal(got[0], lineshape._weideman(weideman.real, weideman.imag))
+        np.testing.assert_array_equal(got[1], lineshape._continued_fraction(fraction))
+        np.testing.assert_array_equal(got[2], lineshape._exponential_sums(sums.real, sums.imag))
 
     def test_is_erfcx_on_the_imaginary_axis_and_keeps_the_shape(self):
         from scipy.special import erfcx
