@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Iterator, get_type_hints
-
-import numpy as np
 
 from . import boltzmann, constants, simulator
 from .absorption import HyperfineStructure
@@ -87,7 +86,7 @@ class CampaignConfig:
                       self.transition_label, self.transition_nu0_mhz, self.temperature_k,
                       self.temperature_sigma_k, self.pressures_pa[0], self.cell_length_m,
                       self.snr, self.seed),
-                  "seed": partial(np.random.SeedSequence, self.seed)}
+                  "seed": partial(_seed, self.seed)}
         builds.update((f"gas conditions at pressures_pa[{i}]", partial(self.conditions, p))
                       for i, p in enumerate(self.pressures_pa))
         for what, build in builds.items():
@@ -160,6 +159,13 @@ class CampaignConfig:
                 value = None
             (raw.setdefault(outer, {}) if outer else raw)[name] = value
         return raw
+
+
+def _seed(seed) -> None:
+    """Refuse a seed ``np.random.SeedSequence`` refuses, without importing
+    ``numpy.random``: a non-integer (``TypeError``) or a negative one."""
+    if operator.index(seed) < 0:
+        raise ValueError("expected non-negative integer")
 
 
 def json_number(value) -> float:

@@ -3,7 +3,9 @@ uncertainty budgets and run manifests.
 
 Everything is UTF-8 text, whatever the locale.  Floats are written with 17
 significant digits so a write/read round trip is bit-exact.  All writes go
-through a temp file in the target directory followed by an atomic rename.
+through a temp file in the target directory followed by an atomic rename;
+fit records are written into it one line at a time, as each is formed, so a
+campaign's records are never held as one text.
 A spectrum body is written by one format call and read as one array of
 Python-``float`` parsed fields; the lines are walked row by row only to
 name the first bad sample.
@@ -22,11 +24,11 @@ before that key existed is version 1; a reader refuses any other version.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
@@ -56,19 +58,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write whole-file atomically: temp file in the same directory, then rename."""
+@contextmanager
+def _atomic_text_file(path):
+    """A text file to write ``path`` through: a temp file in the same
+    directory, renamed onto ``path`` when the block ends and removed if it
+    raises."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write whole-file atomically: temp file in the same directory, then rename."""
+    with _atomic_text_file(path) as fh:
+        fh.write(text)
 
 
 def write_spectrum(spectrum: Spectrum, path) -> None:
@@ -237,11 +248,15 @@ def _check_schema(record: dict, where: str) -> None:
 
 
 def write_fit_records(results: Sequence[FitResult], path) -> None:
-    """One JSON record per line: parameters, covariance and diagnostics."""
-    lines = [json.dumps({"schema": STAGE_SCHEMA}
-                        | {key: getattr(r, key) for key, _ in _FIT_RECORD},
-                        default=_json_default, allow_nan=False) for r in results]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One JSON record per line: parameters, covariance and diagnostics.
+    Each line is written as it is formed, so the write holds one record's
+    text at a time; a record that cannot be written leaves ``path`` as it
+    was."""
+    with _atomic_text_file(path) as fh:
+        for r in results:
+            fh.write(json.dumps({"schema": STAGE_SCHEMA}
+                                | {key: getattr(r, key) for key, _ in _FIT_RECORD},
+                                default=_json_default, allow_nan=False) + "\n")
 
 
 def read_fit_records(path) -> list:
@@ -338,6 +353,10 @@ def write_width_table(kept: Sequence[WidthPoint], rejected: Sequence[WidthPoint]
 
 
 def config_hash(config: dict) -> str:
+    # hashlib maps OpenSSL (about 3.6 MB): only a process writing a manifest
+    # pays for it
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, default=_json_default)
     return hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -876,6 +876,38 @@ class TestProcessContract:
             assert proc.stdout.splitlines()[-1:] == ["0 False"], (stage[0], proc.stderr)
 
     @pytest.mark.parametrize("work", [
+        "from dopplerkb.cli import main\n"
+        "assert main(['kb', '--summary', SUMMARY, '--config', CFG, '--out', OUT]) == 0",
+        "from dopplerkb.config import load_config\nload_config(CFG).budget(49.88, 0.005)",
+    ], ids=["kb-stage", "config-budget"])
+    def test_a_process_that_makes_no_spectrum_loads_no_numpy_random(self, tmp_path, work):
+        # the config checks its seed as an integer: numpy.random, and OpenSSL
+        # through its secrets import, load only where spectra are made
+        cfg, summary = write_config(tmp_path), tmp_path / "summary.json"
+        summary.write_text(json.dumps({"schema": 2, "delta_d_mhz": 49.88,
+                                       "delta_d_sigma_mhz": 0.005}))
+        code = (f"import sys\nCFG, SUMMARY, OUT = {str(cfg)!r}, {str(summary)!r}, "
+                f"{str(tmp_path / 'kb.json')!r}\n{work}\n"
+                "print('numpy.random' in sys.modules)")
+        proc = python_with_this_package("-c", code)
+        assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, ["False"]), proc.stderr
+
+    def test_reading_stage_files_loads_no_openssl(self, tmp_path):
+        # hashlib, which maps OpenSSL, is imported by the manifest writer alone
+        cfg, spectra, fits = write_config(tmp_path), tmp_path / "sp", tmp_path / "fits.jsonl"
+        summary = tmp_path / "summary.json"
+        assert run("simulate", "--config", cfg, "--out", spectra) == 0
+        assert run("fit", spectra, "--out", fits) == 0
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "table.txt") == 0
+        code = ("import sys\nimport dopplerkb.cli\n"
+                "from dopplerkb.fileio import read_fit_records, read_regression_summary\n"
+                f"read_fit_records({str(fits)!r})\nread_regression_summary({str(summary)!r})\n"
+                "print('_hashlib' in sys.modules)")
+        proc = python_with_this_package("-c", code)
+        assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, ["False"]), proc.stderr
+
+    @pytest.mark.parametrize("work", [
         "import dopplerkb.cli",
         "from dopplerkb.cli import main; assert main(['simulate', '--config', CFG, '--out', "
         "OUT]) == 0",

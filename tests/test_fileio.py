@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from dopplerkb.config import CampaignConfig, config_from_dict, load_config
 from dopplerkb.errors import DataError
 from dopplerkb.fileio import (
     _FIT_RECORD,
+    STAGE_SCHEMA,
+    _json_default,
     config_hash,
     read_fit_records,
     read_regression_summary,
@@ -384,6 +387,62 @@ class TestFitRecords:
         with pytest.raises(DataError, match="line 1: bad value for 'params'"):
             read_fit_records(path)
 
+    @staticmethod
+    def converged_unconverged_and_failed(spectrum):
+        """A converged, an out-of-iterations, a degenerate and an unstartable
+        fit."""
+        flat = spectrum.with_transmission(np.ones(spectrum.n_points))
+        low, _ = synth_spectrum(NH3, GasConditions(pressure_pa=0.01), ScanConfig(snr=1000.0),
+                                KB, 1)
+        results = [fit_spectrum(spectrum, source_id="a"),
+                   fit_spectrum(spectrum, max_iter=1, source_id="b"),
+                   *fit_series([low, flat], source_ids=["low", "flat"])]
+        assert [(r.converged, r.n_iter > 0, r.failure) for r in results] == [
+            (True, True, ""), (False, True, ""),
+            (False, True, "degenerate fit: singular normal matrix"),
+            (False, False, "line not in scan window")]
+        return results
+
+    def test_streamed_records_are_the_bytes_of_the_whole_text(self, tmp_path,
+                                                               noisy_spectrum):
+        # records written as they are formed make the file that joining
+        # every record into one text made
+        results = self.converged_unconverged_and_failed(noisy_spectrum)
+        path = tmp_path / "fits.jsonl"
+        write_fit_records(results, path)
+        joined = "\n".join(json.dumps({"schema": STAGE_SCHEMA}
+                                      | {key: getattr(r, key) for key, _ in _FIT_RECORD},
+                                      default=_json_default, allow_nan=False)
+                           for r in results) + "\n"
+        assert path.read_bytes() == joined.encode()
+
+    def test_a_record_that_cannot_be_written_leaves_the_target_and_no_temp_file(
+            self, tmp_path, noisy_spectrum):
+        results = self.converged_unconverged_and_failed(noisy_spectrum)
+        nan = dataclasses.replace(results[0], params=dict(results[0].params, delta_mhz=math.nan),
+                                  source_id="nan")
+        path = tmp_path / "fits.jsonl"
+        write_fit_records(results, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="JSON"):
+            write_fit_records([results[0], nan, results[1]], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fits.jsonl"]
+
+    def test_writing_records_holds_one_record_at_a_time(self, tmp_path, noisy_spectrum):
+        # 1600 records are a 1.6 MB file; the write itself holds far less
+        result = fit_spectrum(noisy_spectrum)
+        results = [dataclasses.replace(result, source_id=f"s{i:04d}") for i in range(1600)]
+        path = tmp_path / "fits.jsonl"
+        tracemalloc.start()  # after the results are made: it counts what the write holds
+        try:
+            write_fit_records(results, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 1_500_000
+        assert peak < 100_000
+
 
 def test_record_keys_are_the_fields(tmp_path):
     # a fit record holds each FitResult field once, and a regression summary
@@ -526,6 +585,28 @@ class TestCampaignConfig:
             keys += [f"{outer}_{inner}" for inner in value] if isinstance(value, dict) else [outer]
         assert keys == [f.name for f in dataclasses.fields(CampaignConfig)]
 
+    @pytest.mark.parametrize("seed, refusal", [
+        (0, None), (2**200, None), (np.int64(5), None), (-1, ValueError), (1.5, TypeError)])
+    def test_seed_is_refused_as_a_seed_sequence_refuses_it(self, seed, refusal):
+        # the config checks the seed without numpy.random; a negative seed is
+        # a DataError with SeedSequence's text, a non-integer a TypeError (a
+        # JSON config reaches the check only through json_integer)
+        if refusal is None:
+            np.random.SeedSequence(seed)
+            assert CampaignConfig(seed=seed).seed == seed
+        elif refusal is ValueError:
+            with pytest.raises(ValueError) as refused:
+                np.random.SeedSequence(seed)
+            with pytest.raises(DataError) as config_refused:
+                CampaignConfig(seed=seed)
+            assert str(config_refused.value) == f"config: seed: {refused.value}" \
+                == "config: seed: expected non-negative integer"
+        else:
+            with pytest.raises(TypeError):
+                np.random.SeedSequence(seed)
+            with pytest.raises(TypeError):
+                CampaignConfig(seed=seed)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(DataError, match="unknown key.*snrr"):
             config_from_dict({"snrr": 100})
@@ -620,7 +701,7 @@ class TestCampaignConfig:
         # the config builds the transition, the scan, the temperature reading,
         # the Doppler width (which the scan must resolve), the uncertainty
         # budget at that width, the hyperfine structure, the spectrum header,
-        # the gas conditions at every pressure and the seed sequence, and
+        # the gas conditions at every pressure and checks the seed, and
         # names the one that failed
         with pytest.raises(DataError, match=rf"config: .*{re.escape(what)}: "):
             config_from_dict(raw)
