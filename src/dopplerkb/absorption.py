@@ -4,10 +4,11 @@ samples).
 
 ``transmission`` sums the Voigt profiles of the hyperfine x comb components
 (324 for the placeholder table times the paper's comb) without evaluating
-one profile per component.  Every component lies within a small fraction of
-the Doppler width of a cluster centre, so the sum is a short Taylor series
-in the offsets, and costs one ``voigt`` and one Faddeeva evaluation per
-point and cluster in place of one ``voigt`` per point and component.
+one profile per component; a line with neither is one profile.  Every
+component lies within a small fraction of the Doppler width of a cluster
+centre, so the sum is a short Taylor series in the offsets, and costs one
+``voigt`` and one Faddeeva evaluation per point and cluster in place of one
+``voigt`` per point and component.
 """
 
 from __future__ import annotations
@@ -210,15 +211,19 @@ def transmission(offsets_mhz, delta_mhz: float, gamma_mhz: float, peak_depth: fl
     not below 2**-53; each later bound is at most 0.13 of the one before it.
     The bound is absolute, on the scale of the unit peak: far out in a
     Gaussian wing, where the sum itself falls below about 1e-16, its
-    relative error can be large.  Without hyperfine and comb ``N`` is 0 and
-    ``tau`` is ``peak_depth * 1.0 * V(x - 0.0)``.
+    relative error can be large.  A line without hyperfine and comb takes no
+    expansion: ``tau`` is ``peak_depth * V(x)``, the bits that the expansion
+    gives for its one component (0.0, 1.0).
     """
     return np.exp(-(peak_depth * _component_sum(offsets_mhz, delta_mhz, gamma_mhz, hyperfine,
                                                 comb)))
 
 
 def _component_sum(offsets_mhz, delta_mhz, gamma_mhz, hyperfine, comb) -> np.ndarray:
-    """``sum_j w_j V(x - o_j)`` by the expansion described in ``transmission``."""
+    """``sum_j w_j V(x - o_j)`` by the expansion described in ``transmission``,
+    or, without hyperfine and comb, the one profile ``V(x)``."""
+    if hyperfine is None and comb is None:
+        return voigt(offsets_mhz, delta_mhz, gamma_mhz)
     offs, wts = np.array([0.0]), np.array([1.0])
     if hyperfine is not None:
         offs = np.asarray(hyperfine.offsets_mhz, dtype=float)

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and the one text-file read
-that turns an unreadable or undecodable file into a ``DataError``.
+"""Exception hierarchy shared across the toolkit, and the two text-file
+reads, whole or line by line, that turn an unreadable or undecodable file
+into a ``DataError``.
 
 The CLI maps these onto exit codes: usage errors exit 1, ``DataError`` exits
 2, ``FitError`` exits 3.  A fit that fails (a degenerate normal matrix, or a
@@ -30,8 +31,28 @@ def read_text(path) -> str:
     directory, no permission) or is not UTF-8 is a ``DataError`` naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a UTF-8 text file (byte {exc.start}: "
-                        f"{exc.reason})") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+    except (UnicodeDecodeError, OSError) as exc:
+        raise _unreadable(path, exc) from None
+
+
+def read_lines(path):
+    """The lines of the file ``path``, one at a time as they are read: split
+    at each line feed, each without its LF or CR LF end.  Refused as by
+    ``read_text``, and a bad byte is named by its offset in the file."""
+    offset = 0  # of the line being decoded
+    try:
+        with open(path, "rb") as fh:
+            for raw in fh:
+                yield raw.decode("utf-8").rstrip("\r\n")
+                offset += len(raw)
+    except (UnicodeDecodeError, OSError) as exc:
+        raise _unreadable(path, exc, offset) from None
+
+
+def _unreadable(path, exc, offset=0) -> DataError:
+    """The ``DataError`` for ``exc``, raised reading ``path``, whose decoded
+    bytes began at ``offset`` in the file."""
+    if isinstance(exc, UnicodeDecodeError):
+        return DataError(f"{path}: not a UTF-8 text file (byte {offset + exc.start}: "
+                         f"{exc.reason})")
+    return DataError(f"{path}: cannot read ({exc.strerror})")

@@ -4,8 +4,9 @@ uncertainty budgets and run manifests.
 Everything is UTF-8 text, whatever the locale.  Floats are written with 17
 significant digits so a write/read round trip is bit-exact.  All writes go
 through a temp file in the target directory followed by an atomic rename;
-fit records are written into it one line at a time, as each is formed, so a
-campaign's records are never held as one text.
+fit records are written into it one line at a time, as each is formed, and
+read back one line at a time, so a campaign's records are never held as one
+text.
 A spectrum body is written by one format call and read as one array of
 Python-``float`` parsed fields; the lines are walked row by row only to
 name the first bad sample.
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import constants
 from .config import json_bool, json_integer, json_number, json_text
-from .errors import DataError, read_text
+from .errors import DataError, read_lines, read_text
 from .extrapolation import ExtrapolationResult, WidthPoint
 from .fitter import FitModel, FitResult
 from .spectra import SCHEMA_VERSION, Spectrum, SpectrumMeta
@@ -260,12 +261,14 @@ def write_fit_records(results: Sequence[FitResult], path) -> None:
 
 
 def read_fit_records(path) -> list:
-    """The fit records of ``path``, in file order.  A record is refused,
-    naming its line, for a bad value, an unknown schema version, or a
-    source id that an earlier record holds (naming both lines)."""
+    """The fit records of ``path``, in file order, read one line at a time,
+    so the read holds one record's text; the results are all held.  A
+    record is refused, naming its line, for a bad value, an unknown schema
+    version, or a source id that an earlier record holds (naming both
+    lines)."""
     results = []
     first_line = {}  # of each source id
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         where = f"{path}: line {lineno}"

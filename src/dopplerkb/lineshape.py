@@ -33,8 +33,9 @@ profile, the terms of the Taylor expansion behind
   sums of Zaghloul & Ali's Algorithm 916 (ACM TOMS 38, 15, 2011), with
   ``erfcx(y)`` from ``math.erfc``;
 * everywhere else: Weideman's rational approximation with N = 40
-  (SIAM J. Numer. Anal. 31, 1497, 1994), whose coefficients come from one
-  FFT on first use.
+  (SIAM J. Numer. Anal. 31, 1497, 1994), whose 40 coefficients are
+  constants here; ``tests/_oracles.py`` derives them by Weideman's FFT, and
+  a test holds the table to that derivation bit for bit.
 
 Weideman's form is accurate to about 2e-15 absolute everywhere, but near
 the real axis ``Re w`` is only about ``y/|z|**2`` of ``|w|``, and there the
@@ -47,7 +48,6 @@ inside ``|x| = 2.5`` near the axis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +59,24 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _WEIDEMAN_N = 40
 _WEIDEMAN_L = math.sqrt(_WEIDEMAN_N / math.sqrt(2.0))
+# Weideman's a_N, ..., a_1 for N = 40: the FFT of exp(-t**2) * (L**2 + t**2)
+# at t = L tan(theta/2), as the repr of each double.
+_WEIDEMAN_COEFFICIENTS = (
+    -1.7404341423286935e-15, 1.2291587955939944e-15, 1.1529729069165072e-14,
+    -5.200039821056964e-15, -7.067920367632665e-14, 1.381518001713928e-14,
+    4.5343560679118935e-13, 1.2034365414037787e-13, -2.90771851041427e-12,
+    -2.7277735625830245e-12, 1.771418567386718e-11, 3.4727332121065047e-11,
+    -9.055138860958323e-11, -3.5632350403602684e-10, 2.1085995172143158e-10,
+    3.0177804477560245e-09, 3.2497466273539997e-09, -1.8315616800990142e-08,
+    -6.351773480517409e-08, 1.419864242846458e-08, 5.912136953223345e-07,
+    1.4835661133401e-06, -1.0660138984032193e-06, -1.800744714475281e-05,
+    -5.591309264242065e-05, -3.939363145484148e-05, 0.000439807015986967,
+    0.0027054056330737155, 0.010048186242783521, 0.029202916471241867,
+    0.07182361779074331, 0.15504263802479507, 0.2998943799615006,
+    0.5266528988277086, 0.8472174576593815, 1.2563815675765133,
+    1.7253830848179779, 2.201513794878312, 2.6160541527618597,
+    2.899624509389705,
+)
 _CF_TERMS = 20
 # Algorithm 916's a = pi / sqrt(-ln(2**-53)) and c = 2a/pi, and the sum
 # index n = 1..28, past which exp(-(a*n - |x|)**2) < 4e-19 for |x| < 8.
@@ -128,21 +146,11 @@ def _faddeeva(x, y) -> np.ndarray:
     return out.reshape(shape)
 
 
-@functools.cache
-def _weideman_coefficients() -> tuple:
-    """Weideman's a_N, ..., a_1 for N = 40: the FFT of
-    ``exp(-t**2) * (L**2 + t**2)`` at ``t = L tan(theta/2)``."""
-    n, lw = _WEIDEMAN_N, _WEIDEMAN_L
-    t = lw * np.tan(np.arange(1 - 2 * n, 2 * n) * (math.pi / (4 * n)))
-    f = np.concatenate(([0.0], np.exp(-t * t) * (lw * lw + t * t)))
-    return tuple((np.fft.fft(np.fft.fftshift(f)).real / (4 * n))[n:0:-1].tolist())
-
-
 def _weideman(x, y) -> np.ndarray:
     """``2 p(Z) / (L - iz)**2 + 1 / (sqrt(pi) (L - iz))`` with
     ``Z = (L + iz) / (L - iz) = 2L / (L - iz) - 1`` and ``p`` the
-    polynomial of ``_weideman_coefficients``."""
-    a = _weideman_coefficients()
+    polynomial of ``_WEIDEMAN_COEFFICIENTS``."""
+    a = _WEIDEMAN_COEFFICIENTS
     lw = _WEIDEMAN_L
     shift = lw + y
     norm = shift * shift + x * x

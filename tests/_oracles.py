@@ -1,13 +1,16 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the package's own evaluation paths: the Voigt
-oracle integrates the convolution definition with adaptive quadrature, and
-the Bessel oracle sums the power series in exact rational arithmetic.
+oracle integrates the convolution definition with adaptive quadrature, the
+Bessel oracle sums the power series in exact rational arithmetic, and the
+Weideman oracle derives by an FFT the coefficients the package holds as
+constants.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -27,6 +30,16 @@ def voigt_quadrature(x: float, delta: float, gamma: float) -> float:
                   epsabs=1e-16, epsrel=1e-11, limit=400)
     return total + val
 
+
+def weideman_coefficients(n: int = 40) -> tuple:
+    """Weideman's a_N, ..., a_1 of the rational approximation to the
+    Faddeeva function (SIAM J. Numer. Anal. 31, 1497, 1994): the FFT of
+    ``exp(-t**2) * (L**2 + t**2)`` at ``t = L tan(theta/2)``, with
+    ``L = sqrt(N / sqrt(2))``."""
+    lw = math.sqrt(n / math.sqrt(2.0))
+    t = lw * np.tan(np.arange(1 - 2 * n, 2 * n) * (math.pi / (4 * n)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (lw * lw + t * t)))
+    return tuple((np.fft.fft(np.fft.fftshift(f)).real / (4 * n))[n:0:-1].tolist())
 
 
 def bessel_j_exact(n: int, beta: float) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dopplerkb import HyperfineStructure, ModulationComb, transmission, voigt
+from dopplerkb import HyperfineStructure, ModulationComb, absorption, transmission, voigt
 from dopplerkb.absorption import _bessel_j, _component_sum
 from dopplerkb.config import CampaignConfig
 from dopplerkb.errors import DataError
@@ -104,6 +104,18 @@ class TestComponentExpansion:
         for depth in (0.0, 0.105, 0.73, 2.3):
             assert np.array_equal(transmission(WINGS, DELTA, gamma, depth, hyperfine),
                                   np.exp(-(depth * voigt(WINGS, DELTA, gamma))))
+
+    def test_a_line_without_structure_takes_no_expansion(self, monkeypatch):
+        # without hyperfine and comb the sum is one profile; a one-component
+        # structure still goes through the expansion
+        def no_expansion(*args):
+            raise AssertionError("expansion reached")
+
+        monkeypatch.setattr(absorption, "_expansion_order", no_expansion)
+        assert np.array_equal(transmission(WINGS, DELTA, 0.04, 0.73),
+                              np.exp(-(0.73 * voigt(WINGS, DELTA, 0.04))))
+        with pytest.raises(AssertionError, match="expansion reached"):
+            transmission(WINGS, DELTA, 0.04, 0.73, HyperfineStructure((0.0,), (1.0,)))
 
 
 class TestTransmission:

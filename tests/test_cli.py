@@ -892,6 +892,16 @@ class TestProcessContract:
         proc = python_with_this_package("-c", code)
         assert (proc.returncode, proc.stdout.splitlines()[-1:]) == (0, ["False"]), proc.stderr
 
+    def test_w1_simulate_loads_no_numpy_fft(self, tmp_path):
+        # a line without sub-structure is one profile, and Weideman's
+        # coefficients are constants: nothing in W1 synthesis needs an FFT
+        cfg = write_config(tmp_path)
+        code = ("import sys\nfrom dopplerkb.cli import main\n"
+                f"status = main(['simulate', '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'sp')!r}])\nprint(status, 'numpy.fft' in sys.modules)")
+        proc = python_with_this_package("-c", code)
+        assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stderr
+
     def test_reading_stage_files_loads_no_openssl(self, tmp_path):
         # hashlib, which maps OpenSSL, is imported by the manifest writer alone
         cfg, spectra, fits = write_config(tmp_path), tmp_path / "sp", tmp_path / "fits.jsonl"

@@ -443,6 +443,57 @@ class TestFitRecords:
         assert path.stat().st_size > 1_500_000
         assert peak < 100_000
 
+    def test_reading_records_holds_one_record_text_at_a_time(self, tmp_path, noisy_spectrum):
+        # the 1600 results are held; the read holds little above them
+        result = fit_spectrum(noisy_spectrum)
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([dataclasses.replace(result, source_id=f"s{i:04d}")
+                           for i in range(1600)], path)
+        tracemalloc.start()
+        try:
+            results = read_fit_records(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 1600 and path.stat().st_size > 1_500_000
+        assert peak - held < 100_000
+
+    def test_a_bad_byte_past_the_first_line_is_named_by_its_offset_in_the_file(
+            self, tmp_path, noisy_spectrum):
+        # past the first line, and past the first 8 KiB that a buffered
+        # decoder would count from
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([fit_spectrum(noisy_spectrum, source_id=f"s{i}") for i in range(12)],
+                          path)
+        data = path.read_bytes()
+        at = data.index(b'"s10"') + 2
+        assert at > 8192
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: not a UTF-8 text file (byte {at}: invalid start byte)")):
+            read_fit_records(path)
+
+    def test_an_unreadable_path_is_refused_naming_it(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(
+                f"{tmp_path}: cannot read ({os.strerror(errno.EISDIR)})")):
+            read_fit_records(tmp_path)
+        with pytest.raises(DataError, match=re.escape(
+                f"{tmp_path / 'nope.jsonl'}: cannot read ({os.strerror(errno.ENOENT)})")):
+            read_fit_records(tmp_path / "nope.jsonl")
+
+    def test_records_with_crlf_ends_and_blank_lines_read_the_same(self, tmp_path,
+                                                                  noisy_spectrum):
+        path = tmp_path / "fits.jsonl"
+        write_fit_records([fit_spectrum(noisy_spectrum, source_id=f"s{i}") for i in range(3)],
+                          path)
+        lines = path.read_text().splitlines()
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(("\r\n".join(lines[:2] + ["", lines[2]])).encode())
+        assert read_fit_records(crlf) == read_fit_records(path)
+        crlf.write_bytes(("\r\n".join(lines + [" ", lines[0]]) + "\r\n").encode())
+        with pytest.raises(DataError, match="lines 1 and 5: source id 's0' given twice"):
+            read_fit_records(crlf)
+
 
 def test_record_keys_are_the_fields(tmp_path):
     # a fit record holds each FitResult field once, and a regression summary

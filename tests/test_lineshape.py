@@ -7,7 +7,7 @@ from dopplerkb import Transition, constants, doppler_width, kb_from_width, lines
 from dopplerkb.boltzmann import TemperatureReading
 from dopplerkb.lineshape import profile, profile_derivatives, w
 
-from _oracles import voigt_quadrature
+from _oracles import voigt_quadrature, weideman_coefficients
 
 
 class TestGaussian:
@@ -105,6 +105,14 @@ class TestFaddeeva:
         np.testing.assert_array_equal(got[0], lineshape._weideman(weideman.real, weideman.imag))
         np.testing.assert_array_equal(got[1], lineshape._continued_fraction(fraction))
         np.testing.assert_array_equal(got[2], lineshape._exponential_sums(sums.real, sums.imag))
+
+    def test_weideman_table_is_the_fft_derivation(self):
+        # the package holds the 40 coefficients as constants; they are the
+        # FFT derivation's doubles, element for element
+        table, derived = lineshape._WEIDEMAN_COEFFICIENTS, weideman_coefficients()
+        assert len(table) == len(derived) == 40
+        for k, (held, want) in enumerate(zip(table, derived)):
+            assert held == want, f"a_{40 - k}: {held.hex()} held, {want.hex()} derived"
 
     def test_is_erfcx_on_the_imaginary_axis_and_keeps_the_shape(self):
         from scipy.special import erfcx
