@@ -15,12 +15,12 @@ or option value), 3 a fit that did not converge (its record is written),
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
-
-import click
 
 from . import constants
 from .boltzmann import TemperatureReading, format_budget_table, uncertainty_budget
@@ -50,21 +50,39 @@ PAPER_KB_REL = 1.9e-4
 PAPER_TEMPERATURE_REL = 7e-5
 
 
-@click.group()
-def cli():
-    """Doppler-broadening thermometry toolkit."""
+class _UsageError(Exception):
+    """A command line the parser refuses."""
 
 
-@cli.command()
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Campaign configuration (JSON).")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True,
-              help="Output directory for spectrum files.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that raises ``_UsageError`` where the stock one
+    prints its usage and exits, takes no abbreviated option, and reads
+    ``-1e-3``, ``-inf`` and ``-nan`` as an option's value, as it reads ``-1.0``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+class _OutputFile(argparse.Action):
+    """Stores an output file's path; a directory there is a data error naming
+    the option, met before the command starts."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        if Path(path).is_dir():
+            raise DataError(f"{option_string}: {path} is a directory")
+        setattr(namespace, self.dest, path)
+
+
 def simulate(config_path, out_dir, seed):
     """Write a synthetic spectrum series (one file per pressure and replica)
     into a directory that holds no spectrum files yet."""
     out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise DataError(f"--out: {out} is not a directory")
     held = len(list(out.glob("spectrum_*.txt")))
     if held:  # a second campaign's files would mix with these under one manifest
         raise DataError(f"--out: {out} already holds {held} spectrum files")
@@ -77,17 +95,9 @@ def simulate(config_path, out_dir, seed):
         pi, replica = divmod(n - 1, cfg.replicas)
         write_spectrum(spectrum, out / f"spectrum_p{pi:02d}_r{replica:03d}.txt")
     write_manifest(out / "manifest.json", "simulate", cfg.to_dict(), cfg.seed)
-    click.echo(f"simulate: wrote {n} spectra to {out}")
+    print(f"simulate: wrote {n} spectra to {out}")
 
 
-@cli.command("fit")
-@click.argument("spectra", nargs=-1, type=click.Path(exists=True), required=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True,
-              help="Output fit-record stream (JSON lines).")
-@click.option("--model", type=click.Choice([m.value for m in FitModel]),
-              default=FitModel.EXP_GAUSSIAN.value, show_default=True, help="Fit model.")
-@click.option("--max-iter", type=int, default=MAX_ITER_DEFAULT, show_default=True,
-              help="Iteration budget per spectrum.")
 def fit_command(spectra, out_path, model, max_iter):
     """Fit every spectrum file and write one record per spectrum, whether or
     not its fit converged."""
@@ -109,20 +119,12 @@ def fit_command(spectra, out_path, model, max_iter):
         if not r.converged:
             unconverged.setdefault(r.failure or "out of iterations", []).append(r.source_id)
     n_bad = sum(map(len, unconverged.values()))
-    click.echo(f"fit: {len(results)} spectra -> {out_path} ({n_bad} unconverged)")
+    print(f"fit: {len(results)} spectra -> {out_path} ({n_bad} unconverged)")
     if n_bad:
         raise FitError(f"{n_bad} of {len(results)} fits did not converge: " + "; ".join(
             f"{reason} ({len(ids)}, first {ids[0]})" for reason, ids in unconverged.items()))
 
 
-@cli.command()
-@click.option("--fits", "fits_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Fit-record stream from the fit stage.")
-@click.option("--out-summary", type=click.Path(dir_okay=False), required=True)
-@click.option("--out-table", type=click.Path(dir_okay=False), required=True,
-              help="Plot-ready (amplitude, width, sigma) table.")
-@click.option("--threshold-slope", type=float, default=None,
-              help="Slope filter threshold per MHz (default: 3x median slope sigma).")
 def series(fits_path, out_summary, out_table, threshold_slope):
     """Filter fitted spectra by baseline slope and extrapolate to zero pressure;
     fits that did not converge, failed ones included, are left out."""
@@ -134,7 +136,7 @@ def series(fits_path, out_summary, out_table, threshold_slope):
     write_width_table(kept, rejected, out_table)
     write_manifest(Path(out_summary).with_suffix(".manifest.json"), "series",
                    {"fits": str(fits_path), "threshold_slope_per_mhz": threshold}, None)
-    click.echo(
+    print(
         f"series: delta_d = {outcome.delta_d_mhz:.6f} +/- {outcome.delta_d_sigma_mhz:.6f} MHz "
         f"(chi2_red {outcome.chi2_reduced:.3f}, used {outcome.n_used}, "
         f"rejected {outcome.n_rejected}, unconverged {outcome.n_unconverged} of which "
@@ -142,35 +144,19 @@ def series(fits_path, out_summary, out_table, threshold_slope):
     )
 
 
-@cli.command()
-@click.option("--summary", "summary_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Regression summary from the series stage.")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Campaign config for temperature/transition inputs.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def kb(summary_path, config_path, out_path):
     """Convert an extrapolated width into k_B with its uncertainty budget."""
     summary = read_regression_summary(summary_path)
-    cfg = load_config(config_path) if config_path else CampaignConfig()
+    cfg = CampaignConfig() if config_path is None else load_config(config_path)
     result = _refused_as(summary_path, cfg.budget, summary["delta_d_mhz"],
                          summary["delta_d_sigma_mhz"])
-    click.echo(format_budget_table(result))
+    print(format_budget_table(result))
     if out_path:
         write_boltzmann_record(result, out_path)
         write_manifest(Path(out_path).with_suffix(".manifest.json"), "kb",
                        {"summary": str(summary_path), "config": cfg.to_dict()}, None)
 
 
-@cli.command()
-@click.option("--delta-d-mhz", type=float, required=True)
-@click.option("--delta-d-sigma-mhz", type=float, required=True)
-@click.option("--temperature-k", type=float, default=constants.CELL_TEMPERATURE_K,
-              show_default=True)
-@click.option("--temperature-sigma-k", type=float,
-              default=constants.CELL_TEMPERATURE_SIGMA_K, show_default=True)
-@click.option("--mass-sigma-rel", type=float, default=constants.MASS_SIGMA_REL_DEFAULT)
-@click.option("--nu-sigma-rel", type=float, default=constants.FREQUENCY_SIGMA_REL_DEFAULT)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def budget(delta_d_mhz, delta_d_sigma_mhz, temperature_k, temperature_sigma_k,
            mass_sigma_rel, nu_sigma_rel, out_path):
     """Uncertainty budget for explicit width/temperature inputs (NH3 line)."""
@@ -189,7 +175,7 @@ def budget(delta_d_mhz, delta_d_sigma_mhz, temperature_k, temperature_sigma_k,
     _refused_as("--mass-sigma-rel", terms, *reading, delta_d_sigma_mhz, mass_sigma_rel)
     result = _refused_as("--nu-sigma-rel", terms, *reading, delta_d_sigma_mhz, mass_sigma_rel,
                          nu_sigma_rel)
-    click.echo(format_budget_table(result))
+    print(format_budget_table(result))
     if out_path:
         write_boltzmann_record(result, out_path)
         write_manifest(Path(out_path).with_suffix(".manifest.json"), "budget",
@@ -197,7 +183,6 @@ def budget(delta_d_mhz, delta_d_sigma_mhz, temperature_k, temperature_sigma_k,
                         "delta_d_sigma_mhz": delta_d_sigma_mhz}, None)
 
 
-@cli.command("reproduce-paper")
 def reproduce_paper():
     """Recompute k_B from the published width and compare with the published value."""
     transition = Transition.nh3()
@@ -209,13 +194,13 @@ def reproduce_paper():
     )
     kb_value = result.kb
     rel_diff = kb_value / PAPER_KB - 1.0
-    click.echo(f"inputs: delta_D = {PAPER_DELTA_D_MHZ} MHz ({PAPER_DELTA_D_REL:.1e}), "
+    print(f"inputs: delta_D = {PAPER_DELTA_D_MHZ} MHz ({PAPER_DELTA_D_REL:.1e}), "
                f"nu = {transition.nu0_mhz:.0f} MHz, T = {temperature.value_k} K "
                f"({PAPER_TEMPERATURE_REL:.0e}), m = {transition.mass_u:.7f} u")
-    click.echo(format_budget_table(result))
-    click.echo(f"published: k_B = {PAPER_KB:.5e} +/- {PAPER_KB_SIGMA:.1e} J/K, "
+    print(format_budget_table(result))
+    print(f"published: k_B = {PAPER_KB:.5e} +/- {PAPER_KB_SIGMA:.1e} J/K, "
                f"relative {PAPER_KB_REL:.1e}")
-    click.echo(f"agreement: computed/published - 1 = {rel_diff:+.2e} "
+    print(f"agreement: computed/published - 1 = {rel_diff:+.2e} "
                f"({abs(kb_value - PAPER_KB) / PAPER_KB_SIGMA:.2f} published sigma)")
 
 
@@ -244,25 +229,78 @@ def _collect_spectrum_paths(args) -> list:
     return paths
 
 
+def _parser() -> _Parser:
+    """The six commands, each run by the function given to ``command``, with
+    that function's docstring as its help."""
+    parser = _Parser(prog="dopplerkb", description="Doppler-broadening thermometry toolkit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    arg = command("simulate", simulate)
+    arg("--config", dest="config_path", required=True, help="Campaign configuration (JSON).")
+    arg("--out", dest="out_dir", required=True, help="Output directory for spectrum files.")
+    arg("--seed", type=int, help="Override the config seed.")
+
+    arg = command("fit", fit_command)
+    arg("spectra", nargs="+")
+    arg("--out", dest="out_path", required=True, action=_OutputFile,
+        help="Output fit-record stream (JSON lines).")
+    arg("--model", choices=[m.value for m in FitModel], default=FitModel.EXP_GAUSSIAN.value,
+        help="Fit model. [default: %(default)s]")
+    arg("--max-iter", type=int, default=MAX_ITER_DEFAULT,
+        help="Iteration budget per spectrum. [default: %(default)s]")
+
+    arg = command("series", series)
+    arg("--fits", dest="fits_path", required=True, help="Fit-record stream from the fit stage.")
+    arg("--out-summary", required=True, action=_OutputFile)
+    arg("--out-table", required=True, action=_OutputFile,
+        help="Plot-ready (amplitude, width, sigma) table.")
+    arg("--threshold-slope", type=float,
+        help="Slope filter threshold per MHz (default: 3x median slope sigma).")
+
+    arg = command("kb", kb)
+    arg("--summary", dest="summary_path", required=True,
+        help="Regression summary from the series stage.")
+    arg("--config", dest="config_path", help="Campaign config for temperature/transition inputs.")
+    arg("--out", dest="out_path", action=_OutputFile)
+
+    arg = command("budget", budget)
+    arg("--delta-d-mhz", type=float, required=True)
+    arg("--delta-d-sigma-mhz", type=float, required=True)
+    arg("--temperature-k", type=float, default=constants.CELL_TEMPERATURE_K,
+        help="[default: %(default)s]")
+    arg("--temperature-sigma-k", type=float, default=constants.CELL_TEMPERATURE_SIGMA_K,
+        help="[default: %(default)s]")
+    arg("--mass-sigma-rel", type=float, default=constants.MASS_SIGMA_REL_DEFAULT)
+    arg("--nu-sigma-rel", type=float, default=constants.FREQUENCY_SIGMA_REL_DEFAULT)
+    arg("--out", dest="out_path", action=_OutputFile)
+
+    command("reproduce-paper", reproduce_paper)
+    return parser
+
+
+# The stderr tag and exit code of a failure, by the first class it is an instance of.
+_FAILURES = ((_UsageError, "usage", 1), (DataError, "data", 2), (FitError, "fit", 3),
+             (Exception, "internal", 4))
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        kwargs = vars(_parser().parse_args(argv))
+        kwargs.pop("run")(**kwargs)
         return 0
-    except click.exceptions.Exit as exc:  # --help and friends
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        print(f"error: usage: {exc.format_message()}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return 2
-    except FitError as exc:
-        print(f"error: fit: {exc}", file=sys.stderr)
-        return 3
+    except SystemExit as exc:  # --help prints and exits 0
+        return exc.code
     except Exception as exc:  # keep failures one-line and machine-parsable
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 4
+        kind, code = next((kind, code) for cls, kind, code in _FAILURES if isinstance(exc, cls))
+        sys.stdout.flush()  # what the stage printed comes before its error
+        print(f"error: {kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -368,7 +368,7 @@ def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> Non
     """Record everything needed to re-run a pipeline stage bit-identically.
 
     ``versions`` names dopplerkb and numpy, the two packages whose code
-    makes the bits; click only parses the command line."""
+    makes the bits; the standard library's argparse parses the command line."""
     from . import __version__
 
     manifest = {

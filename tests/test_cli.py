@@ -119,7 +119,7 @@ class TestSimulate:
         capsys.readouterr()
         assert run("simulate", "--config", cfg, "--out", tmp_path / "x", "--no-noise") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: usage: No such option") and "--no-noise" in err
+        assert err.startswith("error: usage: ") and "unrecognized arguments: --no-noise" in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -524,6 +524,62 @@ class TestFitSeriesKb:
     def test_unknown_command_exits_1(self, capsys):
         assert run("frobnicate") == 1
 
+    @pytest.mark.parametrize("args", [(), ("frobnicate",)], ids=["no-command", "unknown"])
+    def test_a_usage_error_is_one_line(self, capsys, args):
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("args, missing", [
+        (("simulate", "--config", "nope.json", "--out", "spectra"), "nope.json"),
+        (("fit", "nope", "--out", "fits.jsonl"), "nope"),
+        (("series", "--fits", "nope", "--out-summary", "s.json", "--out-table", "t.txt"), "nope"),
+        (("kb", "--summary", "nope", "--out", "kb.json"), "nope"),
+        (("kb", "--summary", "summary.json", "--config", "nope.json", "--out", "kb.json"),
+         "nope.json"),
+    ], ids=["config", "spectrum", "fit records", "summary", "kb config"])
+    def test_a_missing_input_path_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, args,
+                                                    missing):
+        monkeypatch.chdir(tmp_path)
+        Path("summary.json").write_text(json.dumps({"schema": 2, "delta_d_mhz": 49.88,
+                                                    "delta_d_sigma_mhz": 0.005}))
+        assert run(*args) == 2
+        assert capsys.readouterr().err == \
+            f"error: data: {missing}: cannot read ({os.strerror(errno.ENOENT)})\n"
+        assert os.listdir() == ["summary.json"]
+
+    @pytest.mark.parametrize("stage, option", [
+        ("simulate", "--out"), ("fit", "--out"), ("series", "--out-summary"),
+        ("series", "--out-table"), ("kb", "--out"), ("budget", "--out"),
+    ])
+    def test_an_output_path_of_the_wrong_kind_exits_2_naming_it(self, tmp_path, spectra_dir,
+                                                                capsys, stage, option):
+        # a file where simulate writes its directory, or a directory where a
+        # stage writes a file, is refused before the stage writes anything
+        fits, summary, taken = tmp_path / "fits.jsonl", tmp_path / "summary.json", tmp_path / "x"
+        assert run("fit", spectra_dir, "--out", fits) == 0
+        assert run("series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "t.txt") == 0
+        args = {
+            "simulate": ["--config", write_config(tmp_path), "--out", taken],
+            "fit": [spectra_dir, "--out", taken],
+            "series": ["--fits", fits, "--out-summary", tmp_path / "s2.json",
+                       "--out-table", tmp_path / "t2.txt"],
+            "kb": ["--summary", summary, "--out", taken],
+            "budget": ["--delta-d-mhz", 49.88, "--delta-d-sigma-mhz", 0.01, "--out", taken],
+        }[stage]
+        args[args.index(option) + 1] = taken
+        if stage == "simulate":
+            taken.write_text("not a directory\n")
+        else:
+            taken.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(stage, *args) == 2
+        kind = "not a directory" if stage == "simulate" else "a directory"
+        assert capsys.readouterr().err == f"error: data: {option}: {taken} is {kind}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("line", ["# temperature_k: -1", "# nu0_mhz: nan",
                                       "# pressure_pa: -3"])
     def test_fit_refuses_a_header_value_the_metadata_refuses(self, tmp_path, spectra_dir,
@@ -805,6 +861,8 @@ class TestBudgetCommands:
         ("--delta-d-mhz", math.inf),
         ("--delta-d-sigma-mhz", math.nan),
         ("--temperature-k", math.inf),
+        ("--temperature-k", -math.inf),
+        ("--mass-sigma-rel", -1e-30),
         ("--temperature-sigma-k", math.nan),
         ("--mass-sigma-rel", math.nan),
         ("--nu-sigma-rel", math.inf),
@@ -847,6 +905,20 @@ class TestProcessContract:
         text = " ".join(capsys.readouterr().out.split())
         assert "from config" not in text
         assert "default: exp-gaussian" in text
+
+    def test_a_stage_line_comes_before_its_error_in_one_stream(self, tmp_path):
+        # stdout to a pipe is block-buffered: the stage's own line is flushed
+        # before the error line goes to stderr
+        cfg, spectra = write_config(tmp_path), tmp_path / "sp"
+        assert run("simulate", "--config", cfg, "--out", spectra) == 0
+        src = str(Path(dopplerkb.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "dopplerkb.cli", "fit", str(spectra),
+                               "--out", str(tmp_path / "f.jsonl"), "--max-iter", "1"],
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=""),
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                              timeout=60)
+        assert proc.returncode == 3
+        assert [line.split(":")[0] for line in proc.stdout.splitlines()] == ["fit", "error"]
 
     def test_non_ascii_label_is_written_as_utf8_under_an_ascii_locale(self, tmp_path):
         # the readers take UTF-8 only, so the writers must not use the locale's encoding
@@ -902,6 +974,26 @@ class TestProcessContract:
         proc = python_with_this_package("-c", code)
         assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stderr
 
+    def test_the_stages_load_no_third_party_module_but_numpy(self, tmp_path):
+        # the command line is parsed by the standard library.  What the
+        # interpreter loaded before the import (site may load a .pth file's
+        # package) is not the stages', and a module without a file is no
+        # code loaded (numpy's Cython modules make `cython_runtime`)
+        cfg, spectra, fits = write_config(tmp_path), tmp_path / "sp", tmp_path / "fits.jsonl"
+        summary = tmp_path / "summary.json"
+        stages = [["simulate", "--config", cfg, "--out", spectra],
+                  ["fit", spectra, "--out", fits],
+                  ["series", "--fits", fits, "--out-summary", summary,
+                   "--out-table", tmp_path / "table.txt"],
+                  ["kb", "--summary", summary, "--config", cfg, "--out", tmp_path / "kb.json"]]
+        code = ("import sys\nstart = set(sys.modules)\nfrom dopplerkb.cli import main\n"
+                f"status = [main(stage) for stage in {[list(map(str, s)) for s in stages]!r}]\n"
+                "loaded = {name.split('.')[0] for name, module in sys.modules.items()\n"
+                "          if name not in start and getattr(module, '__file__', None)}\n"
+                "print(status, sorted(loaded - sys.stdlib_module_names - {'numpy', 'dopplerkb'}))")
+        proc = python_with_this_package("-c", code)
+        assert proc.stdout.splitlines()[-1:] == ["[0, 0, 0, 0] []"], proc.stderr
+
     def test_reading_stage_files_loads_no_openssl(self, tmp_path):
         # hashlib, which maps OpenSSL, is imported by the manifest writer alone
         cfg, spectra, fits = write_config(tmp_path), tmp_path / "sp", tmp_path / "fits.jsonl"
@@ -926,7 +1018,7 @@ class TestProcessContract:
         "from dopplerkb import ModulationComb; ModulationComb.paper_default().weights",
     ], ids=["import", "w1-simulate", "exp-voigt-fit", "paper-comb"])
     def test_no_work_loads_scipy(self, tmp_path, work):
-        # the package needs numpy and click only: scipy is a test oracle (an
+        # the package needs numpy only: scipy is a test oracle (an
         # exp-Voigt fit may run out of iterations, exit 3, and still counts)
         cfg = write_config(tmp_path, pressures_pa=[5.0, 10.0], replicas=2)
         code = (f"import sys\nCFG, OUT = {str(cfg)!r}, {str(tmp_path / 'sp')!r}\n{work}\n"

@@ -18,9 +18,12 @@ def test_prints_a_peak_for_each_stage():
                           timeout=120, check=True)
     header, *lines = proc.stdout.splitlines()
     assert header == "peak RSS of each stage at 8 spectra"
-    assert [line.split()[0] for line in lines] == ["simulate", "fit", "series", "kb"]
+    assert [line.split()[0] for line in lines] == ["simulate", "fit", "series", "kb", "import"]
     assert all(re.fullmatch(r"\w+ +\d+\.\d MB", line) for line in lines)
-    assert all(10 < float(line.split()[1]) < 200 for line in lines)
+    *stages, floor = (float(line.split()[1]) for line in lines)
+    assert all(10 < peak < 200 for peak in stages)
+    # every stage imports dopplerkb.cli and then does its work
+    assert 10 < floor < min(stages)
 
 
 def test_a_failing_stage_names_itself_and_exits_non_zero(tmp_path):

@@ -5,7 +5,9 @@ importable (``PYTHONPATH=src`` in a checkout).  It runs ``simulate``,
 ``fit``, ``series`` and ``kb`` of the default 8-pressure campaign at seed 42
 and N replicas per pressure (default 50: 400 spectra) in a temp directory,
 and prints each stage's peak RSS in MB: the ``ru_maxrss`` of the stage
-process, reaped with ``os.wait4``.
+process, reaped with ``os.wait4``.  A last line, ``import``, is the peak of
+a process that only imports ``dopplerkb.cli``: the floor every stage starts
+from.
 
 The script imports the standard library only.  Linux carries a parent's
 high-water mark into a child started by vfork + exec, so a stage run from a
@@ -24,14 +26,13 @@ from pathlib import Path
 PRESSURES_PA = [0.2, 0.6, 1.2, 2.0, 3.2, 5.0, 7.5, 10.0]
 
 
-def stage_peak_mb(*args) -> float:
-    """Run ``python -m dopplerkb.cli *args`` and return its peak RSS in MB."""
-    proc = subprocess.Popen([sys.executable, "-m", "dopplerkb.cli", *map(str, args)],
-                            stdout=subprocess.DEVNULL)
+def peak_mb(name, *args) -> float:
+    """Run ``python *args`` and return its peak RSS in MB; a failure names ``name``."""
+    proc = subprocess.Popen([sys.executable, *map(str, args)], stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        sys.exit(f"stage_peaks: {args[0]} exited {proc.returncode}")
+        sys.exit(f"stage_peaks: {name} exited {proc.returncode}")
     return usage.ru_maxrss / 1024  # KiB on Linux
 
 
@@ -55,7 +56,8 @@ def main(argv=None) -> None:
         }
         print(f"peak RSS of each stage at {len(PRESSURES_PA) * replicas} spectra")
         for name, args in stages.items():
-            print(f"{name:9s}{stage_peak_mb(*args):8.1f} MB", flush=True)
+            print(f"{name:9s}{peak_mb(name, '-m', 'dopplerkb.cli', *args):8.1f} MB", flush=True)
+    print(f"{'import':9s}{peak_mb('import', '-c', 'import dopplerkb.cli'):8.1f} MB")
 
 
 if __name__ == "__main__":
