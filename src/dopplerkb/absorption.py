@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, read_text
+from .errors import DataError, read_text, refused_as
 from .lineshape import profile_derivatives, voigt
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -96,10 +96,7 @@ class HyperfineStructure:
                 raise DataError(f"{path}: line {lineno}: non-numeric component") from None
         if not pairs:
             raise DataError(f"{path}: no hyperfine components found")
-        try:
-            return cls.from_pairs(pairs)
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        return refused_as(path, cls.from_pairs, pairs)
 
     @classmethod
     def nh3_placeholder(cls) -> "HyperfineStructure":

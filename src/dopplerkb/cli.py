@@ -22,7 +22,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import constants
+from . import constants, errors
 from .boltzmann import TemperatureReading, format_budget_table, uncertainty_budget
 from .config import CampaignConfig, load_config
 from .errors import DataError, FitError
@@ -148,68 +148,58 @@ def kb(summary_path, config_path, out_path):
     """Convert an extrapolated width into k_B with its uncertainty budget."""
     summary = read_regression_summary(summary_path)
     cfg = CampaignConfig() if config_path is None else load_config(config_path)
-    result = _refused_as(summary_path, cfg.budget, summary["delta_d_mhz"],
-                         summary["delta_d_sigma_mhz"])
-    print(format_budget_table(result))
-    if out_path:
-        write_boltzmann_record(result, out_path)
-        write_manifest(Path(out_path).with_suffix(".manifest.json"), "kb",
-                       {"summary": str(summary_path), "config": cfg.to_dict()}, None)
+    result = errors.refused_as(summary_path, cfg.budget, summary["delta_d_mhz"],
+                               summary["delta_d_sigma_mhz"])
+    _report(result, out_path, "kb", {"summary": str(summary_path), "config": cfg.to_dict()})
 
 
-def budget(delta_d_mhz, delta_d_sigma_mhz, temperature_k, temperature_sigma_k,
-           mass_sigma_rel, nu_sigma_rel, out_path):
+def budget(delta_d_mhz, temperature_k, temperature_sigma_k, delta_d_sigma_mhz,
+           mass_sigma_rel, nu_sigma_rel, out_path=None):
     """Uncertainty budget for explicit width/temperature inputs (NH3 line)."""
-    # Each build adds one option to those already accepted, the width first
-    # at the default temperature: a refusal names the option it added.
-    def terms(t, t_sigma=0.0, width_sigma=0.0, mass=0.0, nu=0.0):
-        return uncertainty_budget(delta_d_mhz, width_sigma, Transition.nh3(),
-                                  TemperatureReading(t, t_sigma),
-                                  mass_sigma_rel=mass, nu_sigma_rel=nu)
+    inputs = {name: value for name, value in locals().items() if name != "out_path"}
+    # Each build adds one input to those already accepted, in the order of
+    # the arguments, the rest at _nh3_budget's defaults: a refusal names the
+    # option it added.
+    accepted = {}
+    for name, value in inputs.items():
+        accepted[name] = value
+        result = errors.refused_as("--" + name.replace("_", "-"), _nh3_budget, **accepted)
+    _report(result, out_path, "budget", inputs)
+    return result
 
-    _refused_as("--delta-d-mhz", terms, constants.CELL_TEMPERATURE_K)
-    _refused_as("--temperature-k", terms, temperature_k)
-    reading = (temperature_k, temperature_sigma_k)
-    _refused_as("--temperature-sigma-k", terms, *reading)
-    _refused_as("--delta-d-sigma-mhz", terms, *reading, delta_d_sigma_mhz)
-    _refused_as("--mass-sigma-rel", terms, *reading, delta_d_sigma_mhz, mass_sigma_rel)
-    result = _refused_as("--nu-sigma-rel", terms, *reading, delta_d_sigma_mhz, mass_sigma_rel,
-                         nu_sigma_rel)
-    print(format_budget_table(result))
-    if out_path:
-        write_boltzmann_record(result, out_path)
-        write_manifest(Path(out_path).with_suffix(".manifest.json"), "budget",
-                       {"delta_d_mhz": delta_d_mhz,
-                        "delta_d_sigma_mhz": delta_d_sigma_mhz}, None)
+
+def _nh3_budget(delta_d_mhz, temperature_k=constants.CELL_TEMPERATURE_K,
+                temperature_sigma_k=0.0, delta_d_sigma_mhz=0.0, mass_sigma_rel=0.0,
+                nu_sigma_rel=0.0):
+    """The budget of the NH3 line; an uncertainty not given is zero, and the
+    temperature is the cell's."""
+    return uncertainty_budget(delta_d_mhz, delta_d_sigma_mhz, Transition.nh3(),
+                              TemperatureReading(temperature_k, temperature_sigma_k),
+                              mass_sigma_rel=mass_sigma_rel, nu_sigma_rel=nu_sigma_rel)
 
 
 def reproduce_paper():
     """Recompute k_B from the published width and compare with the published value."""
-    transition = Transition.nh3()
-    temperature = TemperatureReading(constants.CELL_TEMPERATURE_K,
-                                     PAPER_TEMPERATURE_REL * constants.CELL_TEMPERATURE_K)
-    result = uncertainty_budget(
-        PAPER_DELTA_D_MHZ, PAPER_DELTA_D_REL * PAPER_DELTA_D_MHZ,
-        transition, temperature,
-    )
-    kb_value = result.kb
-    rel_diff = kb_value / PAPER_KB - 1.0
+    transition, t_k = Transition.nh3(), constants.CELL_TEMPERATURE_K
     print(f"inputs: delta_D = {PAPER_DELTA_D_MHZ} MHz ({PAPER_DELTA_D_REL:.1e}), "
-               f"nu = {transition.nu0_mhz:.0f} MHz, T = {temperature.value_k} K "
-               f"({PAPER_TEMPERATURE_REL:.0e}), m = {transition.mass_u:.7f} u")
-    print(format_budget_table(result))
+          f"nu = {transition.nu0_mhz:.0f} MHz, T = {t_k} K "
+          f"({PAPER_TEMPERATURE_REL:.0e}), m = {transition.mass_u:.7f} u")
+    kb_value = budget(PAPER_DELTA_D_MHZ, t_k, PAPER_TEMPERATURE_REL * t_k,
+                      PAPER_DELTA_D_REL * PAPER_DELTA_D_MHZ, constants.MASS_SIGMA_REL_DEFAULT,
+                      constants.FREQUENCY_SIGMA_REL_DEFAULT).kb
     print(f"published: k_B = {PAPER_KB:.5e} +/- {PAPER_KB_SIGMA:.1e} J/K, "
-               f"relative {PAPER_KB_REL:.1e}")
-    print(f"agreement: computed/published - 1 = {rel_diff:+.2e} "
-               f"({abs(kb_value - PAPER_KB) / PAPER_KB_SIGMA:.2f} published sigma)")
+          f"relative {PAPER_KB_REL:.1e}")
+    print(f"agreement: computed/published - 1 = {kb_value / PAPER_KB - 1.0:+.2e} "
+          f"({abs(kb_value - PAPER_KB) / PAPER_KB_SIGMA:.2f} published sigma)")
 
 
-def _refused_as(option, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ``ValueError`` is a data error naming ``option``."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise DataError(f"{option}: {exc}") from None
+def _report(result, out_path, command, inputs):
+    """Print the budget table of ``result``; with ``out_path``, write it there
+    as a k_B record, with a manifest of ``command`` and its ``inputs``."""
+    print(format_budget_table(result))
+    if out_path:
+        write_boltzmann_record(result, out_path)
+        write_manifest(Path(out_path).with_suffix(".manifest.json"), command, inputs, None)
 
 
 def _collect_spectrum_paths(args) -> list:
@@ -229,8 +219,9 @@ def _collect_spectrum_paths(args) -> list:
     return paths
 
 
-def _parser() -> _Parser:
-    """The six commands, each run by the function given to ``command``, with
+def _parser():
+    """The parser of the command line and the parsers of its six commands,
+    by name; each command is run by the function given to ``command``, with
     that function's docstring as its help."""
     parser = _Parser(prog="dopplerkb", description="Doppler-broadening thermometry toolkit.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -280,7 +271,34 @@ def _parser() -> _Parser:
     arg("--out", dest="out_path", action=_OutputFile)
 
     command("reproduce-paper", reproduce_paper)
-    return parser
+    return parser, commands.choices
+
+
+def _arguments(argv) -> dict:
+    """``run`` and its keyword arguments, from the command line ``argv``.
+
+    Arguments that the stock parse of a command leaves over are parsed again
+    intermixed, so ``fit``'s spectra may come before, between and after its
+    options, and an unrecognized argument is named before a missing
+    required one."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0] if argv else "")
+    if command is None:  # no command, an unknown one, or --help
+        return vars(parser.parse_args(argv))
+    try:
+        arguments, extras = command.parse_known_args(argv[1:])  # --help, argparse's refusals
+    except _UsageError:  # a missing argument is named once none is unrecognized
+        for action in command._actions:
+            action.required = False
+        arguments, extras = command.parse_known_intermixed_args(argv[1:])
+        if not extras:
+            raise
+    if extras:  # spectra after an option, or arguments that no option takes
+        arguments, extras = command.parse_known_intermixed_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return vars(arguments)
 
 
 # The stderr tag and exit code of a failure, by the first class it is an instance of.
@@ -291,7 +309,7 @@ _FAILURES = ((_UsageError, "usage", 1), (DataError, "data", 2), (FitError, "fit"
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        kwargs = vars(_parser().parse_args(argv))
+        kwargs = _arguments(argv)
         kwargs.pop("run")(**kwargs)
         return 0
     except SystemExit as exc:  # --help prints and exits 0

@@ -35,7 +35,7 @@ from typing import Iterator, get_type_hints
 from . import boltzmann, constants, simulator
 from .absorption import HyperfineStructure
 from .boltzmann import TemperatureReading
-from .errors import DataError, read_text
+from .errors import DataError, read_text, refused_as
 from .lineshape import Transition, doppler_width
 from .simulator import (
     DEFAULT_ABSORPTION_DEPTH_PA,
@@ -90,10 +90,7 @@ class CampaignConfig:
         builds.update((f"gas conditions at pressures_pa[{i}]", partial(self.conditions, p))
                       for i, p in enumerate(self.pressures_pa))
         for what, build in builds.items():
-            try:
-                build()
-            except (ValueError, DataError) as exc:
-                raise DataError(f"config: {what}: {exc}") from None
+            refused_as(f"config: {what}", build)
 
     def _within_scan(self, width_mhz: float) -> None:
         """Refuse a Doppler width the scan cannot resolve: narrower than its

@@ -1,6 +1,13 @@
-"""Exception hierarchy shared across the toolkit, and the two text-file
-reads, whole or line by line, that turn an unreadable or undecodable file
-into a ``DataError``.
+"""Exception hierarchy shared across the toolkit, the two text-file reads,
+whole or line by line, that turn an unreadable or undecodable file into a
+``DataError``, and the one rule that names the source of a refused value.
+
+The objects the pipeline builds (a spectrum, a transition, a width point,
+a budget) refuse a bad value with a ``ValueError`` that names the value but
+not where it came from.  Where a file, a config field or an option gave it,
+``refused_as(name, build, ...)`` makes the build, and its ``ValueError`` or
+``DataError`` becomes ``DataError(f"{name}: {exc}")``; any other exception
+passes through as it was raised.
 
 The CLI maps these onto exit codes: usage errors exit 1, ``DataError`` exits
 2, ``FitError`` exits 3.  A fit that fails (a degenerate normal matrix, or a
@@ -24,6 +31,15 @@ class DataError(DopplerKBError):
 class FitError(DopplerKBError):
     """Fits that did not converge, reported once their records are written,
     or a fault of the fitter's own linear algebra."""
+
+
+def refused_as(name, build, /, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` or ``DataError`` it
+    raises is raised as a ``DataError`` naming ``name``, its source."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{name}: {exc}") from None
 
 
 def read_text(path) -> str:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, refused_as
 from .fitter import FitResult
 
 MIN_POINTS = 3
@@ -75,18 +75,10 @@ def points_from_fit_results(results: Sequence[FitResult]) -> list:
         if not r.converged:
             continue
         source_id = r.source_id or f"spectrum-{i}"
-        try:
-            points.append(
-                WidthPoint(
-                    amplitude=r.params["peak_depth"],
-                    width_mhz=r.params["delta_mhz"],
-                    width_sigma_mhz=r.sigmas["delta_mhz"],
-                    baseline_slope=r.params["baseline_slope"],
-                    source_id=source_id,
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"fit {source_id!r}: {exc}") from None
+        fields = {"amplitude": r.params["peak_depth"], "width_mhz": r.params["delta_mhz"],
+                  "width_sigma_mhz": r.sigmas["delta_mhz"],
+                  "baseline_slope": r.params["baseline_slope"], "source_id": source_id}
+        points.append(refused_as(f"fit {source_id!r}", WidthPoint, **fields))
     return points
 
 

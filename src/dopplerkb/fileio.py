@@ -37,7 +37,7 @@ import numpy as np
 
 from . import constants
 from .config import json_bool, json_integer, json_number, json_text
-from .errors import DataError, read_lines, read_text
+from .errors import DataError, read_lines, read_text, refused_as
 from .extrapolation import ExtrapolationResult, WidthPoint
 from .fitter import FitModel, FitResult
 from .spectra import SCHEMA_VERSION, Spectrum, SpectrumMeta
@@ -163,10 +163,7 @@ def read_spectrum(path) -> Spectrum:
         raise DataError(f"{path}: needs at least 2 data rows")
 
     freq, trans = samples.T.copy()
-    try:
-        return Spectrum(freq, trans, SpectrumMeta(**kwargs))
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return refused_as(path, lambda: Spectrum(freq, trans, SpectrumMeta(**kwargs)))
 
 
 def _first_bad_sample(path, lines) -> DataError:
@@ -240,12 +237,21 @@ _FIT_RECORD = (
 )
 
 
-def _check_schema(record: dict, where: str) -> None:
-    """Refuse a record of a version this reader cannot take, naming it."""
+def _json_object(text: str, where, what: str) -> dict:
+    """The stage record ``what`` in the JSON ``text`` found at ``where``;
+    text that is not a JSON object, or a record of a schema version this
+    reader cannot take, is refused naming ``where``."""
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: bad {what} ({exc})") from None
+    if not isinstance(record, dict):
+        raise DataError(f"{where}: bad {what} (expected a JSON object)")
     version = record.get("schema", 1)
     if type(version) is not int or version not in _READABLE_SCHEMAS:
         raise DataError(f"{where}: unsupported schema version {version!r} "
                         f"(this reader takes {' and '.join(map(str, _READABLE_SCHEMAS))})")
+    return record
 
 
 def write_fit_records(results: Sequence[FitResult], path) -> None:
@@ -272,13 +278,7 @@ def read_fit_records(path) -> list:
         if not line.strip():
             continue
         where = f"{path}: line {lineno}"
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise DataError(f"{where}: bad fit record ({exc})") from None
-        if not isinstance(rec, dict):
-            raise DataError(f"{where}: bad fit record (expected a JSON object)")
-        _check_schema(rec, where)
+        rec = _json_object(line, where, "fit record")
         fields = {}
         for key, read in _FIT_RECORD:
             if key in rec:
@@ -321,13 +321,7 @@ _SUMMARY_INPUTS = (("delta_d_mhz", "> 0", lambda x: 0 < x < math.inf),
 
 
 def read_regression_summary(path) -> dict:
-    try:
-        record = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: bad regression summary ({exc})") from None
-    if not isinstance(record, dict):
-        raise DataError(f"{path}: bad regression summary (expected a JSON object)")
-    _check_schema(record, str(path))
+    record = _json_object(read_text(path), path, "regression summary")
     for key, bound, accepts in _SUMMARY_INPUTS:
         if key not in record:
             raise DataError(f"{path}: missing field {key!r}")

@@ -239,6 +239,14 @@ class TestFitSeriesKb:
         assert run("simulate", "--config", cfg, "--out", out) == 0
         return out
 
+    def test_spectra_may_come_before_between_and_after_the_options(self, tmp_path,
+                                                                  spectra_dir):
+        first, *rest = sorted(spectra_dir.glob("spectrum_*.txt"))
+        before, mixed = tmp_path / "before.jsonl", tmp_path / "mixed.jsonl"
+        assert run("fit", first, *rest, "--out", before, "--max-iter", 50) == 0
+        assert run("fit", first, "--out", mixed, *rest[:3], "--max-iter", 50, *rest[3:]) == 0
+        assert mixed.read_bytes() == before.read_bytes()
+
     def test_full_pipeline_noiseless_round_trip(self, tmp_path):
         # simulate -> fit -> series -> kb through files only; the recovered
         # kb must equal kb_true to 1e-6 (gamma = 0 keeps the Gaussian model
@@ -523,6 +531,19 @@ class TestFitSeriesKb:
 
     def test_unknown_command_exits_1(self, capsys):
         assert run("frobnicate") == 1
+
+    @pytest.mark.parametrize("args, unrecognized", [
+        (("budget", "--delta-d-mhz", 49.88, "--delta-d-sig", 0.01), "--delta-d-sig 0.01"),
+        (("simulate", "--conf", "campaign.json", "--out", "spectra"), "--conf campaign.json"),
+        (("fit", "spectra", "--outt", "fits.jsonl"), "--outt fits.jsonl"),
+    ], ids=["budget", "simulate", "fit"])
+    def test_an_unrecognized_option_is_named_before_a_missing_one(self, tmp_path, monkeypatch,
+                                                                   capsys, args, unrecognized):
+        monkeypatch.chdir(tmp_path)
+        assert run(*args) == 1
+        assert capsys.readouterr().err == \
+            f"error: usage: dopplerkb: unrecognized arguments: {unrecognized}\n"
+        assert os.listdir() == []
 
     @pytest.mark.parametrize("args", [(), ("frobnicate",)], ids=["no-command", "unknown"])
     def test_a_usage_error_is_one_line(self, capsys, args):
@@ -878,6 +899,36 @@ class TestBudgetCommands:
         assert run("budget", *[a for item in args.items() for a in item], "--out", out) == 2
         assert capsys.readouterr().err.startswith(f"error: data: {option}:")
         assert not out.exists()
+
+    def test_the_budget_manifest_reruns_the_budget_bit_for_bit(self, tmp_path):
+        # every option value is in the manifest's config, so its keys given
+        # back as options write the same record
+        first, again = tmp_path / "kb.json", tmp_path / "again.json"
+        assert run("budget", "--delta-d-mhz", 49.88, "--delta-d-sigma-mhz", 0.01,
+                   "--temperature-k", 300, "--temperature-sigma-k", 0.05,
+                   "--mass-sigma-rel", 1e-6, "--nu-sigma-rel", 3e-9, "--out", first) == 0
+        config = json.loads(first.with_suffix(".manifest.json").read_text())["config"]
+        assert len(config) == 6
+        assert run("budget", *[arg for key, value in config.items()
+                               for arg in ("--" + key.replace("_", "-"), value)],
+                   "--out", again) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_reproduce_paper_prints_the_published_comparison(self, capsys):
+        assert run("reproduce-paper") == 0
+        assert capsys.readouterr().out == "\n".join([
+            "inputs: delta_D = 49.8831 MHz (9.5e-05), nu = 28953694 MHz, T = 273.15 K (7e-05), "
+            "m = 17.0265491 u",
+            "k_B = 1.380654e-23 J/K  +/- 2.80e-27 (2.02e-04 relative)",
+            "source           relative contribution",
+            "width                        1.900e-04",
+            "temperature                  7.000e-05",
+            "frequency                    2.000e-08",
+            "mass                         1.000e-09",
+            "combined                     2.025e-04",
+            "published: k_B = 1.38065e-23 +/- 2.6e-27 J/K, relative 1.9e-04",
+            "agreement: computed/published - 1 = +2.75e-06 (0.01 published sigma)",
+        ]) + "\n"
 
     def test_reproduce_paper(self, capsys):
         assert run("reproduce-paper") == 0
