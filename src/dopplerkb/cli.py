@@ -6,7 +6,8 @@ makes one library call and writes its output: ``CampaignConfig.synthesize``,
 ``fit_series``, ``extrapolate`` and ``CampaignConfig.budget``.  Every
 file-writing run also writes a manifest (config hash, seed, dopplerkb and
 numpy versions, constants snapshot) sufficient to reproduce it
-bit-identically.
+bit-identically with the same numpy build on the same BLAS kernel; other
+OpenBLAS kernels change the bits (ROADMAP.md, direction 21).
 
 Exit codes: 0 success, 1 usage error, 2 data error (a bad file, config value
 or option value), 3 a fit that did not converge (its record is written),

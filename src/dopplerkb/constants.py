@@ -6,8 +6,12 @@ atomic mass units (kg derived through ``ATOMIC_MASS_KG``), temperatures in K.
 The ammonia mass is the sum of the AME2003 atomic masses of one 14N and three
 1H atoms; the molecular binding energy (a few eV, below 1e-10 relative) is
 neglected.  The Boltzmann-constant reference is the CODATA 2002 adjustment,
-which is the era-appropriate comparison value for this line.  Everything here
-is overridable through the campaign configuration.
+which is the era-appropriate comparison value for this line.  The line's
+frequency and label, the ammonia mass, the CODATA k_B (as ``kb_true``), the
+cell temperature and its uncertainty and the two relative uncertainties are
+defaults of the campaign configuration, which can override them.  The rest
+are fixed: the speed of light, the atomic mass unit, the 14N and 1H masses
+and the CODATA uncertainty of k_B.
 """
 
 from __future__ import annotations

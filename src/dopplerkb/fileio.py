@@ -359,7 +359,10 @@ def config_hash(config: dict) -> str:
 
 
 def write_manifest(path, command: str, config: dict, seed: Optional[int]) -> None:
-    """Record everything needed to re-run a pipeline stage bit-identically.
+    """Record everything needed to re-run a pipeline stage bit-identically
+    with the same numpy build on the same BLAS kernel, which the manifest
+    does not name: other OpenBLAS kernels change the bits (ROADMAP.md,
+    direction 21).
 
     ``versions`` names dopplerkb and numpy, the two packages whose code
     makes the bits; the standard library's argparse parses the command line."""

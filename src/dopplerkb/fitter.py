@@ -47,11 +47,13 @@ gives the covariances of all the fits that ended, and a ``fit_spectrum``
 call per spectrum assembles its result.  Each row keeps its own damping
 factor, iteration count and convergence state.  Every operation is
 row-wise, so a spectrum gets the same bits whether it is fitted alone or
-among others, in whichever slot.  ``fit_spectrum`` is ``fit_series`` of a
-batch of one.  A spectrum on another grid, even one of the same number of
-points, drains the workspace: every fit on the current grid runs to its
-end and has its result assembled, and a new workspace for the new grid
-takes its place.
+among others, in whichever slot.  That holds for one numpy build on one BLAS
+kernel, and not on every kernel: on OpenBLAS's Prescott kernel the two can
+differ in the last bit (ROADMAP.md, direction 21).  ``fit_spectrum`` is
+``fit_series`` of a batch of one.  A spectrum on another grid, even one of
+the same number of points, drains the workspace: every fit on the current
+grid runs to its end and has its result assembled, and a new workspace for
+the new grid takes its place.
 
 Every spectrum gets a result, and a fit ends in one of four ways, after
 Gpufit's fit states: converged; out of iterations; degenerate, when the

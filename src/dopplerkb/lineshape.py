@@ -107,6 +107,8 @@ class Transition:
             raise ValueError(f"transition frequency must be positive, got {self.nu0_mhz}")
         if not (self.mass_u > 0):
             raise ValueError(f"molecular mass must be positive, got {self.mass_u}")
+        if not (self.mass_kg > 0):
+            raise ValueError(f"molecular mass {self.mass_u} u is 0 kg in floating point")
 
     @property
     def mass_kg(self) -> float:

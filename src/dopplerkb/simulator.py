@@ -2,9 +2,9 @@
 series with known ground truth, mirroring the acquisition geometry of the
 real instrument (250 MHz scans in 500 kHz steps, ice-bath cell).
 
-Noise streams are derived from a master seed through ``SeedSequence`` so a
-series is reproducible bit-for-bit whether spectra are generated serially or
-in parallel.
+Each spectrum's noise stream is derived from a master seed through
+``SeedSequence``, so a spectrum's bits depend on its own seed and not on how
+many spectra were made before it or in what order.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ class ScanConfig:
 
     span_mhz: float = 250.0
     step_mhz: float = 0.5
-    snr: float = 1000.0  # per-point S/N; math.inf disables noise
+    snr: float = 1000.0  # per-point S/N; at math.inf the noise sigma 1/snr is 0
 
     def __post_init__(self):
         if not (self.span_mhz > 0 and self.step_mhz > 0):
             raise ValueError("scan span and step must be positive")
+        if not math.isfinite(self.span_mhz / self.step_mhz):
+            raise ValueError(f"scan span/step must be finite, got {self.span_mhz}/{self.step_mhz}")
         if self.n_points < 16:
             raise ValueError(f"scan must cover at least 16 points, got {self.n_points}")
         if not (self.snr > 0):
@@ -104,13 +106,11 @@ class GroundTruth:
 
 def _replica(noiseless: tuple, seed: int, snr: float) -> tuple[Spectrum, GroundTruth]:
     """The noiseless ``(Spectrum, GroundTruth)`` pair with the noise stream of
-    ``seed`` at ``snr`` added, labelled with that seed and S/N; the truth is shared."""
+    ``seed`` at ``snr`` added, labelled with that seed and S/N; the truth is shared.
+    The noise has sigma ``1 / snr``, so at an infinite ``snr`` it is zeros."""
     spectrum, truth = noiseless
-    if math.isinf(snr):
-        samples = spectrum.transmission.copy()
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        samples = spectrum.transmission + rng.normal(0.0, 1.0 / snr, size=spectrum.n_points)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    samples = spectrum.transmission + rng.normal(0.0, 1.0 / snr, size=spectrum.n_points)
     meta = replace(spectrum.meta, snr=snr, seed=int(seed))
     return spectrum.with_transmission(samples, meta), truth
 
@@ -133,7 +133,8 @@ def synth_spectrum(
     homogeneous width and peak depth scale linearly with pressure.  The
     baseline is 1 and flat; noise has sigma ``1 / snr``.  The result is the
     noiseless spectrum with the noise stream of ``seed`` added, so it is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed; at an infinite S/N it is the noiseless
+    spectrum itself, and no noise is drawn.
     """
     delta = doppler_width(transition, conditions.temperature_k, kb_true)
     offsets = scan.offsets_mhz()
@@ -148,7 +149,8 @@ def synth_spectrum(
                         temperature_sigma_k, conditions.pressure_pa, cell_length_m, math.inf,
                         int(seed))
     truth = GroundTruth(kb_true, delta, conditions.gamma_mhz, conditions.peak_depth)
-    return _replica((Spectrum(offsets, clean, meta), truth), seed, scan.snr)
+    noiseless = (Spectrum(offsets, clean, meta), truth)
+    return noiseless if math.isinf(scan.snr) else _replica(noiseless, seed, scan.snr)
 
 
 def spawn_seeds(master_seed: int, n: int) -> list[int]:
@@ -164,17 +166,14 @@ def iter_series(
     scan: ScanConfig,
     kb_true: float,
     seed: int,
-    *,
-    hyperfine: Optional[HyperfineStructure] = None,
-    comb: Optional[ModulationComb] = None,
-    temperature_sigma_k: float = 0.0,
-    cell_length_m: float = DEFAULT_CELL_LENGTH_M,
+    **synth,
 ) -> Iterator[tuple[Spectrum, GroundTruth]]:
     """One spectrum per pressure, each with its own derived noise stream,
     made one at a time as the iterator is read.
 
     ``conditions`` supplies the temperature and proportionality coefficients;
-    its pressure field is replaced per entry.  Entry ``i`` equals
+    its pressure field is replaced per entry.  The keyword arguments ``synth``
+    are ``synth_spectrum``'s, passed on to it.  Entry ``i`` equals
     ``synth_spectrum`` with the ``i``-th of ``spawn_seeds(seed, n)``.  Each
     distinct pressure is synthesized once, as a noiseless ``synth_spectrum``,
     before this call returns, so an optically black line is refused before
@@ -190,8 +189,7 @@ def iter_series(
         if pressure not in noiseless:
             noiseless[pressure] = synth_spectrum(
                 transition, replace(conditions, pressure_pa=pressure), scan.without_noise(),
-                kb_true, child, hyperfine=hyperfine, comb=comb,
-                temperature_sigma_k=temperature_sigma_k, cell_length_m=cell_length_m)
+                kb_true, child, **synth)
     return (_replica(noiseless[pressure], child, scan.snr)
             for pressure, child in zip(pressures, seeds))
 

@@ -107,6 +107,4 @@ class Spectrum:
 
     def noise_sigma_estimate(self) -> float:
         """Nominal per-point noise from the recorded S/N (inf S/N gives 0)."""
-        if math.isinf(self.meta.snr):
-            return 0.0
         return 1.0 / self.meta.snr

@@ -162,6 +162,24 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: data: config: bad value for '{key}'")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("stage", ["simulate", "kb"])
+    @pytest.mark.parametrize("overrides, key", [
+        ({"scan": {"step_mhz": 5e-324}}, "scan"),  # span / step overflows
+        ({"scan": {"span_mhz": 1.7976931348623157e308}}, "scan"),
+        ({"transition": {"mass_u": 1e-300}}, "transition"),  # 0 kg
+        ({"transition": {"mass_u": 5e-324}}, "transition"),
+    ])
+    def test_a_number_that_overflows_or_underflows_exits_2_naming_its_object(
+            self, tmp_path, capsys, stage, overrides, key):
+        cfg, out = write_config(tmp_path, **overrides), tmp_path / "out"
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"delta_d_mhz": 49.88, "delta_d_sigma_mhz": 0.005}))
+        inputs = () if stage == "simulate" else ("--summary", summary)
+        assert run(stage, "--config", cfg, *inputs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: config: {key}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_hyperfine_file_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
         sub = tmp_path / "sub"
         sub.mkdir()

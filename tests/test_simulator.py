@@ -16,7 +16,7 @@ from dopplerkb import (
     voigt,
 )
 from dopplerkb.errors import DataError
-from dopplerkb.simulator import spawn_seeds, synth_series
+from dopplerkb.simulator import iter_series, spawn_seeds, synth_series
 
 NH3 = Transition.nh3()
 KB = constants.KB_CODATA_2002
@@ -157,6 +157,11 @@ class TestSynthSeries:
                 NH3, GasConditions(pressure_pa=p), s, KB, child, temperature_sigma_k=0.01,
                 cell_length_m=0.25, **extra)
             assert spectrum == want and truth == want_truth
+
+    def test_an_unknown_keyword_raises_at_the_call(self):
+        with pytest.raises(TypeError, match="hyperfin"):
+            iter_series(NH3, [1.0, 2.0], GasConditions(pressure_pa=1.0), scan(), KB, 3,
+                        hyperfin=None)
 
     def test_comb_samples_equal_a_direct_sum_over_the_components(self):
         hf, comb = HyperfineStructure.nh3_placeholder(), ModulationComb.paper_default()

@@ -55,3 +55,9 @@ def test_with_transmission_keeps_the_grid_array(spectrum):
 def test_pressure_not_positive_and_finite_refused(pressure):
     with pytest.raises(ValueError, match="pressure_pa must be positive and finite"):
         SpectrumMeta("", 572113.0, 273.15, 0.0, pressure, 0.3, math.inf, 0)
+
+
+@pytest.mark.parametrize("snr, sigma", [(1000.0, 1e-3), (4.0, 0.25), (math.inf, 0.0)])
+def test_noise_sigma_estimate_is_one_over_the_snr(snr, sigma):
+    meta = SpectrumMeta("", 572113.0, 273.15, 0.0, 1.0, 0.3, snr, 0)
+    assert Spectrum(GRID, np.ones(GRID.size), meta).noise_sigma_estimate() == sigma
